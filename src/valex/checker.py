@@ -13,7 +13,8 @@ line, frames of a sentence sharing its id:
     sentence_id<TAB>lemma<TAB>redistribution<TAB>obs_slots
 
 where obs_slots is a ``;``-separated list of ``Function:Realization``
-pairs (possibly empty).  ``#`` comment lines and blank lines are ignored.
+pairs (possibly empty).  Lines follow the shared line rule of
+``valex.errors``; see "File formats" in the README.
 """
 
 from __future__ import annotations
@@ -22,17 +23,19 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import FormatError
+from .errors import FormatError, iter_rows, lookup, write_rows
 from .lexicon import (
+    FUNCTION_BY_TOKEN,
+    REDISTRIBUTION_BY_TOKEN,
     LexicalEntry,
     Lexicon,
     Realization,
     Redistribution,
     SyntacticFunction,
+    parse_realization,
 )
 
-_FUNCTION_BY_TOKEN = {f.value: f for f in SyntacticFunction}
-_REDISTRIBUTION_BY_TOKEN = {r.value: r for r in Redistribution}
+_FUNCTIONS = frozenset(SyntacticFunction)
 
 # Contexts in which an unexpressed deep subject is not a coding failure.
 _SUBJECT_EXEMPT_CONTEXTS = frozenset({Redistribution.PASSIVE, Redistribution.IMPERSONAL})
@@ -56,8 +59,10 @@ class ObservedFrame:
 
     def __post_init__(self):
         object.__setattr__(self, "slots", frozenset(self.slots))
-        functions = [f for f, _ in self.slots]
-        if len(set(functions)) != len(functions):
+        functions = {f for f, _ in self.slots}
+        if not functions <= _FUNCTIONS:
+            raise ValueError(f"observed slot function is not a SyntacticFunction for {self.lemma!r}")
+        if len(functions) != len(self.slots):
             raise ValueError(f"duplicate function in observed frame for {self.lemma!r}")
 
 
@@ -171,61 +176,40 @@ def diagnose_corpus(lexicon: Lexicon, corpus) -> tuple[list[SentenceRecord], Cou
 def parse_corpus(text: str) -> list[tuple[str, list[ObservedFrame]]]:
     """Parse the corpus annotation format, grouping frames by sentence id
     in first-appearance order."""
-    order: list[str] = []
     grouped: dict[str, list[ObservedFrame]] = {}
-    for line, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip() or raw.startswith("#"):
-            continue
-        fields = raw.split("\t")
+    for line, fields in iter_rows(text):
         if len(fields) != 4:
             raise FormatError(f"expected 4 tab-separated fields, got {len(fields)}", line)
         sentence_id, lemma, redist_tok, slots_tok = fields
         if not sentence_id:
             raise FormatError("empty sentence id", line)
-        context = _REDISTRIBUTION_BY_TOKEN.get(redist_tok)
-        if context is None:
-            raise FormatError(f"unknown redistribution: {redist_tok!r}", line)
+        context = lookup(REDISTRIBUTION_BY_TOKEN, redist_tok, "redistribution", line)
         slots = set()
         if slots_tok:
             for pair in slots_tok.split(";"):
                 function_tok, sep, realization_tok = pair.partition(":")
                 if not sep:
                     raise FormatError(f"malformed observed slot: {pair!r}", line)
-                function = _FUNCTION_BY_TOKEN.get(function_tok)
-                if function is None:
-                    raise FormatError(f"unknown function token: {function_tok!r}", line)
-                try:
-                    realization = Realization.from_token(realization_tok)
-                except ValueError as exc:
-                    raise FormatError(str(exc), line) from exc
-                slots.add((function, realization))
+                function = lookup(FUNCTION_BY_TOKEN, function_tok, "function token", line)
+                slots.add((function, parse_realization(realization_tok, line)))
         try:
             frame = ObservedFrame(lemma, frozenset(slots), context)
         except ValueError as exc:
             raise FormatError(str(exc), line) from exc
-        if sentence_id not in grouped:
-            order.append(sentence_id)
-            grouped[sentence_id] = []
-        grouped[sentence_id].append(frame)
-    return [(sentence_id, grouped[sentence_id]) for sentence_id in order]
+        grouped.setdefault(sentence_id, []).append(frame)
+    return list(grouped.items())
+
+
+def _observation_fields(sentence_id: str, obs: ObservedFrame) -> tuple[str, str, str, str]:
+    slots = ";".join(
+        f"{function.value}:{realization.token()}"
+        for function, realization in sorted(obs.slots, key=lambda s: (s[0].value, s[1].token()))
+    )
+    return sentence_id, obs.lemma, obs.redistribution_context.value, slots
 
 
 def serialize_corpus(corpus) -> str:
     """Inverse of parse_corpus for corpora with unique sentence ids."""
-    lines = []
-    for sentence_id, frames in corpus:
-        if "\t" in sentence_id or "\n" in sentence_id:
-            raise ValueError(f"sentence id {sentence_id!r} cannot be serialized")
-        for obs in frames:
-            if "\t" in obs.lemma or "\n" in obs.lemma:
-                raise ValueError(f"lemma {obs.lemma!r} cannot be serialized")
-            slots = ";".join(
-                f"{function.value}:{realization.token()}"
-                for function, realization in sorted(
-                    obs.slots, key=lambda s: (s[0].value, s[1].token())
-                )
-            )
-            lines.append(
-                f"{sentence_id}\t{obs.lemma}\t{obs.redistribution_context.value}\t{slots}"
-            )
-    return "".join(line + "\n" for line in lines)
+    return write_rows(
+        _observation_fields(sentence_id, obs) for sentence_id, frames in corpus for obs in frames
+    )

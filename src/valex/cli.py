@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import __version__
 from .checker import FailureReason, diagnose_corpus, parse_corpus
-from .errors import FormatError
+from .errors import FormatError, iter_rows
 from .lexicon import lexicon_stats, parse_lexicon, serialize_lexicon
 from .merge import merge_lexicons, serialize_merge_report
 from .mining import (
@@ -76,15 +76,18 @@ def top_lemmas(table: FrequencyTable, n: int) -> list[str]:
     return [lemma for lemma, _ in ranked[:n]]
 
 
+def _pairs(text: str, second: str):
+    """(line, form, second field) for each row of a two-column table."""
+    for line, fields in iter_rows(text):
+        if len(fields) != 2:
+            got = "\t".join(fields)
+            raise FormatError(f"expected 'form<TAB>{second}', got {got!r}", line)
+        yield line, fields[0], fields[1]
+
+
 def parse_frequency_table(text: str) -> tuple[tuple[str, int], ...]:
     rows = []
-    for line, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip() or raw.startswith("#"):
-            continue
-        fields = raw.split("\t")
-        if len(fields) != 2:
-            raise FormatError(f"expected 'form<TAB>count', got {raw!r}", line)
-        form, count_tok = fields
+    for line, form, count_tok in _pairs(text, "count"):
         try:
             count = int(count_tok)
         except ValueError as exc:
@@ -97,13 +100,7 @@ def parse_frequency_table(text: str) -> tuple[tuple[str, int], ...]:
 
 def parse_lemma_map(text: str) -> dict[str, str]:
     mapping: dict[str, str] = {}
-    for line, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip() or raw.startswith("#"):
-            continue
-        fields = raw.split("\t")
-        if len(fields) != 2:
-            raise FormatError(f"expected 'form<TAB>lemma', got {raw!r}", line)
-        form, lemma = fields
+    for line, form, lemma in _pairs(text, "lemma"):
         if form in mapping:
             raise FormatError(f"duplicate form in lemma map: {form!r}", line)
         mapping[form] = lemma
@@ -199,10 +196,7 @@ def _cmd_merge(args) -> int:
 def _cmd_check(args) -> int:
     lexicon = _parse_file(args.lexicon, parse_lexicon)
     corpus = _parse_file(args.corpus, parse_corpus)
-    try:
-        records, histogram = diagnose_corpus(lexicon, corpus)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    records, histogram = diagnose_corpus(lexicon, corpus)
     manifest = RunManifest(inputs=(("lexicon", args.lexicon), ("corpus", args.corpus)))
     _write(args.out, "records.tsv", _render(manifest, serialize_records(records)))
     failure_lines = [f"{reason.value}\t{histogram.get(reason, 0)}" for reason in FailureReason]
@@ -222,11 +216,8 @@ def _cmd_eval(args) -> int:
     gold = _parse_file(args.gold, parse_passage)
     hyp = _parse_file(args.hyp, parse_passage)
     mode = RelaxationMode(args.mode)
-    try:
-        scores = score_corpus(gold, hyp, mode)
-        covered = coverage(hyp)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    scores = score_corpus(gold, hyp, mode)
+    covered = coverage(hyp)
     manifest = RunManifest(
         inputs=(("gold", args.gold), ("hyp", args.hyp)), params=(("mode", mode.value),)
     )
@@ -254,12 +245,9 @@ def _cmd_mine(args) -> int:
     ref_records = _parse_file(args.ref_records, parse_records)
     hyp_records = _parse_file(args.hyp_records, parse_records)
     params = MiningParams(epsilon=args.epsilon, max_iterations=args.max_iter)
-    try:
-        corpus = build_mining_corpus(ref_records, hyp_records)
-        result = compute_suspicion(corpus, params)
-        ranked = rank_suspects(result.scores, args.top_k)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    corpus = build_mining_corpus(ref_records, hyp_records)
+    result = compute_suspicion(corpus, params)
+    ranked = rank_suspects(result.scores, args.top_k)
     if not result.converged:
         print(
             f"valex: warning: fixed point not converged after {result.iterations_used} iterations",
@@ -281,12 +269,9 @@ def _cmd_mine(args) -> int:
 def _cmd_freq(args) -> int:
     rows = _parse_file(args.freq_table, parse_frequency_table)
     mapping = _parse_file(args.lemma_map, parse_lemma_map)
-    try:
-        table = FrequencyTable(rows, mapping)
-        counts, unmapped = lemma_counts(table)
-        top = top_lemmas(table, args.n)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    table = FrequencyTable(rows, mapping)
+    counts, unmapped = lemma_counts(table)
+    top = top_lemmas(table, args.n)
     if unmapped:
         print(f"valex: warning: {unmapped} unmapped forms ignored", file=sys.stderr)
     manifest = RunManifest(
@@ -357,10 +342,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except CliError as exc:
-        print(f"valex: error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (CliError, ValueError) as exc:
         print(f"valex: error: {exc}", file=sys.stderr)
         return 1
 

@@ -17,7 +17,8 @@ The textual interchange format is line-based UTF-8.  One entry per line:
 * provenance: comma-separated ``source:id`` pairs;
 * remaining tab-separated fields, if any, are free-text examples.
 
-Lines starting with ``#`` and blank lines are ignored.
+Lines are read and written by the shared line layer in ``valex.errors``;
+see "File formats" in the README for what a line is.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator
 
-from .errors import FormatError
+from .errors import FormatError, iter_rows, lookup, write_rows
 
 
 # The closed enums below hash by identity: their members are singletons,
@@ -130,12 +131,12 @@ class Realization:
 
     @classmethod
     def from_token(cls, token: str) -> "Realization":
+        plain = _PLAIN_BY_TOKEN.get(token)
+        if plain is not None:
+            return plain
         m = _PP_TOKEN.match(token)
         if m:
             return cls(Marker.PP, m.group(1))
-        for marker in Marker:
-            if marker is not Marker.PP and marker.value == token:
-                return cls(marker)
         raise ValueError(f"unknown realization token: {token!r}")
 
 
@@ -143,6 +144,8 @@ NP = Realization(Marker.NP)
 CLITIC = Realization(Marker.CLITIC)
 FINITE_CLAUSE = Realization(Marker.FINITE_CLAUSE)
 INF_CLAUSE = Realization(Marker.INF_CLAUSE)
+# The plain realizations are frozen, so from_token hands out these singletons.
+_PLAIN_BY_TOKEN = {r.token(): r for r in (NP, CLITIC, FINITE_CLAUSE, INF_CLAUSE)}
 
 
 def pp(prep: str) -> Realization:
@@ -158,6 +161,8 @@ class FunctionSlot:
     optional: bool = False
 
     def __post_init__(self):
+        if type(self.function) is not SyntacticFunction:
+            raise ValueError(f"slot function must be a SyntacticFunction, got {self.function!r}")
         if type(self.realizations) is not frozenset:
             object.__setattr__(self, "realizations", frozenset(self.realizations))
         if not self.realizations:
@@ -210,10 +215,8 @@ class LexicalEntry:
         for slot in self.frame:
             if slot.function in _BASE_BIT:
                 base |= _BASE_BIT[slot.function]
-            elif slot.function in _OBLIQUE_BIT:
-                oblique |= _OBLIQUE_BIT[slot.function]
             else:
-                raise ValueError(f"unknown function {slot.function!r} in frame of {self.entry_id}")
+                oblique |= _OBLIQUE_BIT[slot.function]
         object.__setattr__(self, "base_mask", base)
         object.__setattr__(self, "oblique_mask", oblique)
         if base.bit_count() + oblique.bit_count() != len(self.frame):
@@ -287,6 +290,19 @@ class StatsReport:
     top: tuple[tuple[str, int], ...]
 
 
+FUNCTION_BY_TOKEN = {f.value: f for f in SyntacticFunction}
+_CATEGORY_BY_TOKEN = {c.value: c for c in Category}
+REDISTRIBUTION_BY_TOKEN = {r.value: r for r in Redistribution}
+
+
+def parse_realization(token: str, line: int) -> Realization:
+    """Realization.from_token, failing with a FormatError at line."""
+    try:
+        return Realization.from_token(token)
+    except ValueError as exc:
+        raise FormatError(str(exc), line) from exc
+
+
 def _parse_slot(token: str, line: int) -> FunctionSlot:
     head, sep, tail = token.partition(":")
     if not sep:
@@ -294,44 +310,28 @@ def _parse_slot(token: str, line: int) -> FunctionSlot:
     optional = head.endswith("?")
     if optional:
         head = head[:-1]
-    function = _FUNCTION_BY_TOKEN.get(head)
-    if function is None:
-        raise FormatError(f"unknown function token: {head!r}", line)
+    function = lookup(FUNCTION_BY_TOKEN, head, "function token", line)
     if not tail:
         raise FormatError(f"empty realization set for {head}", line)
-    try:
-        realizations = frozenset(Realization.from_token(t) for t in tail.split("|"))
-    except ValueError as exc:
-        raise FormatError(str(exc), line) from exc
+    realizations = frozenset(parse_realization(t, line) for t in tail.split("|"))
     return FunctionSlot(function, realizations, optional)
 
 
-_FUNCTION_BY_TOKEN = {f.value: f for f in SyntacticFunction}
-_CATEGORY_BY_TOKEN = {c.value: c for c in Category}
-_REDISTRIBUTION_BY_TOKEN = {r.value: r for r in Redistribution}
-
-
-def _parse_entry(line_text: str, line: int) -> LexicalEntry:
-    fields = line_text.split("\t")
+def _parse_entry(fields: list[str], line: int) -> LexicalEntry:
     if len(fields) < 7:
         raise FormatError(f"expected at least 7 tab-separated fields, got {len(fields)}", line)
     lemma, category_tok, entry_id, frame_tok, redist_tok, coded_tok = fields[:6]
     provenance_tok = fields[6]
     examples = tuple(fields[7:])
 
-    category = _CATEGORY_BY_TOKEN.get(category_tok)
-    if category is None:
-        raise FormatError(f"unknown category: {category_tok!r}", line)
+    category = lookup(_CATEGORY_BY_TOKEN, category_tok, "category", line)
 
     frame = tuple(_parse_slot(tok, line) for tok in frame_tok.split(";")) if frame_tok else ()
 
-    redistributions = set()
-    if redist_tok:
-        for tok in redist_tok.split(","):
-            redistribution = _REDISTRIBUTION_BY_TOKEN.get(tok)
-            if redistribution is None:
-                raise FormatError(f"unknown redistribution: {tok!r}", line)
-            redistributions.add(redistribution)
+    redistributions = frozenset(
+        lookup(REDISTRIBUTION_BY_TOKEN, tok, "redistribution", line)
+        for tok in (redist_tok.split(",") if redist_tok else ())
+    )
 
     if coded_tok == "coded":
         coded = True
@@ -353,7 +353,7 @@ def _parse_entry(line_text: str, line: int) -> LexicalEntry:
             category=category,
             entry_id=entry_id,
             frame=frame,
-            redistributions=frozenset(redistributions),
+            redistributions=redistributions,
             coded=coded,
             provenance=tuple(provenance),
             examples=examples,
@@ -370,10 +370,8 @@ def parse_lexicon(text: str, name: str = "") -> Lexicon:
     """
     entries: list[LexicalEntry] = []
     seen_ids: dict[str, int] = {}
-    for line, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip() or raw.startswith("#"):
-            continue
-        entry = _parse_entry(raw, line)
+    for line, fields in iter_rows(text):
+        entry = _parse_entry(fields, line)
         if entry.entry_id in seen_ids:
             raise FormatError(
                 f"duplicate entry_id {entry.entry_id!r} (first seen on line {seen_ids[entry.entry_id]})",
@@ -384,13 +382,7 @@ def parse_lexicon(text: str, name: str = "") -> Lexicon:
     return Lexicon.from_entries(entries, name)
 
 
-def _check_field(value: str, what: str) -> str:
-    if "\t" in value or "\n" in value or "\r" in value:
-        raise ValueError(f"{what} contains a tab or newline and cannot be serialized: {value!r}")
-    return value
-
-
-def _serialize_entry(entry: LexicalEntry) -> str:
+def _entry_fields(entry: LexicalEntry) -> list[str]:
     frame = ";".join(slot.token() for slot in entry.frame)
     for slot in entry.frame:
         for r in slot.realizations:
@@ -401,24 +393,22 @@ def _serialize_entry(entry: LexicalEntry) -> str:
     for source, orig_id in entry.provenance:
         if ":" in source or "," in source or "," in orig_id:
             raise ValueError(f"provenance item {(source, orig_id)!r} cannot be serialized")
-        provenance_items.append(f"{_check_field(source, 'provenance source')}:{_check_field(orig_id, 'provenance id')}")
-    fields = [
-        _check_field(entry.lemma, "lemma"),
+        provenance_items.append(f"{source}:{orig_id}")
+    return [
+        entry.lemma,
         entry.category.value,
-        _check_field(entry.entry_id, "entry_id"),
+        entry.entry_id,
         frame,
         redistributions,
         "coded" if entry.coded else "uncoded",
         ",".join(provenance_items),
+        *entry.examples,
     ]
-    fields.extend(_check_field(e, "example") for e in entry.examples)
-    return "\t".join(fields)
 
 
 def serialize_lexicon(lexicon: Lexicon) -> str:
     """Serialize to canonical form: lemmas sorted, entries in entry_id order."""
-    lines = [_serialize_entry(entry) for entry in lexicon.all_entries()]
-    return "".join(line + "\n" for line in lines)
+    return write_rows(_entry_fields(entry) for entry in lexicon.all_entries())
 
 
 def lexicon_stats(lexicon: Lexicon, top_k: int = 10) -> StatsReport:

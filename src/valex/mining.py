@@ -8,8 +8,8 @@ suspicion is the average, over its occurrences, of the share of blame it
 takes inside each failed sentence, where shares are proportional to the
 current suspicions and renormalized per sentence.
 
-File formats, one sentence per line, ``#`` comments and blank lines
-ignored:
+File formats, one sentence per line, following the shared line rule of
+``valex.errors`` (see "File formats" in the README):
 
     sentence_id<TAB>failed|ok<TAB>form1,form2,...
 
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 from .checker import SentenceRecord
-from .errors import FormatError
+from .errors import FormatError, iter_rows, write_rows
 
 
 @dataclass(frozen=True)
@@ -50,10 +50,9 @@ class MiningCorpus:
 
     def __post_init__(self):
         ordered = tuple(sorted(self.sentences, key=lambda s: s.sentence_id))
-        ids = [s.sentence_id for s in ordered]
-        if len(set(ids)) != len(ids):
-            duplicate = next(i for k, i in enumerate(ids) if i in ids[:k])
-            raise ValueError(f"duplicate sentence id: {duplicate!r}")
+        for previous, sentence in zip(ordered, ordered[1:]):
+            if previous.sentence_id == sentence.sentence_id:
+                raise ValueError(f"duplicate sentence id: {sentence.sentence_id!r}")
         object.__setattr__(self, "sentences", ordered)
 
 
@@ -227,10 +226,7 @@ def format_suspects(ranked: Sequence[SuspicionScore]) -> str:
 def _parse_lines(text: str) -> list[tuple[str, bool, tuple[str, ...]]]:
     rows = []
     seen: set[str] = set()
-    for line, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip() or raw.startswith("#"):
-            continue
-        fields = raw.split("\t")
+    for line, fields in iter_rows(text):
         if len(fields) != 3:
             raise FormatError(f"expected 3 tab-separated fields, got {len(fields)}", line)
         sentence_id, tag, forms_tok = fields
@@ -246,16 +242,11 @@ def _parse_lines(text: str) -> list[tuple[str, bool, tuple[str, ...]]]:
     return rows
 
 
-def _serialize_lines(rows) -> str:
-    lines = []
-    for sentence_id, failed, forms in rows:
-        if "\t" in sentence_id or "\n" in sentence_id:
-            raise ValueError(f"sentence id {sentence_id!r} cannot be serialized")
-        for form in forms:
-            if "," in form or "\t" in form or "\n" in form:
-                raise ValueError(f"form {form!r} cannot be serialized")
-        lines.append(f"{sentence_id}\t{'failed' if failed else 'ok'}\t{','.join(forms)}")
-    return "".join(line + "\n" for line in lines)
+def _row(sentence_id: str, failed: bool, forms: tuple[str, ...]) -> tuple[str, str, str]:
+    for form in forms:
+        if not form or "," in form:
+            raise ValueError(f"form {form!r} cannot be serialized")
+    return sentence_id, "failed" if failed else "ok", ",".join(forms)
 
 
 def parse_mining_corpus(text: str) -> MiningCorpus:
@@ -265,7 +256,7 @@ def parse_mining_corpus(text: str) -> MiningCorpus:
 
 
 def serialize_mining_corpus(corpus: MiningCorpus) -> str:
-    return _serialize_lines((s.sentence_id, s.failed, s.forms) for s in corpus.sentences)
+    return write_rows(_row(s.sentence_id, s.failed, s.forms) for s in corpus.sentences)
 
 
 def parse_records(text: str) -> list[SentenceRecord]:
@@ -277,4 +268,4 @@ def parse_records(text: str) -> list[SentenceRecord]:
 
 
 def serialize_records(records: Sequence[SentenceRecord]) -> str:
-    return _serialize_lines((r.sentence_id, not r.analyzable, r.forms) for r in records)
+    return write_rows(_row(r.sentence_id, not r.analyzable, r.forms) for r in records)

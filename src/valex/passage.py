@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Sequence
 from xml.sax.saxutils import escape, quoteattr
 
-from .errors import FormatError
+from .errors import FormatError, lookup
 
 
 class ConstituentType(Enum):
@@ -156,16 +156,12 @@ def parse_passage(text: str) -> list[SentenceAnnotation]:
                     )
                 tokens.append(element.text or "")
             elif element.tag == "G":
-                ctype = _CTYPE_BY_TOKEN.get(element.get("type", ""))
-                if ctype is None:
-                    raise FormatError(f"unknown constituent type: {element.get('type')!r}")
+                ctype = lookup(_CTYPE_BY_TOKEN, element.get("type"), "constituent type")
                 constituents.append(
                     Constituent(ctype, _int_attr(element, "start"), _int_attr(element, "end"))
                 )
             elif element.tag == "R":
-                rtype = _RTYPE_BY_TOKEN.get(element.get("type", ""))
-                if rtype is None:
-                    raise FormatError(f"unknown relation type: {element.get('type')!r}")
+                rtype = lookup(_RTYPE_BY_TOKEN, element.get("type"), "relation type")
                 relations.append(
                     Relation(rtype, _int_attr(element, "src"), _int_attr(element, "tgt"))
                 )

@@ -20,6 +20,10 @@ from valex.checker import ObservedFrame, SentenceRecord
 from valex.mining import MiningCorpus, MiningSentence
 from valex.passage import Constituent, ConstituentType, Relation, RelationType, SentenceAnnotation
 
+# Characters str.splitlines() breaks on besides LF and CR; the line formats
+# treat them as ordinary field content.
+LINE_BREAK_LOOKALIKES = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
 PREPS = ["à", "de", "sur", "dans", "avec", "pour", "contre"]
 SIMPLE_REALIZATIONS = [NP, CLITIC, FINITE_CLAUSE, INF_CLAUSE]
 

@@ -27,7 +27,7 @@ from valex.lexicon import (
     pp,
 )
 
-from gen import rand_entry, rand_lexicon, rand_observed_frame
+from gen import LINE_BREAK_LOOKALIKES, rand_entry, rand_lexicon, rand_observed_frame
 
 F = SyntacticFunction
 R = Redistribution
@@ -237,6 +237,10 @@ class TestCheckSentence:
             if not verdict.analyzable:
                 assert isinstance(verdict.failure_reason, FailureReason)
 
+    def test_observed_slot_function_must_be_a_syntactic_function(self):
+        with pytest.raises(ValueError):
+            ObservedFrame("donner", frozenset({("Suj", NP)}))
+
     def test_verdict_consistency_enforced(self):
         with pytest.raises(ValueError):
             AnalyzabilityVerdict(True, (), None)
@@ -396,6 +400,21 @@ class TestCorpusFormat:
             parse_corpus("# ok\n" + line + "\n")
         assert "line 2" in str(err.value)
         assert fragment in str(err.value)
+
+    @pytest.mark.parametrize("char", LINE_BREAK_LOOKALIKES)
+    def test_lemma_with_line_break_lookalike_round_trips(self, char):
+        corpus = [("s1", [obs(lemma=f"a{char}b", slots={(F.SUJ, NP)})]), ("s2", [obs(lemma=char)])]
+        assert parse_corpus(serialize_corpus(corpus)) == corpus
+
+    def test_crlf_document_parses_like_lf(self):
+        assert parse_corpus(CORPUS_TEXT.replace("\n", "\r\n")) == parse_corpus(CORPUS_TEXT)
+
+    @pytest.mark.parametrize(
+        "sentence_id, lemma", [("#s1", "donner"), ("s\r1", "donner"), ("s1", "don\rner")]
+    )
+    def test_unreadable_field_rejected(self, sentence_id, lemma):
+        with pytest.raises(ValueError):
+            serialize_corpus([(sentence_id, [obs(lemma=lemma)])])
 
     def test_duplicate_function_across_lines_is_fine(self):
         # duplicates only matter inside one frame

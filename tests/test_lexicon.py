@@ -23,7 +23,7 @@ from valex.lexicon import (
     serialize_lexicon,
 )
 
-from gen import rand_lexicon
+from gen import LINE_BREAK_LOOKALIKES, rand_lexicon
 
 DONNER_LINE = (
     "donner\tV\tdonner__1\tSuj:NP|CLITIC;Obj:NP;Obja?:PP(à)|CLITIC\t"
@@ -146,6 +146,10 @@ class TestModelInvariants:
     def test_empty_realizations_rejected(self):
         with pytest.raises(ValueError):
             FunctionSlot(SyntacticFunction.SUJ, frozenset())
+
+    def test_slot_function_must_be_a_syntactic_function(self):
+        with pytest.raises(ValueError):
+            FunctionSlot("Suj", frozenset([NP]))
 
     def test_pp_needs_preposition(self):
         with pytest.raises(ValueError):
@@ -291,6 +295,24 @@ class TestRoundTrip:
         e = entry(examples=("tab\there",))
         with pytest.raises(ValueError):
             serialize_lexicon(Lexicon.from_entries([e]))
+
+    @pytest.mark.parametrize("char", LINE_BREAK_LOOKALIKES)
+    def test_example_with_line_break_lookalike_round_trips(self, char):
+        lex = Lexicon.from_entries([entry(examples=(f"a{char}b", char))])
+        assert parse_lexicon(serialize_lexicon(lex)) == lex
+
+    def test_crlf_document_parses_like_lf(self):
+        text = serialize_lexicon(rand_lexicon(random.Random(11), 6))
+        assert parse_lexicon(text.replace("\n", "\r\n")) == parse_lexicon(text)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [dict(lemma="#foo"), dict(entry_id="e\r1"), dict(examples=("a\rb",))],
+        ids=["hash-lemma", "cr-entry-id", "cr-example"],
+    )
+    def test_unreadable_field_rejected(self, fields):
+        with pytest.raises(ValueError):
+            serialize_lexicon(Lexicon.from_entries([entry(**fields)]))
 
 
 class TestStats:

@@ -20,7 +20,7 @@ from valex.mining import (
     serialize_records,
 )
 
-from gen import rand_mining_corpus, rand_records
+from gen import LINE_BREAK_LOOKALIKES, rand_mining_corpus, rand_records
 
 
 def corpus(*sentences):
@@ -314,6 +314,26 @@ class TestFiles:
     def test_duplicate_id_rejected(self):
         with pytest.raises(FormatError, match="duplicate"):
             parse_mining_corpus("s1\tok\ta\ns1\tok\ta\n")
+
+    @pytest.mark.parametrize("char", LINE_BREAK_LOOKALIKES)
+    def test_id_with_line_break_lookalike_round_trips(self, char):
+        mining = corpus((f"s{char}1", ("a",), True), (char, ("b",), False))
+        assert parse_mining_corpus(serialize_mining_corpus(mining)) == mining
+        records = [SentenceRecord(f"s{char}1", ("a",), True), SentenceRecord(char, ("b",), False)]
+        assert parse_records(serialize_records(records)) == records
+
+    def test_crlf_document_parses_like_lf(self):
+        assert parse_mining_corpus(MINING_FILE.replace("\n", "\r\n")) == parse_mining_corpus(MINING_FILE)
+        assert parse_records(MINING_FILE.replace("\n", "\r\n")) == parse_records(MINING_FILE)
+
+    @pytest.mark.parametrize(
+        "sentence_id, form", [("#s1", "a"), ("s\r1", "a"), ("s1", "a\rb"), ("s1", "")]
+    )
+    def test_unreadable_field_rejected(self, sentence_id, form):
+        with pytest.raises(ValueError):
+            serialize_mining_corpus(corpus((sentence_id, (form,), True)))
+        with pytest.raises(ValueError):
+            serialize_records([SentenceRecord(sentence_id, (form,), True)])
 
     def test_serialize_rejects_delimiters(self):
         with pytest.raises(ValueError):
