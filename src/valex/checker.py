@@ -59,6 +59,8 @@ class ObservedFrame:
 
     def __post_init__(self):
         object.__setattr__(self, "slots", frozenset(self.slots))
+        if self.lemma != self.lemma.lower():
+            raise ValueError(f"lemma must be lowercase: {self.lemma!r}")
         functions = {f for f, _ in self.slots}
         if not functions <= _FUNCTIONS:
             raise ValueError(f"observed slot function is not a SyntacticFunction for {self.lemma!r}")

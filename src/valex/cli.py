@@ -5,9 +5,6 @@ Subcommands: ``lex parse``, ``lex stats``, ``merge``, ``check``, ``eval``,
 header lines recording the run manifest (tool version, input paths and
 parameters).  Reports go to stdout, or into the directory given with
 ``--out`` as whole files written atomically (write then rename).
-
-Auxiliary inputs for ``freq``: a frequency table with ``form<TAB>count``
-lines and a form-to-lemma map with ``form<TAB>lemma`` lines.
 """
 
 from __future__ import annotations
@@ -16,12 +13,13 @@ import argparse
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
 from .checker import FailureReason, diagnose_corpus, parse_corpus
-from .errors import FormatError, iter_rows
+from .errors import FormatError
+from .freq import FrequencyTable, lemma_counts, parse_frequency_table, parse_lemma_map, top_lemmas
 from .lexicon import lexicon_stats, parse_lexicon, serialize_lexicon
 from .merge import merge_lexicons, serialize_merge_report
 from .mining import (
@@ -41,127 +39,58 @@ class CliError(Exception):
 
 
 @dataclass(frozen=True)
-class FrequencyTable:
-    """Form counts plus a form-to-lemma map."""
-
-    rows: tuple[tuple[str, int], ...]
-    lemma_map: dict[str, str] = field(default_factory=dict)
-
-    def __post_init__(self):
-        object.__setattr__(self, "rows", tuple((f, c) for f, c in self.rows))
-        for form, count in self.rows:
-            if count < 0:
-                raise ValueError(f"negative count for form {form!r}")
-
-
-def lemma_counts(table: FrequencyTable) -> tuple[dict[str, int], int]:
-    """Aggregate counts by mapped lemma; returns (counts, unmapped rows)."""
-    counts: dict[str, int] = {}
-    unmapped = 0
-    for form, count in table.rows:
-        lemma = table.lemma_map.get(form)
-        if lemma is None:
-            unmapped += 1
-            continue
-        counts[lemma] = counts.get(lemma, 0) + count
-    return counts, unmapped
-
-
-def top_lemmas(table: FrequencyTable, n: int) -> list[str]:
-    """The n most frequent lemmas, ties broken lexicographically."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    counts, _ = lemma_counts(table)
-    ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-    return [lemma for lemma, _ in ranked[:n]]
-
-
-def _pairs(text: str, second: str):
-    """(line, form, second field) for each row of a two-column table."""
-    for line, fields in iter_rows(text):
-        if len(fields) != 2:
-            got = "\t".join(fields)
-            raise FormatError(f"expected 'form<TAB>{second}', got {got!r}", line)
-        yield line, fields[0], fields[1]
-
-
-def parse_frequency_table(text: str) -> tuple[tuple[str, int], ...]:
-    rows = []
-    for line, form, count_tok in _pairs(text, "count"):
-        try:
-            count = int(count_tok)
-        except ValueError as exc:
-            raise FormatError(f"count {count_tok!r} is not an integer", line) from exc
-        if count < 0:
-            raise FormatError(f"negative count for form {form!r}", line)
-        rows.append((form, count))
-    return tuple(rows)
-
-
-def parse_lemma_map(text: str) -> dict[str, str]:
-    mapping: dict[str, str] = {}
-    for line, form, lemma in _pairs(text, "lemma"):
-        if form in mapping:
-            raise FormatError(f"duplicate form in lemma map: {form!r}", line)
-        mapping[form] = lemma
-    return mapping
-
-
-@dataclass(frozen=True)
 class RunManifest:
     """What produced a report: inputs and parameters, recorded verbatim."""
 
     inputs: tuple[tuple[str, str], ...]
     params: tuple[tuple[str, str], ...] = ()
-    version: str = __version__
 
     def header_lines(self) -> list[str]:
-        lines = [f"# valex {self.version}"]
+        lines = [f"# valex {__version__}"]
         lines.extend(f"# input {label}: {path}" for label, path in self.inputs)
         lines.extend(f"# {key}: {value}" for key, value in self.params)
         return lines
 
 
-def _render(manifest: RunManifest, body: str) -> str:
-    return "".join(line + "\n" for line in manifest.header_lines()) + body
-
-
-def _read(path: str) -> str:
+def _parse_file(path: str, parser):
+    """Read a UTF-8 file and parse it; failures name the file and line."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc.strerror or exc}") from exc
-
-
-def _parse_file(path: str, parser):
     try:
-        return parser(_read(path))
+        return parser(text)
     except FormatError as exc:
         location = f"{path}:{exc.line}" if exc.line is not None else path
-        raise CliError(f"{location}: {exc.args[0]}") from exc
+        raise CliError(f"{location}: {exc.message}") from exc
 
 
-def _write(out_dir: str | None, filename: str, text: str) -> None:
-    """Atomic whole-file write into out_dir, or stdout when out_dir is None."""
+def _write(out_dir: str | None, filename: str, manifest: RunManifest, body: str) -> None:
+    """Manifest header plus body, written atomically into out_dir, or to
+    stdout when out_dir is None."""
+    text = "".join(line + "\n" for line in manifest.header_lines()) + body
     if out_dir is None:
         sys.stdout.write(text)
         return
-    directory = Path(out_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    fd, tmp_path = tempfile.mkstemp(prefix=filename + ".", dir=directory)
+    target = Path(out_dir) / filename
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp_path, directory / filename)
-    except BaseException:
-        os.unlink(tmp_path)
-        raise
+        target.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp_path = tempfile.mkstemp(prefix=filename + ".", dir=target.parent)
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            os.replace(tmp_path, target)
+        except BaseException:
+            os.unlink(tmp_path)
+            raise
+    except OSError as exc:
+        raise CliError(f"cannot write {target}: {exc.strerror or exc}") from exc
 
 
 def _cmd_lex_parse(args) -> int:
     lexicon = _parse_file(args.lexicon, parse_lexicon)
     manifest = RunManifest(inputs=(("lexicon", args.lexicon),))
-    _write(args.out, "canonical.lex", _render(manifest, serialize_lexicon(lexicon)))
+    _write(args.out, "canonical.lex", manifest, serialize_lexicon(lexicon))
     return 0
 
 
@@ -178,7 +107,7 @@ def _cmd_lex_stats(args) -> int:
         f"top\t{rank}\t{lemma}\t{count}"
         for rank, (lemma, count) in enumerate(stats.top, start=1)
     )
-    _write(args.out, "stats.tsv", _render(manifest, "".join(l + "\n" for l in body_lines)))
+    _write(args.out, "stats.tsv", manifest, "".join(l + "\n" for l in body_lines))
     return 0
 
 
@@ -188,8 +117,8 @@ def _cmd_merge(args) -> int:
     ref.name, other.name = args.ref, args.other
     merged, report = merge_lexicons(ref, other)
     manifest = RunManifest(inputs=(("ref", args.ref), ("other", args.other)))
-    _write(args.out, "merged.lex", _render(manifest, serialize_lexicon(merged)))
-    _write(args.out, "merge_report.tsv", _render(manifest, serialize_merge_report(report)))
+    _write(args.out, "merged.lex", manifest, serialize_lexicon(merged))
+    _write(args.out, "merge_report.tsv", manifest, serialize_merge_report(report))
     return 0
 
 
@@ -198,9 +127,9 @@ def _cmd_check(args) -> int:
     corpus = _parse_file(args.corpus, parse_corpus)
     records, histogram = diagnose_corpus(lexicon, corpus)
     manifest = RunManifest(inputs=(("lexicon", args.lexicon), ("corpus", args.corpus)))
-    _write(args.out, "records.tsv", _render(manifest, serialize_records(records)))
+    _write(args.out, "records.tsv", manifest, serialize_records(records))
     failure_lines = [f"{reason.value}\t{histogram.get(reason, 0)}" for reason in FailureReason]
-    _write(args.out, "failures.tsv", _render(manifest, "".join(l + "\n" for l in failure_lines)))
+    _write(args.out, "failures.tsv", manifest, "".join(l + "\n" for l in failure_lines))
     return 0
 
 
@@ -237,7 +166,7 @@ def _cmd_eval(args) -> int:
     lines.extend(
         _scores_row(t.value, "relation", scores.per_relation[t]) for t in scores.per_relation
     )
-    _write(args.out, "eval_report.tsv", _render(manifest, "".join(l + "\n" for l in lines)))
+    _write(args.out, "eval_report.tsv", manifest, "".join(l + "\n" for l in lines))
     return 0
 
 
@@ -262,7 +191,7 @@ def _cmd_mine(args) -> int:
             ("converged", "yes" if result.converged else "no"),
         ),
     )
-    _write(args.out, "suspects.tsv", _render(manifest, format_suspects(ranked)))
+    _write(args.out, "suspects.tsv", manifest, format_suspects(ranked))
     return 0
 
 
@@ -279,7 +208,7 @@ def _cmd_freq(args) -> int:
         params=(("n", str(args.n)),),
     )
     lines = [f"{rank}\t{lemma}\t{counts[lemma]}" for rank, lemma in enumerate(top, start=1)]
-    _write(args.out, "top_lemmas.tsv", _render(manifest, "".join(l + "\n" for l in lines)))
+    _write(args.out, "top_lemmas.tsv", manifest, "".join(l + "\n" for l in lines))
     return 0
 
 

@@ -13,11 +13,12 @@ from typing import Iterable, Iterator, Mapping, Sequence
 class FormatError(ValueError):
     """Malformed input document.
 
-    Carries the 1-based line number of the offending line when known, so
-    that callers can point at the exact spot in a file.
+    Carries the bare message and the 1-based line number of the offending
+    line when known, so that callers can point at the exact spot in a file.
     """
 
     def __init__(self, message: str, line: int | None = None):
+        self.message = message
         self.line = line
         super().__init__(message if line is None else f"line {line}: {message}")
 

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Sequence
-from xml.sax.saxutils import escape, quoteattr
 
 from .errors import FormatError, lookup
 
@@ -180,6 +179,8 @@ def parse_passage(text: str) -> list[SentenceAnnotation]:
 
 
 def serialize_passage(annotations: Sequence[SentenceAnnotation]) -> str:
+    from xml.sax.saxutils import escape, quoteattr  # pulls in urllib; no command needs it
+
     lines = []
     for ann in annotations:
         full = "yes" if ann.full_parse else "no"
@@ -336,12 +337,9 @@ def coverage(records: Sequence) -> CoverageResult:
     SentenceAnnotation.full_parse flags."""
     if not records:
         raise ValueError("coverage of an empty record list is undefined")
-    covered = 0
-    for record in records:
-        flag = getattr(record, "analyzable", None)
-        if flag is None:
-            flag = record.full_parse
-        covered += bool(flag)
+    covered = sum(
+        r.full_parse if isinstance(r, SentenceAnnotation) else r.analyzable for r in records
+    )
     return CoverageResult(covered, len(records))
 
 

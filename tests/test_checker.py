@@ -416,6 +416,10 @@ class TestCorpusFormat:
         with pytest.raises(ValueError):
             serialize_corpus([(sentence_id, [obs(lemma=lemma)])])
 
+    def test_uppercase_lemma_rejected_at_its_line(self):
+        with pytest.raises(FormatError, match="line 2: lemma must be lowercase: 'Donner'"):
+            parse_corpus("# ok\ns1\tDonner\tACTIVE\tSuj:NP\n")
+
     def test_duplicate_function_across_lines_is_fine(self):
         # duplicates only matter inside one frame
         text = "s1\tdonner\tACTIVE\tSuj:NP\ns1\tdonner\tACTIVE\tSuj:CLITIC\n"

@@ -1,7 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import valex
 from valex import __version__
 from valex.cli import (
     FrequencyTable,
@@ -346,3 +351,31 @@ class TestErrors:
         hyp = write(tmp_path, "hyp.tsv", "s1\tfailed\ta,b\n")
         assert main(["mine", ref, hyp]) == 1
         assert "missing from hypothesis" in capsys.readouterr().err
+
+    def test_parse_error_gives_its_line_once(self, tmp_path, capsys):
+        bad = write(
+            tmp_path, "bad.tsv", "# ok\ndonner\tV\td__1\tSuj:NP\tWEIRD\tcoded\tlefff:1\n"
+        )
+        assert main(["lex", "parse", bad]) == 1
+        err = capsys.readouterr().err
+        assert "bad.tsv:2: unknown" in err
+        assert "line 2" not in err
+
+    def test_unusable_out_directory(self, tmp_path, capsys):
+        lexicon = write(tmp_path, "ok.lex", LEXICON)
+        blocker = write(tmp_path, "afile", "")
+        assert main(["lex", "parse", lexicon, "--out", str(Path(blocker) / "sub")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("valex: error: cannot write")
+        assert err.count("\n") == 1
+
+
+def test_import_leaves_xml_sax_unloaded():
+    # xml.sax.saxutils pulls in urllib; only serialize_passage needs it
+    src = str(Path(valex.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, valex.cli; print(any(m.startswith('xml.sax') for m in sys.modules))"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"
