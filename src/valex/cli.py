@@ -58,6 +58,8 @@ def _parse_file(path: str, parser):
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CliError(f"cannot read {path}: {exc}") from exc
     try:
         return parser(text)
     except FormatError as exc:

@@ -19,17 +19,20 @@ formatting rounds half-up to two decimals, percentage style.
 
 from __future__ import annotations
 
-import xml.etree.ElementTree as ET
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Sequence
+from xml.parsers.expat import ExpatError, ParserCreate
 
 from .errors import FormatError, lookup
 
 
+# Identity hashes, as in lexicon: scoring hashes a member per counted item.
 class ConstituentType(Enum):
+    __hash__ = object.__hash__
+
     GN = "GN"
     NV = "NV"
     GA = "GA"
@@ -39,6 +42,8 @@ class ConstituentType(Enum):
 
 
 class RelationType(Enum):
+    __hash__ = object.__hash__
+
     SUJ_V = "SUJ-V"
     AUX_V = "AUX-V"
     COD_V = "COD-V"
@@ -118,63 +123,96 @@ _CTYPE_BY_TOKEN = {c.value: c for c in ConstituentType}
 _RTYPE_BY_TOKEN = {r.value: r for r in RelationType}
 
 
-def _int_attr(element, name: str) -> int:
-    value = element.get(name)
+def _int_attr(tag: str, attrs: dict, name: str) -> int:
+    value = attrs.get(name)
     if value is None:
-        raise FormatError(f"<{element.tag}> missing {name!r} attribute")
+        raise FormatError(f"<{tag}> missing {name!r} attribute")
     try:
         return int(value)
     except ValueError as exc:
         raise FormatError(f"attribute {name}={value!r} is not an integer") from exc
 
 
+def _unexpected(tag: str, where: str) -> FormatError:
+    # expat names a namespaced element "uri}name"; ElementTree spells it "{uri}name"
+    return FormatError(f"unexpected element <{'{' if '}' in tag else ''}{tag}> {where}")
+
+
 def parse_passage(text: str) -> list[SentenceAnnotation]:
-    """Parse a sequence of <S> blocks into sentence annotations."""
-    try:
-        root = ET.fromstring(f"<document>{text}</document>")
-    except ET.ParseError as exc:
-        raise FormatError(f"malformed markup: {exc}", line=exc.position[0]) from exc
-    annotations = []
-    for block in root:
-        if block.tag != "S":
-            raise FormatError(f"unexpected element <{block.tag}> at top level")
-        sentence_id = block.get("id")
-        if sentence_id is None:
-            raise FormatError("<S> missing 'id' attribute")
-        full_tok = block.get("full", "yes")
-        if full_tok not in ("yes", "no"):
-            raise FormatError(f"full attribute must be yes or no, got {full_tok!r}")
-        tokens: list[str] = []
-        constituents: list[Constituent] = []
-        relations: list[Relation] = []
-        for element in block:
-            if element.tag == "W":
-                if _int_attr(element, "ix") != len(tokens):
-                    raise FormatError(
-                        f"token indices must be consecutive from 0 in {sentence_id!r}"
-                    )
-                tokens.append(element.text or "")
-            elif element.tag == "G":
-                ctype = lookup(_CTYPE_BY_TOKEN, element.get("type"), "constituent type")
-                constituents.append(
-                    Constituent(ctype, _int_attr(element, "start"), _int_attr(element, "end"))
-                )
-            elif element.tag == "R":
-                rtype = lookup(_RTYPE_BY_TOKEN, element.get("type"), "relation type")
-                relations.append(
-                    Relation(rtype, _int_attr(element, "src"), _int_attr(element, "tgt"))
-                )
-            else:
-                raise FormatError(f"unexpected element <{element.tag}> in {sentence_id!r}")
+    """Parse a sequence of <S> blocks into sentence annotations, in one pass
+    over expat events that builds each sentence as its </S> closes.
+
+    A <W> token is the text before its first child; elements nested in <W>,
+    <G> or <R> are ignored.  Every FormatError carries the line of the
+    element at fault, or of </S> for an error in the whole sentence.
+    """
+    parser = ParserCreate(namespace_separator="}")  # namespaces as ElementTree
+    parser.buffer_text = True
+    annotations: list[SentenceAnnotation] = []
+    chunks: list[str] = []  # text of the open <W>
+    collect = chunks.append
+    depth = 0
+    sentence_id = full_tok = tokens = constituents = relations = None  # of the open <S>
+
+    def start(tag, attrs):
+        nonlocal depth, sentence_id, full_tok, tokens, constituents, relations
+        depth += 1
         try:
-            annotations.append(
-                SentenceAnnotation(
-                    sentence_id, tuple(tokens), tuple(constituents), tuple(relations),
-                    full_parse=(full_tok == "yes"),
+            if depth == 3:  # a child of <S>
+                if tag == "W":
+                    if _int_attr(tag, attrs, "ix") != len(tokens):
+                        raise FormatError(
+                            f"token indices must be consecutive from 0 in {sentence_id!r}"
+                        )
+                    parser.CharacterDataHandler = collect
+                elif tag == "G":
+                    ctype = lookup(_CTYPE_BY_TOKEN, attrs.get("type"), "constituent type")
+                    constituents.append(
+                        Constituent(ctype, _int_attr(tag, attrs, "start"), _int_attr(tag, attrs, "end"))
+                    )
+                elif tag == "R":
+                    rtype = lookup(_RTYPE_BY_TOKEN, attrs.get("type"), "relation type")
+                    relations.append(
+                        Relation(rtype, _int_attr(tag, attrs, "src"), _int_attr(tag, attrs, "tgt"))
+                    )
+                else:
+                    raise _unexpected(tag, f"in {sentence_id!r}")
+            elif depth == 2:
+                if tag != "S":
+                    raise _unexpected(tag, "at top level")
+                sentence_id = attrs.get("id")
+                if sentence_id is None:
+                    raise FormatError("<S> missing 'id' attribute")
+                full_tok = attrs.get("full", "yes")
+                if full_tok not in ("yes", "no"):
+                    raise FormatError(f"full attribute must be yes or no, got {full_tok!r}")
+                tokens, constituents, relations = [], [], []
+            elif depth > 3:
+                parser.CharacterDataHandler = None  # a token ends at its first child
+        except ValueError as exc:  # no FormatError raised above has a line yet
+            raise FormatError(str(exc), parser.CurrentLineNumber) from exc
+
+    def end(tag):
+        nonlocal depth
+        depth -= 1
+        if depth == 2 and tag == "W":
+            tokens.append("".join(chunks))
+            chunks.clear()
+            parser.CharacterDataHandler = None
+        elif depth == 1:
+            try:
+                annotations.append(  # the model turns the lists into tuples
+                    SentenceAnnotation(sentence_id, tokens, constituents, relations, full_tok == "yes")
                 )
-            )
-        except ValueError as exc:
-            raise FormatError(str(exc)) from exc
+            except ValueError as exc:
+                raise FormatError(str(exc), parser.CurrentLineNumber) from exc
+
+    parser.StartElementHandler = start
+    parser.EndElementHandler = end
+    try:
+        parser.Parse(f"<document>{text}</document>", True)
+    except ExpatError as exc:
+        raise FormatError(f"malformed markup: {exc}", line=exc.lineno) from exc
     return annotations
 
 
@@ -298,8 +336,8 @@ def score_corpus(
     rgold: Counter = Counter()
     rhyp: Counter = Counter()
     for g, h in zip(gold, hyp):
-        ctp += match_constituents(g, h, mode)
-        rtp += match_relations(g, h)
+        ctp.update(match_constituents(g, h, mode))  # update, unlike +=, does not re-filter
+        rtp.update(match_relations(g, h))
         cgold.update(c.ctype for c in g.constituents)
         chyp.update(c.ctype for c in h.constituents)
         rgold.update(r.rtype for r in g.relations)

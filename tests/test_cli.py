@@ -361,6 +361,28 @@ class TestErrors:
         assert "bad.tsv:2: unknown" in err
         assert "line 2" not in err
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ('<G type="GN" start="1" end="1"/>', "invalid span [1, 1)"),
+            ('<G type="GN" start="-1" end="1"/>', "invalid span [-1, 1)"),
+            ('<R type="COORD" src="1" tgt="1"/>', "COORD relation with source == target"),
+            ('<R type="COORD" src="-1" tgt="1"/>', "negative token index"),
+        ],
+    )
+    def test_eval_bad_span_or_relation_names_file_and_line(self, tmp_path, capsys, bad, message):
+        span = write(tmp_path, "span.xml", GOLD_DOC.replace('<G type="GN" start="0" end="2"/>', bad))
+        assert main(["eval", span, span]) == 1
+        assert capsys.readouterr().err == f"valex: error: {span}:5: {message}\n"
+
+    def test_undecodable_input_names_file(self, tmp_path, capsys):
+        binary = tmp_path / "bin.lex"
+        binary.write_bytes(b"\xff\n")
+        assert main(["lex", "parse", str(binary)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"valex: error: cannot read {binary}: 'utf-8' codec can't decode")
+        assert err.count("\n") == 1
+
     def test_unusable_out_directory(self, tmp_path, capsys):
         lexicon = write(tmp_path, "ok.lex", LEXICON)
         blocker = write(tmp_path, "afile", "")
@@ -370,12 +392,21 @@ class TestErrors:
         assert err.count("\n") == 1
 
 
-def test_import_leaves_xml_sax_unloaded():
-    # xml.sax.saxutils pulls in urllib; only serialize_passage needs it
+def _loaded_after_import(prefix):
     src = str(Path(valex.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    code = "import sys, valex.cli; print(any(m.startswith('xml.sax') for m in sys.modules))"
+    code = f"import sys, valex.cli; print(any(m.startswith({prefix!r}) for m in sys.modules))"
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert result.stdout.strip() == "False"
+    return result.stdout.strip()
+
+
+def test_import_leaves_xml_sax_unloaded():
+    # xml.sax.saxutils pulls in urllib; only serialize_passage needs it
+    assert _loaded_after_import("xml.sax") == "False"
+
+
+def test_import_leaves_xml_etree_unloaded():
+    # parse_passage streams expat events and builds no element tree
+    assert _loaded_after_import("xml.etree") == "False"

@@ -94,6 +94,7 @@ class TestParse:
     def test_empty_document(self):
         assert parse_passage("") == []
         assert parse_passage("  \n ") == []
+        assert parse_passage("<!-- nothing -->\n") == []
 
     def test_newspaper_sentence(self):
         (ann,) = parse_passage(NEWSPAPER_DOC)
@@ -127,12 +128,70 @@ class TestParse:
             ('<S id="a"><W ix="0">a</W><W ix="1">b</W>'
              '<R type="COORD" src="0" tgt="5"/></S>', "out of range"),
             ("<S id='a'><W ix='0'>a</W>", "malformed markup"),
+            ('<x:S id="a"><W ix="0">a</W></x:S>', "malformed markup: unbound prefix"),
+            ('<x:S xmlns:x="u" id="a"><W ix="0">a</W></x:S>', "unexpected element <{u}S>"),
         ],
     )
     def test_errors(self, doc, fragment):
         with pytest.raises(FormatError) as err:
             parse_passage(doc)
         assert fragment in str(err.value)
+        assert err.value.line == 1
+
+    @pytest.mark.parametrize(
+        "bad, line, fragment",
+        [
+            ('<Q/>', 5, "unexpected element"),
+            ('<W ix="3">x</W>', 5, "consecutive"),
+            ('<G type="ZZ" start="0" end="1"/>', 5, "unknown constituent type"),
+            ('<G type="GN"\n   start="x" end="1"/>', 5, "not an integer"),
+            ('<G type="GN" start="1" end="1"/>', 5, "invalid span"),
+            ('<R type="COORD" src="1" tgt="1"/>', 5, "source == target"),
+            ('<R type="COORD" src="-1" tgt="1"/>', 5, "negative token index"),
+            ('<G type="GN" start="0" end="9"/>', 7, "exceeds"),
+            ('<R type="COORD" src="0" tgt="9"/>', 7, "out of range"),
+        ],
+    )
+    def test_error_line_is_the_element_or_its_sentence(self, bad, line, fragment):
+        # a sentence-level error gives the line of the closing </S>
+        doc = '<S id="a">\n  <W ix="0">a</W>\n</S>\n<S id="b">\n  %s\n  <W ix="0">b</W>\n</S>\n'
+        with pytest.raises(FormatError) as err:
+            parse_passage(doc % bad)
+        assert fragment in str(err.value)
+        assert err.value.line == line
+
+    def test_first_error_in_document_order(self):
+        doc = '<S id="a">\n<W ix="0">a</W><G type="ZZ" start="0" end="1"/>\n</S>\n<S id="b">'
+        with pytest.raises(FormatError) as err:
+            parse_passage(doc)
+        assert "unknown constituent type" in str(err.value)
+        assert err.value.line == 2
+
+    @pytest.mark.parametrize(
+        "word, token",
+        [
+            ("a<!-- note -->b", "ab"),
+            ("&amp;&#233;", "&\u00e9"),
+            ("<![CDATA[<x>&]]>", "<x>&"),
+            ("a<X/>b", "a"),
+            ("a<X>c</X>b", "a"),
+            ("", ""),
+        ],
+    )
+    def test_token_text(self, word, token):
+        (ann,) = parse_passage(f'<S id="a"><W ix="0">{word}</W></S>')
+        assert ann.tokens == (token,)
+
+    def test_children_of_spans_and_relations_are_ignored(self):
+        doc = (
+            '<S id="a"><W ix="0">a</W><W ix="1">b</W>'
+            '<G type="GN" start="0" end="1"><W ix="7">z</W></G>'
+            '<R type="COORD" src="0" tgt="1"><Q/></R></S>'
+        )
+        (ann,) = parse_passage(doc)
+        assert ann.tokens == ("a", "b")
+        assert ann.constituents == (Constituent(C.GN, 0, 1),)
+        assert ann.relations == (Relation(RT.COORD, 0, 1),)
 
     def test_model_rejects_bad_spans(self):
         with pytest.raises(ValueError):
