@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import FormatError, iter_rows, lookup, write_rows
+from .errors import FormatError, cached, iter_rows, lookup, write_rows
 from .lexicon import (
     FUNCTION_BY_TOKEN,
     REDISTRIBUTION_BY_TOKEN,
@@ -94,7 +94,22 @@ class SentenceRecord:
             raise ValueError(f"sentence {self.sentence_id!r} has no forms")
 
 
-def _clauses(entry: LexicalEntry, obs: ObservedFrame) -> tuple[bool, bool, bool]:
+class _Entry:
+    """A lexical entry compiled for _clauses."""
+
+    __slots__ = ("entry_id", "pairs", "obligatory", "redistributions", "coded")
+
+    def __init__(self, entry: LexicalEntry):
+        # every slot is obligatory in an uncoded entry, which has no optional slots
+        obligatory = frozenset(slot.function for slot in entry.frame if not slot.optional)
+        self.entry_id = entry.entry_id
+        self.pairs = frozenset((slot.function, r) for slot in entry.frame for r in slot.realizations)
+        self.obligatory = (obligatory, obligatory - {SyntacticFunction.SUJ})  # as is, and Suj exempt
+        self.redistributions = entry.redistributions
+        self.coded = entry.coded
+
+
+def _clauses(entry: _Entry, obs: ObservedFrame) -> tuple[bool, bool, bool]:
     """The three acceptance clauses, evaluated independently.
 
     (a) every observed slot exists in the frame with that realization;
@@ -102,39 +117,22 @@ def _clauses(entry: LexicalEntry, obs: ObservedFrame) -> tuple[bool, bool, bool]
         PASSIVE/IMPERSONAL, all slots obligatory for uncoded entries;
     (c) the observed context is licensed by the entry.
     """
-    slot_by_function = {slot.function: slot for slot in entry.frame}
-    a = all(
-        function in slot_by_function and realization in slot_by_function[function].realizations
-        for function, realization in obs.slots
-    )
-    observed_functions = {function for function, _ in obs.slots}
     subject_exempt = obs.redistribution_context in _SUBJECT_EXEMPT_CONTEXTS
-    b = all(
-        slot.function in observed_functions
-        for slot in entry.frame
-        if (entry.coded is False or not slot.optional)
-        and not (slot.function is SyntacticFunction.SUJ and subject_exempt)
+    return (
+        obs.slots <= entry.pairs,
+        entry.obligatory[subject_exempt] <= {function for function, _ in obs.slots},
+        obs.redistribution_context in entry.redistributions,
     )
-    c = obs.redistribution_context in entry.redistributions
-    return a, b, c
 
 
 def entry_accepts(entry: LexicalEntry, obs: ObservedFrame) -> bool:
     """Whether the entry licenses the observation."""
     if entry.lemma != obs.lemma:
         raise ValueError(f"lemma mismatch: entry {entry.lemma!r} vs observation {obs.lemma!r}")
-    return all(_clauses(entry, obs))
+    return all(_clauses(_Entry(entry), obs))
 
 
-def check_sentence(lexicon: Lexicon, obs: ObservedFrame) -> AnalyzabilityVerdict:
-    """Check one observation against all entries of its lemma.
-
-    On failure a single reason is reported, in precedence order:
-    MISSING-LEMMA, UNCODED-ENTRY (every entry uncoded), then
-    MISSING-REDISTRIBUTION over MISSING-OBLIGATORY-COMPLEMENT for
-    near-miss entries, else UNKNOWN-CONSTRUCTION.
-    """
-    entries = lexicon.entries.get(obs.lemma)
+def _verdict(entries: tuple[_Entry, ...], obs: ObservedFrame) -> AnalyzabilityVerdict:
     if not entries:
         return AnalyzabilityVerdict(False, (), FailureReason.MISSING_LEMMA)
     clauses = [(entry, _clauses(entry, obs)) for entry in entries]
@@ -152,13 +150,27 @@ def check_sentence(lexicon: Lexicon, obs: ObservedFrame) -> AnalyzabilityVerdict
     return AnalyzabilityVerdict(False, (), reason)
 
 
+def check_sentence(lexicon: Lexicon, obs: ObservedFrame) -> AnalyzabilityVerdict:
+    """Check one observation against all entries of its lemma.
+
+    On failure a single reason is reported, in precedence order:
+    MISSING-LEMMA, UNCODED-ENTRY (every entry uncoded), then
+    MISSING-REDISTRIBUTION over MISSING-OBLIGATORY-COMPLEMENT for
+    near-miss entries, else UNKNOWN-CONSTRUCTION.
+    """
+    return _verdict(tuple(map(_Entry, lexicon.entries.get(obs.lemma, ()))), obs)
+
+
 def diagnose_corpus(lexicon: Lexicon, corpus) -> tuple[list[SentenceRecord], Counter]:
     """Check every frame of every sentence.
 
     corpus: iterable of (sentence_id, list of ObservedFrame).  A sentence
     is analyzable only if all its frames are; the histogram counts one
-    failure reason per failed frame.
+    failure reason per failed frame.  Each entry is compiled once, and
+    each distinct frame is checked once, as check_sentence would.
     """
+    compiled: dict[str, tuple[_Entry, ...]] = {}
+    verdicts: dict[ObservedFrame, AnalyzabilityVerdict] = {}
     records = []
     histogram: Counter = Counter()
     for sentence_id, frames in corpus:
@@ -167,7 +179,13 @@ def diagnose_corpus(lexicon: Lexicon, corpus) -> tuple[list[SentenceRecord], Cou
             raise ValueError(f"sentence {sentence_id!r} has no observed frames")
         analyzable = True
         for obs in frames:
-            verdict = check_sentence(lexicon, obs)
+            verdict = verdicts.get(obs)
+            if verdict is None:
+                entries = compiled.get(obs.lemma)
+                if entries is None:
+                    entries = tuple(map(_Entry, lexicon.entries.get(obs.lemma, ())))
+                    compiled[obs.lemma] = entries
+                verdict = verdicts[obs] = _verdict(entries, obs)
             if not verdict.analyzable:
                 analyzable = False
                 histogram[verdict.failure_reason] += 1
@@ -175,29 +193,40 @@ def diagnose_corpus(lexicon: Lexicon, corpus) -> tuple[list[SentenceRecord], Cou
     return records, histogram
 
 
+def _parse_pair(pair: str, line: int) -> tuple[SyntacticFunction, Realization]:
+    function_tok, sep, realization_tok = pair.partition(":")
+    if not sep:
+        raise FormatError(f"malformed observed slot: {pair!r}", line)
+    function = lookup(FUNCTION_BY_TOKEN, function_tok, "function token", line)
+    return function, parse_realization(realization_tok, line)
+
+
 def parse_corpus(text: str) -> list[tuple[str, list[ObservedFrame]]]:
     """Parse the corpus annotation format, grouping frames by sentence id
-    in first-appearance order."""
+    in first-appearance order.  Each distinct slot pair, and each distinct
+    (lemma, redistribution, slots) triple of fields, is parsed once per
+    call; lines that repeat a triple share its frame."""
     grouped: dict[str, list[ObservedFrame]] = {}
+    pairs: dict[str, tuple[SyntacticFunction, Realization]] = {}
+    frames: dict[tuple[str, str, str], ObservedFrame] = {}
+
+    def parse_frame(fields: tuple[str, str, str], line: int) -> ObservedFrame:
+        lemma, redist_tok, slots_tok = fields
+        context = lookup(REDISTRIBUTION_BY_TOKEN, redist_tok, "redistribution", line)
+        tokens = slots_tok.split(";") if slots_tok else ()
+        slots = frozenset(cached(pairs, token, _parse_pair, line) for token in tokens)
+        try:
+            return ObservedFrame(lemma, slots, context)
+        except ValueError as exc:
+            raise FormatError(str(exc), line) from exc
+
     for line, fields in iter_rows(text):
         if len(fields) != 4:
             raise FormatError(f"expected 4 tab-separated fields, got {len(fields)}", line)
         sentence_id, lemma, redist_tok, slots_tok = fields
         if not sentence_id:
             raise FormatError("empty sentence id", line)
-        context = lookup(REDISTRIBUTION_BY_TOKEN, redist_tok, "redistribution", line)
-        slots = set()
-        if slots_tok:
-            for pair in slots_tok.split(";"):
-                function_tok, sep, realization_tok = pair.partition(":")
-                if not sep:
-                    raise FormatError(f"malformed observed slot: {pair!r}", line)
-                function = lookup(FUNCTION_BY_TOKEN, function_tok, "function token", line)
-                slots.add((function, parse_realization(realization_tok, line)))
-        try:
-            frame = ObservedFrame(lemma, frozenset(slots), context)
-        except ValueError as exc:
-            raise FormatError(str(exc), line) from exc
+        frame = cached(frames, (lemma, redist_tok, slots_tok), parse_frame, line)
         grouped.setdefault(sentence_id, []).append(frame)
     return list(grouped.items())
 

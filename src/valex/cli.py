@@ -10,6 +10,7 @@ parameters).  Reports go to stdout, or into the directory given with
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 import tempfile
@@ -146,6 +147,9 @@ def _scores_row(label: str, kind: str, scores) -> str:
 def _cmd_eval(args) -> int:
     gold = _parse_file(args.gold, parse_passage)
     hyp = _parse_file(args.hyp, parse_passage)
+    for path, annotations in ((args.gold, gold), (args.hyp, hyp)):
+        if not annotations:
+            raise CliError(f"{path}: no <S> sentence to evaluate")
     mode = RelaxationMode(args.mode)
     scores = score_corpus(gold, hyp, mode)
     covered = coverage(hyp)
@@ -191,6 +195,7 @@ def _cmd_mine(args) -> int:
             ("max_iterations", str(params.max_iterations)),
             ("iterations_used", str(result.iterations_used)),
             ("converged", "yes" if result.converged else "no"),
+            ("final_delta", repr(result.final_delta)),
         ),
     )
     _write(args.out, "suspects.tsv", manifest, format_suspects(ranked))
@@ -271,11 +276,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # A command builds an acyclic model and exits, so the cyclic collector
+    # would only re-scan it; the caller's setting is restored on return.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.run(args)
     except (CliError, ValueError) as exc:
         print(f"valex: error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -62,3 +62,12 @@ def lookup(table: Mapping, token: str | None, what: str, line: int | None = None
         return table[token]
     except KeyError:
         raise FormatError(f"unknown {what}: {token!r}", line) from None
+
+
+def cached(memo: dict, key, parse, line: int):
+    """memo[key], or parse(key, line) stored there.  Only successes are
+    stored, so a bad key fails again, at its own line, wherever it occurs."""
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = parse(key, line)
+    return value

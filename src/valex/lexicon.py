@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator
 
-from .errors import FormatError, iter_rows, lookup, write_rows
+from .errors import FormatError, cached, iter_rows, lookup, write_rows
 
 
 # The closed enums below hash by identity: their members are singletons,
@@ -317,7 +317,14 @@ def _parse_slot(token: str, line: int) -> FunctionSlot:
     return FunctionSlot(function, realizations, optional)
 
 
-def _parse_entry(fields: list[str], line: int) -> LexicalEntry:
+def _parse_redistributions(token: str, line: int) -> frozenset[Redistribution]:
+    return frozenset(
+        lookup(REDISTRIBUTION_BY_TOKEN, tok, "redistribution", line)
+        for tok in (token.split(",") if token else ())
+    )
+
+
+def _parse_entry(fields: list[str], line: int, slots: dict, redistribution_sets: dict) -> LexicalEntry:
     if len(fields) < 7:
         raise FormatError(f"expected at least 7 tab-separated fields, got {len(fields)}", line)
     lemma, category_tok, entry_id, frame_tok, redist_tok, coded_tok = fields[:6]
@@ -326,12 +333,8 @@ def _parse_entry(fields: list[str], line: int) -> LexicalEntry:
 
     category = lookup(_CATEGORY_BY_TOKEN, category_tok, "category", line)
 
-    frame = tuple(_parse_slot(tok, line) for tok in frame_tok.split(";")) if frame_tok else ()
-
-    redistributions = frozenset(
-        lookup(REDISTRIBUTION_BY_TOKEN, tok, "redistribution", line)
-        for tok in (redist_tok.split(",") if redist_tok else ())
-    )
+    frame = tuple(cached(slots, tok, _parse_slot, line) for tok in frame_tok.split(";")) if frame_tok else ()
+    redistributions = cached(redistribution_sets, redist_tok, _parse_redistributions, line)
 
     if coded_tok == "coded":
         coded = True
@@ -367,11 +370,15 @@ def parse_lexicon(text: str, name: str = "") -> Lexicon:
 
     Raises FormatError with the offending line number on any syntax
     problem, unknown token, empty realization set or duplicate entry_id.
+    Each distinct slot token and redistribution field is parsed once per
+    call; the frozen results are shared by the entries that repeat them.
     """
     entries: list[LexicalEntry] = []
     seen_ids: dict[str, int] = {}
+    slots: dict[str, FunctionSlot] = {}
+    redistribution_sets: dict[str, frozenset[Redistribution]] = {}
     for line, fields in iter_rows(text):
-        entry = _parse_entry(fields, line)
+        entry = _parse_entry(fields, line, slots, redistribution_sets)
         if entry.entry_id in seen_ids:
             raise FormatError(
                 f"duplicate entry_id {entry.entry_id!r} (first seen on line {seen_ids[entry.entry_id]})",

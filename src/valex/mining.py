@@ -21,6 +21,7 @@ by the hypothesis while fine for the reference).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -81,6 +82,7 @@ class MiningResult(NamedTuple):
     scores: list[SuspicionScore]
     iterations_used: int
     converged: bool
+    final_delta: float  # largest score change of the last iteration
 
 
 def build_mining_corpus(
@@ -152,36 +154,51 @@ def compute_suspicion(
             if failed:
                 failed_occurrences[fi] += 1
 
-    scores = [failed_occurrences[fi] / occurrences[fi] for fi in range(n)]
+    # Forms outside failed sentences take no blame: they start at 0 and stay
+    # there, so the loop runs over failed sentences and active forms only.
+    active = [fi for fi in range(n) if failed_occurrences[fi]]
+    position = {fi: k for k, fi in enumerate(active)}
+    failed = [[position[fi] for fi in forms] for forms, is_failed in sentences if is_failed]
+    positions = [k for forms in failed for k in forms]  # every share's form, in summation order
+    active_occurrences = [occurrences[fi] for fi in active]
+    scores = [failed_occurrences[fi] / occurrences[fi] for fi in active]
+    fsum = math.fsum
     iterations_used = 0
     converged = False
+    delta = 0.0
     for iteration in range(1, params.max_iterations + 1):
-        blame = [0.0] * n
-        for forms, failed in sentences:
-            if not failed:
-                continue
-            denominator = math.fsum(scores[fi] for fi in forms)
+        score_of = scores.__getitem__
+        shares: list[float] = []
+        for forms in failed:
+            values = list(map(score_of, forms))
+            denominator = fsum(values)
             if denominator == 0.0:
-                share = 1.0 / len(forms)
-                locals_ = [share] * len(forms)
+                locals_ = [1.0 / len(forms)] * len(forms)
             else:
-                locals_ = [scores[fi] / denominator for fi in forms]
-            assert abs(math.fsum(locals_) - 1.0) <= 1e-12, "per-sentence blame must sum to 1"
-            for fi, local in zip(forms, locals_):
-                blame[fi] += local
-        new_scores = [blame[fi] / occurrences[fi] for fi in range(n)]
-        assert all(0.0 <= s <= 1.0 for s in new_scores), "scores must stay in [0, 1]"
-        delta = max(
-            (abs(a - b) for a, b in zip(new_scores, scores)), default=0.0
+                locals_ = [value / denominator for value in values]
+            assert abs(fsum(locals_) - 1.0) <= 1e-12, "per-sentence blame must sum to 1"
+            shares += locals_
+        blame = [0.0] * len(active)
+        for k, share in zip(positions, shares):
+            blame[k] += share
+        new_scores = [b / o for b, o in zip(blame, active_occurrences)]
+        assert 0.0 <= min(new_scores, default=0.0) and max(new_scores, default=0.0) <= 1.0, (
+            "scores must stay in [0, 1]"
         )
+        delta = max(map(abs, map(operator.sub, new_scores, scores)), default=0.0)
         scores = new_scores
         iterations_used = iteration
         if on_iteration is not None:
-            on_iteration(iteration, dict(zip(names, scores)))
+            vector = dict.fromkeys(names, 0.0)
+            vector.update(zip([names[fi] for fi in active], scores))
+            on_iteration(iteration, vector)
         if delta < params.epsilon:
             converged = True
             break
 
+    final = [0.0] * n
+    for fi, score in zip(active, scores):
+        final[fi] = score
     failed_sentence_count = [0] * n
     sample: list[str | None] = [None] * n
     for sentence in corpus.sentences:
@@ -194,14 +211,14 @@ def compute_suspicion(
     results = [
         SuspicionScore(
             form=names[fi],
-            score=scores[fi],
+            score=final[fi],
             occurrences=occurrences[fi],
             failed_sentences=failed_sentence_count[fi],
             sample_sentence_id=sample[fi],
         )
         for fi in range(n)
     ]
-    return MiningResult(results, iterations_used, converged)
+    return MiningResult(results, iterations_used, converged, delta)
 
 
 def rank_suspects(scores: Sequence[SuspicionScore], top_k: int) -> list[SuspicionScore]:

@@ -121,6 +121,11 @@ class SentenceAnnotation:
 
 _CTYPE_BY_TOKEN = {c.value: c for c in ConstituentType}
 _RTYPE_BY_TOKEN = {r.value: r for r in RelationType}
+# <G> and <R>: the model each builds, its type table and its two integer attributes
+_ITEMS = {
+    "G": (Constituent, _CTYPE_BY_TOKEN, "constituent type", "start", "end"),
+    "R": (Relation, _RTYPE_BY_TOKEN, "relation type", "src", "tgt"),
+}
 
 
 def _int_attr(tag: str, attrs: dict, name: str) -> int:
@@ -148,7 +153,7 @@ def parse_passage(text: str) -> list[SentenceAnnotation]:
     """
     parser = ParserCreate(namespace_separator="}")  # namespaces as ElementTree
     parser.buffer_text = True
-    annotations: list[SentenceAnnotation] = []
+    annotations: dict[str, SentenceAnnotation] = {}  # by id, in document order
     chunks: list[str] = []  # text of the open <W>
     collect = chunks.append
     depth = 0
@@ -165,16 +170,11 @@ def parse_passage(text: str) -> list[SentenceAnnotation]:
                             f"token indices must be consecutive from 0 in {sentence_id!r}"
                         )
                     parser.CharacterDataHandler = collect
-                elif tag == "G":
-                    ctype = lookup(_CTYPE_BY_TOKEN, attrs.get("type"), "constituent type")
-                    constituents.append(
-                        Constituent(ctype, _int_attr(tag, attrs, "start"), _int_attr(tag, attrs, "end"))
-                    )
-                elif tag == "R":
-                    rtype = lookup(_RTYPE_BY_TOKEN, attrs.get("type"), "relation type")
-                    relations.append(
-                        Relation(rtype, _int_attr(tag, attrs, "src"), _int_attr(tag, attrs, "tgt"))
-                    )
+                elif tag in _ITEMS:
+                    model, table, what, first, second = _ITEMS[tag]
+                    kind = lookup(table, attrs.get("type"), what)
+                    item = model(kind, _int_attr(tag, attrs, first), _int_attr(tag, attrs, second))
+                    (constituents if tag == "G" else relations).append(item)
                 else:
                     raise _unexpected(tag, f"in {sentence_id!r}")
             elif depth == 2:
@@ -183,6 +183,8 @@ def parse_passage(text: str) -> list[SentenceAnnotation]:
                 sentence_id = attrs.get("id")
                 if sentence_id is None:
                     raise FormatError("<S> missing 'id' attribute")
+                if sentence_id in annotations:
+                    raise FormatError(f"duplicate sentence id: {sentence_id!r}")
                 full_tok = attrs.get("full", "yes")
                 if full_tok not in ("yes", "no"):
                     raise FormatError(f"full attribute must be yes or no, got {full_tok!r}")
@@ -201,8 +203,8 @@ def parse_passage(text: str) -> list[SentenceAnnotation]:
             parser.CharacterDataHandler = None
         elif depth == 1:
             try:
-                annotations.append(  # the model turns the lists into tuples
-                    SentenceAnnotation(sentence_id, tokens, constituents, relations, full_tok == "yes")
+                annotations[sentence_id] = SentenceAnnotation(  # the model turns the lists into tuples
+                    sentence_id, tokens, constituents, relations, full_tok == "yes"
                 )
             except ValueError as exc:
                 raise FormatError(str(exc), parser.CurrentLineNumber) from exc
@@ -213,7 +215,9 @@ def parse_passage(text: str) -> list[SentenceAnnotation]:
         parser.Parse(f"<document>{text}</document>", True)
     except ExpatError as exc:
         raise FormatError(f"malformed markup: {exc}", line=exc.lineno) from exc
-    return annotations
+    finally:  # the handlers hold the parser: free it without waiting for the cyclic collector
+        parser.StartElementHandler = parser.EndElementHandler = parser.CharacterDataHandler = None
+    return list(annotations.values())
 
 
 def serialize_passage(annotations: Sequence[SentenceAnnotation]) -> str:

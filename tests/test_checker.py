@@ -347,6 +347,38 @@ class TestDiagnose:
                     recount[v.failure_reason] += 1
         assert histogram == recount
 
+    @pytest.mark.parametrize("seed", [71, 73, 79, 83])
+    def test_repeated_frames_match_a_per_frame_fold_of_check_sentence(self, seed):
+        # a small pool of frames, drawn over and over, as equal copies or as
+        # the same object: diagnose_corpus decides each distinct frame once
+        rng = random.Random(seed)
+        lex = rand_lexicon(rng, 6)
+        lemmas = list(lex.entries) + ["fantôme"]
+        pool = []
+        for _ in range(12):
+            source = rand_entry(rng, rng.choice(lemmas), "tmp", coded=rng.random() < 0.8)
+            frame = rand_observed_frame(rng, source, rng.choice(list(R)))
+            if frame.slots and rng.random() < 0.3:  # drop a slot: an obligatory one may go missing
+                frame = obs(frame.lemma, sorted(frame.slots, key=str)[1:], frame.redistribution_context)
+            pool.append(frame)
+        corpus = []
+        for k in range(300):
+            frames = [rng.choice(pool) for _ in range(rng.randint(1, 4))]
+            frames = [obs(f.lemma, set(f.slots), f.redistribution_context) if rng.random() < 0.5 else f
+                      for f in frames]
+            corpus.append((f"s{k:03d}", frames))
+        records, histogram = diagnose_corpus(lex, corpus)
+        expected_records, expected_histogram = [], Counter()
+        for sentence_id, frames in corpus:
+            verdicts = [check_sentence(lex, f) for f in frames]
+            expected_records.append(
+                SentenceRecord(sentence_id, tuple(f.lemma for f in frames), all(v.analyzable for v in verdicts))
+            )
+            expected_histogram.update(v.failure_reason for v in verdicts if not v.analyzable)
+        assert records == expected_records
+        assert histogram == expected_histogram
+        assert len(set(histogram)) >= 2  # the pool mixes failure reasons
+
 
 CORPUS_TEXT = (
     "# corpus header\n"
@@ -419,6 +451,34 @@ class TestCorpusFormat:
     def test_uppercase_lemma_rejected_at_its_line(self):
         with pytest.raises(FormatError, match="line 2: lemma must be lowercase: 'Donner'"):
             parse_corpus("# ok\ns1\tDonner\tACTIVE\tSuj:NP\n")
+
+    @pytest.mark.parametrize(
+        "bad, fragment",
+        [
+            ("s\tdonner\tACTIVE\tSuj:NP;Obj:XX", "unknown realization"),
+            ("s\tdonner\tACTIVE\tSuj:NP;Zzz:NP", "unknown function"),
+            ("s\tdonner\tACTIVE\tSuj:NP;Obj", "malformed observed slot"),
+            ("s\tdonner\tWEIRD\tSuj:NP", "unknown redistribution"),
+            ("s\tdonner\tACTIVE\tSuj:NP;Suj:CLITIC", "duplicate function"),
+            ("s\tDonner\tACTIVE\tSuj:NP", "lowercase"),
+        ],
+    )
+    def test_bad_token_on_two_lines_fails_at_the_first(self, bad, fragment):
+        # line 1 parses the good slot of the bad lines first
+        text = f"s0\tdonner\tACTIVE\tSuj:NP\n{bad}\n{bad}\n"
+        with pytest.raises(FormatError) as err:
+            parse_corpus(text)
+        assert err.value.line == 2
+        assert fragment in err.value.message
+
+    def test_repeated_line_parses_to_an_equal_frame(self):
+        line = "kidnapper\tPASSIVE\tObj:NP;Obja:PP(à)"
+        text = f"s1\t{line}\ns1\tdormir\tACTIVE\tSuj:NP\ns2\t{line}\ns3\t{line}\n"
+        corpus = parse_corpus(text)
+        (alone,) = parse_corpus(f"s1\t{line}\n")[0][1]
+        assert [frames[0] for _, frames in corpus] == [alone, alone, alone]
+        assert corpus[0][1][1] == obs("dormir", {(F.SUJ, NP)})
+        assert parse_corpus(serialize_corpus(corpus)) == corpus
 
     def test_duplicate_function_across_lines_is_fine(self):
         # duplicates only matter inside one frame

@@ -1,3 +1,4 @@
+import gc
 import os
 import random
 import subprocess
@@ -19,7 +20,7 @@ from valex.cli import (
 )
 from valex.errors import FormatError
 from valex.lexicon import parse_lexicon
-from valex.mining import parse_records
+from valex.mining import MiningParams, build_mining_corpus, compute_suspicion, parse_records
 
 LEXICON = (
     "# toy lexicon\n"
@@ -281,6 +282,17 @@ class TestMineCommand:
         assert rows[0][3] == "2" and rows[0][4] == "s1"
         assert float(rows[1][2]) <= 1e-6
 
+    def test_manifest_records_final_delta(self, tmp_path):
+        ref = write(tmp_path, "ref.tsv", REF_RECORDS)
+        hyp = write(tmp_path, "hyp.tsv", HYP_RECORDS)
+        out = tmp_path / "out"
+        assert main(["mine", ref, hyp, "--max-iter", "3", "--out", str(out)]) == 0
+        corpus = build_mining_corpus(parse_records(REF_RECORDS), parse_records(HYP_RECORDS))
+        result = compute_suspicion(corpus, MiningParams(max_iterations=3))
+        assert 0.0 < result.final_delta
+        headers = header_lines(out / "suspects.tsv")
+        assert headers[-2:] == ["# converged: no", f"# final_delta: {result.final_delta!r}"]
+
     def test_non_convergence_warning(self, tmp_path, capsys):
         ref = write(tmp_path, "ref.tsv", REF_RECORDS)
         hyp = write(tmp_path, "hyp.tsv", HYP_RECORDS)
@@ -375,6 +387,20 @@ class TestErrors:
         assert main(["eval", span, span]) == 1
         assert capsys.readouterr().err == f"valex: error: {span}:5: {message}\n"
 
+    @pytest.mark.parametrize("empty", ["", "just text\n", "<!-- nothing -->\n"])
+    @pytest.mark.parametrize("side", ["gold", "hyp"])
+    def test_eval_document_without_sentences_names_file(self, tmp_path, capsys, empty, side):
+        docs = {"gold": GOLD_DOC, "hyp": GOLD_DOC, side: empty}
+        gold, hyp = (write(tmp_path, f"{name}.xml", docs[name]) for name in ("gold", "hyp"))
+        assert main(["eval", gold, hyp]) == 1
+        path = gold if side == "gold" else hyp
+        assert capsys.readouterr().err == f"valex: error: {path}: no <S> sentence to evaluate\n"
+
+    def test_eval_duplicate_sentence_id_names_file_and_line(self, tmp_path, capsys):
+        doubled = write(tmp_path, "doubled.xml", GOLD_DOC + GOLD_DOC)
+        assert main(["eval", doubled, doubled]) == 1
+        assert capsys.readouterr().err == f"valex: error: {doubled}:8: duplicate sentence id: 'E1'\n"
+
     def test_undecodable_input_names_file(self, tmp_path, capsys):
         binary = tmp_path / "bin.lex"
         binary.write_bytes(b"\xff\n")
@@ -390,6 +416,23 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("valex: error: cannot write")
         assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_restores_the_callers_gc_setting(tmp_path, monkeypatch, enabled):
+    lexicon = write(tmp_path, "ok.lex", LEXICON)
+    seen = []
+    original = valex.cli.parse_lexicon
+    monkeypatch.setattr(valex.cli, "parse_lexicon", lambda text: seen.append(gc.isenabled()) or original(text))
+    was_enabled = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        for argv in (["lex", "stats", lexicon], ["lex", "stats", str(tmp_path / "absent.lex")]):
+            main(argv)
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert seen == [False]  # the command ran with the collector off
 
 
 def _loaded_after_import(prefix):

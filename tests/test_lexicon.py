@@ -130,6 +130,36 @@ class TestParseErrors:
         assert "line 2" in str(err.value)
         assert fragment in str(err.value)
 
+    @pytest.mark.parametrize(
+        "frame, redistributions, fragment",
+        [
+            ("Suj:NP;Obj:XX", "ACTIVE", "unknown realization"),
+            ("Suj:NP;Zzz:NP", "ACTIVE", "unknown function"),
+            ("Suj:NP;Obj", "ACTIVE", "malformed frame slot"),
+            ("Suj:NP;Obj:", "ACTIVE", "empty realization"),
+            ("Suj:NP;Suj:NP", "ACTIVE", "duplicate function"),
+            ("Suj:NP", "ACTIVE,WEIRD", "unknown redistribution"),
+            ("Suj:NP", "PASSIVE", "must license ACTIVE"),
+        ],
+    )
+    def test_bad_token_on_two_lines_fails_at_the_first(self, frame, redistributions, fragment):
+        # line 1 parses the good tokens of the bad lines first
+        good = "donner\tV\te0\tSuj:NP\tACTIVE\tcoded\ts:0\n"
+        bad = [f"donner\tV\te{k}\t{frame}\t{redistributions}\tcoded\ts:{k}\n" for k in (1, 2)]
+        with pytest.raises(FormatError) as err:
+            parse_lexicon(good + "".join(bad))
+        assert err.value.line == 2
+        assert fragment in err.value.message
+
+    def test_repeated_tokens_parse_to_equal_slots(self):
+        second = DONNER_LINE.replace("donner__1", "donner__2").replace("lefff:1380", "lefff:1381")
+        lexicon = parse_lexicon(DONNER_LINE + "\n" + second + "\n")
+        first, again = lexicon.entries["donner"]
+        (alone,) = parse_lexicon(DONNER_LINE + "\n").entries["donner"]
+        assert first.frame == again.frame == alone.frame
+        assert first.redistributions == again.redistributions == alone.redistributions
+        assert parse_lexicon(serialize_lexicon(lexicon)) == lexicon
+
     def test_duplicate_entry_id(self):
         text = DONNER_LINE + "\n" + DONNER_LINE + "\n"
         with pytest.raises(FormatError) as err:

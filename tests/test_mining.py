@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 
@@ -63,6 +64,81 @@ def brute_force(corpus, epsilon=1e-9, max_iterations=200):
             converged = True
             break
     return scores, iterations, converged
+
+
+def seed_fixed_point(corpus, params=MiningParams(), on_iteration=None):
+    """The fixed point as first written, looping over every sentence and
+    every form; kept verbatim as an oracle for the compiled kernel.  Only
+    the return differs: a plain tuple that also holds the last delta."""
+    if not corpus.sentences:
+        raise ValueError("cannot mine an empty corpus")
+    form_index: dict[str, int] = {}
+    for sentence in corpus.sentences:
+        for form in sentence.forms:
+            form_index.setdefault(form, len(form_index))
+    names = list(form_index)
+    n = len(names)
+    occurrences = [0] * n
+    failed_occurrences = [0] * n
+    sentences = [
+        ([form_index[f] for f in s.forms], s.failed) for s in corpus.sentences
+    ]
+    for forms, failed in sentences:
+        for fi in forms:
+            occurrences[fi] += 1
+            if failed:
+                failed_occurrences[fi] += 1
+
+    scores = [failed_occurrences[fi] / occurrences[fi] for fi in range(n)]
+    iterations_used = 0
+    converged = False
+    for iteration in range(1, params.max_iterations + 1):
+        blame = [0.0] * n
+        for forms, failed in sentences:
+            if not failed:
+                continue
+            denominator = math.fsum(scores[fi] for fi in forms)
+            if denominator == 0.0:
+                share = 1.0 / len(forms)
+                locals_ = [share] * len(forms)
+            else:
+                locals_ = [scores[fi] / denominator for fi in forms]
+            assert abs(math.fsum(locals_) - 1.0) <= 1e-12, "per-sentence blame must sum to 1"
+            for fi, local in zip(forms, locals_):
+                blame[fi] += local
+        new_scores = [blame[fi] / occurrences[fi] for fi in range(n)]
+        assert all(0.0 <= s <= 1.0 for s in new_scores), "scores must stay in [0, 1]"
+        delta = max(
+            (abs(a - b) for a, b in zip(new_scores, scores)), default=0.0
+        )
+        scores = new_scores
+        iterations_used = iteration
+        if on_iteration is not None:
+            on_iteration(iteration, dict(zip(names, scores)))
+        if delta < params.epsilon:
+            converged = True
+            break
+
+    failed_sentence_count = [0] * n
+    sample: list[str | None] = [None] * n
+    for sentence in corpus.sentences:
+        if not sentence.failed:
+            continue
+        for fi in sorted({form_index[f] for f in sentence.forms}):
+            failed_sentence_count[fi] += 1
+            if sample[fi] is None:
+                sample[fi] = sentence.sentence_id
+    results = [
+        SuspicionScore(
+            form=names[fi],
+            score=scores[fi],
+            occurrences=occurrences[fi],
+            failed_sentences=failed_sentence_count[fi],
+            sample_sentence_id=sample[fi],
+        )
+        for fi in range(n)
+    ]
+    return results, iterations_used, converged, delta
 
 
 class TestModel:
@@ -210,6 +286,40 @@ class TestFixedPoint:
             expected, _, _ = brute_force(sample)
             for s in result.scores:
                 assert abs(s.score - expected[s.form]) <= 1e-8
+
+
+class TestKernelAgainstSeedLoop:
+    """compute_suspicion must reproduce the original loop bit for bit."""
+
+    def assert_same_run(self, sample, params):
+        ours, theirs = [], []
+        result = compute_suspicion(sample, params, lambda i, v: ours.append((i, list(v.items()))))
+        scores, iterations, converged, delta = seed_fixed_point(
+            sample, params, lambda i, v: theirs.append((i, list(v.items())))
+        )
+        assert result.scores == scores
+        assert (result.iterations_used, result.converged) == (iterations, converged)
+        assert result.final_delta == delta
+        assert ours == theirs  # every iteration's vector, in form order, with == on floats
+
+    @pytest.mark.parametrize("seed", [3, 5, 8, 13, 21])
+    def test_random_corpora(self, seed):
+        rng = random.Random(seed)
+        for _ in range(15):
+            sample = rand_mining_corpus(rng, max_sentences=rng.choice([5, 60, 300]),
+                                        vocabulary=rng.choice([3, 20, 80]))
+            params = MiningParams(epsilon=rng.choice([1e-9, 1e-4, 0.05]),
+                                  max_iterations=rng.choice([1, 7, 200]))
+            self.assert_same_run(sample, params)
+
+    def test_without_on_iteration(self):
+        sample = rand_mining_corpus(random.Random(17), max_sentences=200, vocabulary=40)
+        assert compute_suspicion(sample)[:3] == seed_fixed_point(sample)[:3]
+
+    @pytest.mark.parametrize("failed", [False, True])
+    def test_no_failed_or_only_failed_sentences(self, failed):
+        sample = corpus(("s1", ("a", "b", "a"), failed), ("s2", ("b",), failed), ("s3", ("c",), failed))
+        self.assert_same_run(sample, MiningParams())
 
 
 class TestRank:

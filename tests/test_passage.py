@@ -1,3 +1,4 @@
+import gc
 import random
 from collections import Counter
 from fractions import Fraction
@@ -159,6 +160,25 @@ class TestParse:
             parse_passage(doc % bad)
         assert fragment in str(err.value)
         assert err.value.line == line
+
+    def test_duplicate_sentence_id_fails_at_the_second_block(self):
+        doc = '<S id="a">\n<W ix="0">a</W>\n</S>\n<S id="b"><W ix="0">b</W></S>\n<S id="a">\n</S>\n'
+        with pytest.raises(FormatError) as err:
+            parse_passage(doc)
+        assert err.value.message == "duplicate sentence id: 'a'"
+        assert err.value.line == 5
+
+    def test_parse_leaves_no_cyclic_garbage(self):
+        # valex.cli runs commands with the cyclic collector off
+        gc.collect()
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            assert len(parse_passage(SMALL_DOC)) == 1
+            assert gc.collect() == 0
+        finally:
+            if was_enabled:
+                gc.enable()
 
     def test_first_error_in_document_order(self):
         doc = '<S id="a">\n<W ix="0">a</W><G type="ZZ" start="0" end="1"/>\n</S>\n<S id="b">'
