@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import __version__
 from .checker import FailureReason, diagnose_corpus, parse_corpus
-from .errors import FormatError
+from .errors import FormatError, write_rows
 from .freq import FrequencyTable, lemma_counts, parse_frequency_table, parse_lemma_map, top_lemmas
 from .lexicon import lexicon_stats, parse_lexicon, serialize_lexicon
 from .merge import merge_lexicons, serialize_merge_report
@@ -90,198 +90,148 @@ def _write(out_dir: str | None, filename: str, manifest: RunManifest, body: str)
         raise CliError(f"cannot write {target}: {exc.strerror or exc}") from exc
 
 
-def _cmd_lex_parse(args) -> int:
-    lexicon = _parse_file(args.lexicon, parse_lexicon)
-    manifest = RunManifest(inputs=(("lexicon", args.lexicon),))
-    _write(args.out, "canonical.lex", manifest, serialize_lexicon(lexicon))
-    return 0
+def _lex_parse(args, lexicon):
+    return {"canonical.lex": serialize_lexicon(lexicon)}, ()
 
 
-def _cmd_lex_stats(args) -> int:
-    lexicon = _parse_file(args.lexicon, parse_lexicon)
+def _lex_stats(args, lexicon):
     stats = lexicon_stats(lexicon)
-    manifest = RunManifest(inputs=(("lexicon", args.lexicon),))
-    body_lines = [
-        f"lemmas\t{stats.lemma_count}",
-        f"entries\t{stats.entry_count}",
-        f"max_entries_per_lemma\t{stats.max_entries}",
+    rows = [
+        ("lemmas", str(stats.lemma_count)),
+        ("entries", str(stats.entry_count)),
+        ("max_entries_per_lemma", str(stats.max_entries)),
+        *(("top", str(rank), lemma, str(count))
+          for rank, (lemma, count) in enumerate(stats.top, start=1)),
     ]
-    body_lines.extend(
-        f"top\t{rank}\t{lemma}\t{count}"
-        for rank, (lemma, count) in enumerate(stats.top, start=1)
-    )
-    _write(args.out, "stats.tsv", manifest, "".join(l + "\n" for l in body_lines))
-    return 0
+    return {"stats.tsv": write_rows(rows)}, ()
 
 
-def _cmd_merge(args) -> int:
-    ref = _parse_file(args.ref, parse_lexicon)
-    other = _parse_file(args.other, parse_lexicon)
-    ref.name, other.name = args.ref, args.other
+def _merge(args, ref, other):
     merged, report = merge_lexicons(ref, other)
-    manifest = RunManifest(inputs=(("ref", args.ref), ("other", args.other)))
-    _write(args.out, "merged.lex", manifest, serialize_lexicon(merged))
-    _write(args.out, "merge_report.tsv", manifest, serialize_merge_report(report))
-    return 0
+    reports = {"merged.lex": serialize_lexicon(merged), "merge_report.tsv": serialize_merge_report(report)}
+    return reports, ()
 
 
-def _cmd_check(args) -> int:
-    lexicon = _parse_file(args.lexicon, parse_lexicon)
-    corpus = _parse_file(args.corpus, parse_corpus)
+def _check(args, lexicon, corpus):
     records, histogram = diagnose_corpus(lexicon, corpus)
-    manifest = RunManifest(inputs=(("lexicon", args.lexicon), ("corpus", args.corpus)))
-    _write(args.out, "records.tsv", manifest, serialize_records(records))
-    failure_lines = [f"{reason.value}\t{histogram.get(reason, 0)}" for reason in FailureReason]
-    _write(args.out, "failures.tsv", manifest, "".join(l + "\n" for l in failure_lines))
-    return 0
+    failures = write_rows((reason.value, str(histogram.get(reason, 0))) for reason in FailureReason)
+    return {"records.tsv": serialize_records(records), "failures.tsv": failures}, ()
 
 
-def _scores_row(label: str, kind: str, scores) -> str:
-    return (
-        f"{kind}\t{label}\t{scores.tp}\t{scores.gold_count}\t{scores.hyp_count}\t"
-        f"{format_percent(scores.precision)}\t{format_percent(scores.recall)}\t"
-        f"{format_percent(scores.f_measure)}"
-    )
+def _scores_row(kind: str, label: str, scores) -> tuple[str, ...]:
+    counts = (scores.tp, scores.gold_count, scores.hyp_count)
+    ratios = (scores.precision, scores.recall, scores.f_measure)
+    return (kind, label, *map(str, counts), *map(format_percent, ratios))
 
 
-def _cmd_eval(args) -> int:
-    gold = _parse_file(args.gold, parse_passage)
-    hyp = _parse_file(args.hyp, parse_passage)
+def _eval(args, gold, hyp):
     for path, annotations in ((args.gold, gold), (args.hyp, hyp)):
         if not annotations:
             raise CliError(f"{path}: no <S> sentence to evaluate")
     mode = RelaxationMode(args.mode)
     scores = score_corpus(gold, hyp, mode)
     covered = coverage(hyp)
-    manifest = RunManifest(
-        inputs=(("gold", args.gold), ("hyp", args.hyp)), params=(("mode", mode.value),)
-    )
-    lines = [
-        f"summary\tsentences\t{covered.total}",
-        f"summary\tcoverage_count\t{covered.covered}",
-        f"summary\tcoverage_pct\t{covered.percent_display}",
-        f"summary\tconstituents_f\t{format_percent(scores.constituents.f_measure)}",
-        f"summary\trelations_f\t{format_percent(scores.relations.f_measure)}",
-        _scores_row("ALL", "constituent", scores.constituents),
+    rows = [
+        ("summary", "sentences", str(covered.total)),
+        ("summary", "coverage_count", str(covered.covered)),
+        ("summary", "coverage_pct", covered.percent_display),
+        ("summary", "constituents_f", format_percent(scores.constituents.f_measure)),
+        ("summary", "relations_f", format_percent(scores.relations.f_measure)),
+        _scores_row("constituent", "ALL", scores.constituents),
+        *(_scores_row("constituent", t.value, s) for t, s in scores.per_constituent.items()),
+        _scores_row("relation", "ALL", scores.relations),
+        *(_scores_row("relation", t.value, s) for t, s in scores.per_relation.items()),
     ]
-    lines.extend(
-        _scores_row(t.value, "constituent", scores.per_constituent[t])
-        for t in scores.per_constituent
-    )
-    lines.append(_scores_row("ALL", "relation", scores.relations))
-    lines.extend(
-        _scores_row(t.value, "relation", scores.per_relation[t]) for t in scores.per_relation
-    )
-    _write(args.out, "eval_report.tsv", manifest, "".join(l + "\n" for l in lines))
-    return 0
+    return {"eval_report.tsv": write_rows(rows)}, (("mode", mode.value),)
 
 
-def _cmd_mine(args) -> int:
-    ref_records = _parse_file(args.ref_records, parse_records)
-    hyp_records = _parse_file(args.hyp_records, parse_records)
+def _mine(args, ref_records, hyp_records):
     params = MiningParams(epsilon=args.epsilon, max_iterations=args.max_iter)
-    corpus = build_mining_corpus(ref_records, hyp_records)
-    result = compute_suspicion(corpus, params)
+    result = compute_suspicion(build_mining_corpus(ref_records, hyp_records), params)
     ranked = rank_suspects(result.scores, args.top_k)
     if not result.converged:
         print(
             f"valex: warning: fixed point not converged after {result.iterations_used} iterations",
             file=sys.stderr,
         )
-    manifest = RunManifest(
-        inputs=(("ref_records", args.ref_records), ("hyp_records", args.hyp_records)),
-        params=(
-            ("epsilon", repr(params.epsilon)),
-            ("max_iterations", str(params.max_iterations)),
-            ("iterations_used", str(result.iterations_used)),
-            ("converged", "yes" if result.converged else "no"),
-            ("final_delta", repr(result.final_delta)),
-        ),
+    return {"suspects.tsv": format_suspects(ranked)}, (
+        ("epsilon", repr(params.epsilon)),
+        ("max_iterations", str(params.max_iterations)),
+        ("iterations_used", str(result.iterations_used)),
+        ("converged", "yes" if result.converged else "no"),
+        ("final_delta", repr(result.final_delta)),
     )
-    _write(args.out, "suspects.tsv", manifest, format_suspects(ranked))
-    return 0
 
 
-def _cmd_freq(args) -> int:
-    rows = _parse_file(args.freq_table, parse_frequency_table)
-    mapping = _parse_file(args.lemma_map, parse_lemma_map)
+def _freq(args, rows, mapping):
     table = FrequencyTable(rows, mapping)
     counts, unmapped = lemma_counts(table)
     top = top_lemmas(table, args.n)
     if unmapped:
         print(f"valex: warning: {unmapped} unmapped forms ignored", file=sys.stderr)
-    manifest = RunManifest(
-        inputs=(("freq_table", args.freq_table), ("lemma_map", args.lemma_map)),
-        params=(("n", str(args.n)),),
-    )
-    lines = [f"{rank}\t{lemma}\t{counts[lemma]}" for rank, lemma in enumerate(top, start=1)]
-    _write(args.out, "top_lemmas.tsv", manifest, "".join(l + "\n" for l in lines))
-    return 0
+    ranked = ((str(rank), lemma, str(counts[lemma])) for rank, lemma in enumerate(top, start=1))
+    return {"top_lemmas.tsv": write_rows(ranked)}, (("n", str(args.n)),)
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="valex", description=__doc__)
     parser.add_argument("--version", action="version", version=f"valex {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
     lex = sub.add_parser("lex", help="inspect a lexicon file")
     lex_sub = lex.add_subparsers(dest="lex_command", required=True)
-    lex_parse = lex_sub.add_parser("parse", help="validate and re-emit canonical form")
-    lex_parse.add_argument("lexicon")
-    lex_parse.add_argument("--out", default=None, help="output directory (default stdout)")
-    lex_parse.set_defaults(run=_cmd_lex_parse)
-    lex_stats = lex_sub.add_parser("stats", help="lemma/entry counts and ambiguity top list")
-    lex_stats.add_argument("lexicon")
-    lex_stats.add_argument("--out", default=None)
-    lex_stats.set_defaults(run=_cmd_lex_stats)
 
-    merge = sub.add_parser("merge", help="merge two lexicons")
-    merge.add_argument("ref")
-    merge.add_argument("other")
-    merge.add_argument("--out", required=True, help="output directory")
-    merge.set_defaults(run=_cmd_merge)
+    def command(parent, name, help, run, inputs, out_required=False):
+        """Register a command: its positional inputs as (name, parser)
+        pairs, whether --out is required, and its run function, which
+        takes the arguments and the parsed inputs and returns
+        ({filename: body}, manifest params)."""
+        subparser = parent.add_parser(name, help=help)
+        for input_name, _ in inputs:
+            subparser.add_argument(input_name)
+        out_help = "output directory" if out_required else "output directory (default stdout)"
+        subparser.add_argument("--out", required=out_required, help=out_help)
+        subparser.set_defaults(run=run, inputs=inputs)
+        return subparser
 
-    check = sub.add_parser("check", help="check an observed-frame corpus against a lexicon")
-    check.add_argument("lexicon")
-    check.add_argument("corpus")
-    check.add_argument("--out", required=True, help="output directory")
-    check.set_defaults(run=_cmd_check)
-
-    evaluate = sub.add_parser("eval", help="score hypothesis annotations against gold")
-    evaluate.add_argument("gold")
-    evaluate.add_argument("hyp")
-    evaluate.add_argument(
-        "--mode", choices=[m.value for m in RelaxationMode], default="exact"
-    )
-    evaluate.add_argument("--out", default=None)
-    evaluate.set_defaults(run=_cmd_eval)
-
-    mine = sub.add_parser("mine", help="mine suspicious forms from two record files")
-    mine.add_argument("ref_records")
-    mine.add_argument("hyp_records")
+    # The parsers are looked up here, at call time, so that a replaced
+    # module attribute (valex.cli.parse_lexicon, ...) is the one called.
+    lexicon = ("lexicon", parse_lexicon)
+    command(lex_sub, "parse", "validate and re-emit canonical form", _lex_parse, (lexicon,))
+    command(lex_sub, "stats", "lemma/entry counts and ambiguity top list", _lex_stats, (lexicon,))
+    command(sub, "merge", "merge two lexicons", _merge,
+            (("ref", parse_lexicon), ("other", parse_lexicon)), out_required=True)
+    command(sub, "check", "check an observed-frame corpus against a lexicon", _check,
+            (lexicon, ("corpus", parse_corpus)), out_required=True)
+    evaluate = command(sub, "eval", "score hypothesis annotations against gold", _eval,
+                       (("gold", parse_passage), ("hyp", parse_passage)))
+    evaluate.add_argument("--mode", choices=[m.value for m in RelaxationMode], default="exact")
+    mine = command(sub, "mine", "mine suspicious forms from two record files", _mine,
+                   (("ref_records", parse_records), ("hyp_records", parse_records)))
     mine.add_argument("--epsilon", type=float, default=1e-9)
     mine.add_argument("--max-iter", type=int, default=200)
     mine.add_argument("--top-k", type=int, default=20)
-    mine.add_argument("--out", default=None)
-    mine.set_defaults(run=_cmd_mine)
-
-    freq = sub.add_parser("freq", help="most frequent lemmas from a form frequency table")
-    freq.add_argument("freq_table")
-    freq.add_argument("lemma_map")
+    freq = command(sub, "freq", "most frequent lemmas from a form frequency table", _freq,
+                   (("freq_table", parse_frequency_table), ("lemma_map", parse_lemma_map)))
     freq.add_argument("--n", type=int, default=100)
-    freq.add_argument("--out", default=None)
-    freq.set_defaults(run=_cmd_freq)
     return parser
 
 
 def main(argv=None) -> int:
+    """Parse the command's inputs, run it, and write each report it returns
+    under one manifest: the inputs by argument name, then its parameters."""
     args = _build_parser().parse_args(argv)
     # A command builds an acyclic model and exits, so the cyclic collector
     # would only re-scan it; the caller's setting is restored on return.
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        return args.run(args)
+        paths = [(name, getattr(args, name)) for name, _ in args.inputs]
+        parsed = (_parse_file(path, parse) for (_, path), (_, parse) in zip(paths, args.inputs))
+        reports, params = args.run(args, *parsed)
+        manifest = RunManifest(tuple(paths), params)
+        for filename, body in reports.items():
+            _write(args.out, filename, manifest, body)
+        return 0
     except (CliError, ValueError) as exc:
         print(f"valex: error: {exc}", file=sys.stderr)
         return 1

@@ -125,26 +125,20 @@ class Realization:
             raise ValueError(f"{self.marker.value} realization takes no preposition")
 
     def token(self) -> str:
-        if self.marker is Marker.PP:
-            return f"PP({self.prep})"
-        return self.marker.value
-
-    @classmethod
-    def from_token(cls, token: str) -> "Realization":
-        plain = _PLAIN_BY_TOKEN.get(token)
-        if plain is not None:
-            return plain
-        m = _PP_TOKEN.match(token)
-        if m:
-            return cls(Marker.PP, m.group(1))
-        raise ValueError(f"unknown realization token: {token!r}")
+        """The token parse_realization reads back; both formats split on
+        ``;``, and the lexicon also on ``|``, around it."""
+        if self.marker is not Marker.PP:
+            return self.marker.value
+        if ")" in self.prep or "|" in self.prep or ";" in self.prep:
+            raise ValueError(f"preposition {self.prep!r} cannot be serialized")
+        return f"PP({self.prep})"
 
 
 NP = Realization(Marker.NP)
 CLITIC = Realization(Marker.CLITIC)
 FINITE_CLAUSE = Realization(Marker.FINITE_CLAUSE)
 INF_CLAUSE = Realization(Marker.INF_CLAUSE)
-# The plain realizations are frozen, so from_token hands out these singletons.
+# The plain realizations are frozen, so parse_realization hands out these singletons.
 _PLAIN_BY_TOKEN = {r.token(): r for r in (NP, CLITIC, FINITE_CLAUSE, INF_CLAUSE)}
 
 
@@ -296,11 +290,16 @@ REDISTRIBUTION_BY_TOKEN = {r.value: r for r in Redistribution}
 
 
 def parse_realization(token: str, line: int) -> Realization:
-    """Realization.from_token, failing with a FormatError at line."""
-    try:
-        return Realization.from_token(token)
-    except ValueError as exc:
-        raise FormatError(str(exc), line) from exc
+    """The realization a token names, or a FormatError at line."""
+    plain = _PLAIN_BY_TOKEN.get(token)
+    if plain is not None:
+        return plain
+    m = _PP_TOKEN.match(token)
+    if m is None:
+        raise FormatError(f"unknown realization token: {token!r}", line)
+    if m.group(1) != m.group(1).lower():
+        raise FormatError(f"preposition must be lowercase: {m.group(1)!r}", line)
+    return Realization(Marker.PP, m.group(1))
 
 
 def _parse_slot(token: str, line: int) -> FunctionSlot:
@@ -391,14 +390,10 @@ def parse_lexicon(text: str, name: str = "") -> Lexicon:
 
 def _entry_fields(entry: LexicalEntry) -> list[str]:
     frame = ";".join(slot.token() for slot in entry.frame)
-    for slot in entry.frame:
-        for r in slot.realizations:
-            if r.marker is Marker.PP and (")" in r.prep or "|" in r.prep or ";" in r.prep):
-                raise ValueError(f"preposition {r.prep!r} cannot be serialized")
     redistributions = ",".join(r.value for r in Redistribution if r in entry.redistributions)
     provenance_items = []
     for source, orig_id in entry.provenance:
-        if ":" in source or "," in source or "," in orig_id:
+        if not source or not orig_id or ":" in source or "," in source or "," in orig_id:
             raise ValueError(f"provenance item {(source, orig_id)!r} cannot be serialized")
         provenance_items.append(f"{source}:{orig_id}")
     return [

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 
+from .errors import write_rows
 from .lexicon import FunctionSlot, LexicalEntry, Lexicon
 
 
@@ -232,13 +233,12 @@ def validation_queue(report: MergeReport) -> list[str]:
 
 def serialize_merge_report(report: MergeReport) -> str:
     """One row per lemma plus a trailing #TOTALS comment line."""
-    lines = [
-        f"{r.lemma}\t{r.ref_count}\t{r.other_count}\t{r.merged_count}\t"
-        f"{'yes' if r.needs_validation else 'no'}"
+    rows = write_rows(
+        (r.lemma, str(r.ref_count), str(r.other_count), str(r.merged_count),
+         "yes" if r.needs_validation else "no")
         for r in report.results
-    ]
-    lines.append(
-        f"#TOTALS lemmas={report.total_lemmas} entries={report.total_entries} "
-        f"flagged_lemmas={report.flagged_lemmas} flagged_entries={report.flagged_entries}"
     )
-    return "".join(line + "\n" for line in lines)
+    return rows + (
+        f"#TOTALS lemmas={report.total_lemmas} entries={report.total_entries} "
+        f"flagged_lemmas={report.flagged_lemmas} flagged_entries={report.flagged_entries}\n"
+    )

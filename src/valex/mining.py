@@ -233,11 +233,10 @@ def rank_suspects(scores: Sequence[SuspicionScore], top_k: int) -> list[Suspicio
 def format_suspects(ranked: Sequence[SuspicionScore]) -> str:
     """Report rows: rank, form, score (6 decimals), failed sentences,
     sample sentence id."""
-    lines = [
-        f"{rank}\t{s.form}\t{s.score:.6f}\t{s.failed_sentences}\t{s.sample_sentence_id or '-'}"
+    return write_rows(
+        (str(rank), s.form, f"{s.score:.6f}", str(s.failed_sentences), s.sample_sentence_id or "-")
         for rank, s in enumerate(ranked, start=1)
-    ]
-    return "".join(line + "\n" for line in lines)
+    )
 
 
 def _parse_lines(text: str) -> list[tuple[str, bool, tuple[str, ...]]]:

@@ -19,6 +19,7 @@ formatting rounds half-up to two decimals, percentage style.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -126,6 +127,10 @@ _ITEMS = {
     "G": (Constituent, _CTYPE_BY_TOKEN, "constituent type", "start", "end"),
     "R": (Relation, _RTYPE_BY_TOKEN, "relation type", "src", "tgt"),
 }
+# In a token, markup would read a raw CR back as LF; XML 1.0 cannot carry
+# the other C0 controls but tab and LF at all (compiled on first use).
+_CR_REF = {"\r": "&#13;"}
+_UNWRITABLE = "[\x00-\x08\x0b\x0c\x0e-\x1f]"
 
 
 def _int_attr(tag: str, attrs: dict, name: str) -> int:
@@ -228,13 +233,17 @@ def serialize_passage(annotations: Sequence[SentenceAnnotation]) -> str:
         full = "yes" if ann.full_parse else "no"
         lines.append(f"<S id={quoteattr(ann.sentence_id)} full=\"{full}\">")
         for ix, token in enumerate(ann.tokens):
-            lines.append(f"  <W ix=\"{ix}\">{escape(token)}</W>")
+            lines.append(f"  <W ix=\"{ix}\">{escape(token, _CR_REF)}</W>")
         for c in ann.constituents:
             lines.append(f"  <G type=\"{c.ctype.value}\" start=\"{c.start}\" end=\"{c.end}\"/>")
         for r in ann.relations:
             lines.append(f"  <R type=\"{r.rtype.value}\" src=\"{r.source}\" tgt=\"{r.target}\"/>")
         lines.append("</S>")
-    return "".join(line + "\n" for line in lines)
+    text = "".join(line + "\n" for line in lines)
+    bad = re.search(_UNWRITABLE, text)
+    if bad:
+        raise ValueError(f"character {bad.group()!r} cannot be serialized")
+    return text
 
 
 def _compatible(mode: RelaxationMode, gold: Constituent, hyp: Constituent) -> bool:
@@ -331,8 +340,12 @@ def score_corpus(
     mode: RelaxationMode = RelaxationMode.EXACT,
 ) -> EvalScores:
     """Micro-averaged scores over aligned gold/hypothesis corpora."""
-    if [g.sentence_id for g in gold] != [h.sentence_id for h in hyp]:
-        raise ValueError("gold and hypothesis must list the same sentence ids in order")
+    gold_ids, hyp_ids = [g.sentence_id for g in gold], [h.sentence_id for h in hyp]
+    if gold_ids != hyp_ids:
+        k = next((k for k, (g, h) in enumerate(zip(gold_ids, hyp_ids)) if g != h), None)
+        where = (f"gold has {len(gold_ids)} sentences, hypothesis {len(hyp_ids)}" if k is None
+                 else f"sentence {k + 1} is {gold_ids[k]!r} in gold, {hyp_ids[k]!r} in hypothesis")
+        raise ValueError(f"gold and hypothesis must list the same sentence ids in order: {where}")
     ctp: Counter = Counter()
     cgold: Counter = Counter()
     chyp: Counter = Counter()

@@ -448,6 +448,11 @@ class TestCorpusFormat:
         with pytest.raises(ValueError):
             serialize_corpus([(sentence_id, [obs(lemma=lemma)])])
 
+    def test_unreadable_preposition_rejected(self):
+        # written as Obj:PP(x;y), it would read back as the token 'PP(x'
+        with pytest.raises(ValueError, match="preposition 'x;y' cannot be serialized"):
+            serialize_corpus([("s1", [obs(slots={(F.OBJ, pp("x;y"))})])])
+
     def test_uppercase_lemma_rejected_at_its_line(self):
         with pytest.raises(FormatError, match="line 2: lemma must be lowercase: 'Donner'"):
             parse_corpus("# ok\ns1\tDonner\tACTIVE\tSuj:NP\n")

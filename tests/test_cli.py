@@ -1,4 +1,5 @@
 import gc
+import itertools
 import os
 import random
 import subprocess
@@ -149,6 +150,62 @@ class TestManifest:
             "# input hyp: h.xml",
             "# mode: left",
         ]
+
+
+def _mine_params(max_iterations):
+    corpus = build_mining_corpus(parse_records(REF_RECORDS), parse_records(HYP_RECORDS))
+    result = compute_suspicion(corpus, MiningParams(max_iterations=max_iterations))
+    return [
+        "# epsilon: 1e-09",
+        f"# max_iterations: {max_iterations}",
+        f"# iterations_used: {result.iterations_used}",
+        f"# converged: {'yes' if result.converged else 'no'}",
+        f"# final_delta: {result.final_delta!r}",
+    ]
+
+
+@pytest.mark.parametrize(
+    "command, inputs, options, params, reports",
+    [
+        ("lex parse", (("lexicon", LEXICON),), [], [], ["canonical.lex"]),
+        ("lex stats", (("lexicon", LEXICON),), [], [], ["stats.tsv"]),
+        (
+            "merge", (("ref", LEXICON), ("other", OTHER_LEXICON)), [], [],
+            ["merge_report.tsv", "merged.lex"],
+        ),
+        (
+            "check", (("lexicon", LEXICON), ("corpus", CORPUS)), [], [],
+            ["failures.tsv", "records.tsv"],
+        ),
+        (
+            "eval", (("gold", GOLD_DOC), ("hyp", SHIFTED_DOC)), ["--mode", "left"],
+            ["# mode: left"], ["eval_report.tsv"],
+        ),
+        (
+            "mine", (("ref_records", REF_RECORDS), ("hyp_records", HYP_RECORDS)),
+            ["--max-iter", "3"], _mine_params(3), ["suspects.tsv"],
+        ),
+        (
+            "freq", (("freq_table", FREQ_TABLE), ("lemma_map", LEMMA_MAP)), ["--n", "1"],
+            ["# n: 1"], ["top_lemmas.tsv"],
+        ),
+    ],
+)
+def test_every_report_header_is_version_then_inputs_then_params(
+    tmp_path, command, inputs, options, params, reports
+):
+    paths = [write(tmp_path, f"{name}.in", text) for name, text in inputs]
+    out = tmp_path / "out"
+    assert main([*command.split(), *paths, *options, "--out", str(out)]) == 0
+    expected = [
+        f"# valex {__version__}",
+        *(f"# input {name}: {path}" for (name, _), path in zip(inputs, paths)),
+        *params,
+    ]
+    assert sorted(p.name for p in out.iterdir()) == reports
+    for name in reports:
+        lines = (out / name).read_text(encoding="utf-8").splitlines()
+        assert list(itertools.takewhile(lambda l: l.startswith("#"), lines)) == expected
 
 
 class TestLexCommands:
@@ -356,7 +413,10 @@ class TestErrors:
         gold = write(tmp_path, "gold.xml", GOLD_DOC)
         hyp = write(tmp_path, "hyp.xml", GOLD_DOC.replace('id="E1"', 'id="E2"'))
         assert main(["eval", gold, hyp]) == 1
-        assert "valex: error:" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "valex: error: gold and hypothesis must list the same sentence ids in order: "
+            "sentence 1 is 'E1' in gold, 'E2' in hypothesis\n"
+        )
 
     def test_mine_record_mismatch(self, tmp_path, capsys):
         ref = write(tmp_path, "ref.tsv", REF_RECORDS)

@@ -337,8 +337,18 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize(
         "fields",
-        [dict(lemma="#foo"), dict(entry_id="e\r1"), dict(examples=("a\rb",))],
-        ids=["hash-lemma", "cr-entry-id", "cr-example"],
+        [
+            dict(lemma="#foo"),
+            dict(entry_id="e\r1"),
+            dict(examples=("a\rb",)),
+            dict(provenance=(("", "1"),)),
+            dict(provenance=(("lefff", ""),)),
+            dict(frame=(slot(SyntacticFunction.OBJ, (pp("x;y"),)),)),
+        ],
+        ids=[
+            "hash-lemma", "cr-entry-id", "cr-example", "empty-provenance-source",
+            "empty-provenance-id", "semicolon-preposition",
+        ],
     )
     def test_unreadable_field_rejected(self, fields):
         with pytest.raises(ValueError):

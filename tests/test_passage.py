@@ -234,6 +234,23 @@ class TestRoundTrip:
         tricky = SentenceAnnotation(ann.sentence_id, ("<a&b>",))
         assert parse_passage(serialize_passage([tricky])) == [tricky]
 
+    def test_carriage_return_round_trips(self):
+        # a raw CR in markup would read back as LF
+        ann = SentenceAnnotation("s", ("a\rb", "c\r\nd", "\r"))
+        assert "\r" not in serialize_passage([ann])
+        assert parse_passage(serialize_passage([ann])) == [ann]
+
+    @pytest.mark.parametrize("char", ["\x00", "\x01", "\x08", "\x0b", "\x0c", "\x1f"])
+    @pytest.mark.parametrize("field", ["token", "id"])
+    def test_control_character_rejected(self, char, field):
+        if field == "id":
+            ann = SentenceAnnotation(f"s{char}", ("a",))
+        else:
+            ann = SentenceAnnotation("s", (f"a{char}b",))
+        with pytest.raises(ValueError) as err:
+            serialize_passage([ann])
+        assert str(err.value) == f"character {char!r} cannot be serialized"
+
     def test_random(self):
         rng = random.Random(71)
         for _ in range(25):
@@ -494,10 +511,16 @@ class TestScoreCorpus:
 
     def test_id_sequence_mismatch_is_error(self):
         gold = [sentence(sentence_id="a"), sentence(sentence_id="b")]
-        with pytest.raises(ValueError):
+        prefix = "gold and hypothesis must list the same sentence ids in order: "
+        with pytest.raises(ValueError) as err:
             score_corpus(gold, list(reversed(gold)), M.EXACT)
-        with pytest.raises(ValueError):
+        assert str(err.value) == prefix + "sentence 1 is 'a' in gold, 'b' in hypothesis"
+        with pytest.raises(ValueError) as err:
             score_corpus(gold, gold[:1], M.EXACT)
+        assert str(err.value) == prefix + "gold has 2 sentences, hypothesis 1"
+        with pytest.raises(ValueError) as err:
+            score_corpus(gold[:1], [gold[0], sentence(sentence_id="c")], M.EXACT)
+        assert str(err.value) == prefix + "gold has 1 sentences, hypothesis 2"
 
 
 class TestCoverage:
