@@ -19,11 +19,12 @@ pairs (possibly empty).  Lines follow the shared line rule of
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import FormatError, cached, iter_rows, lookup, write_rows
+from .errors import FormatError, lookup, parse_rows, write_rows
 from .lexicon import (
     FUNCTION_BY_TOKEN,
     REDISTRIBUTION_BY_TOKEN,
@@ -193,12 +194,12 @@ def diagnose_corpus(lexicon: Lexicon, corpus) -> tuple[list[SentenceRecord], Cou
     return records, histogram
 
 
-def _parse_pair(pair: str, line: int) -> tuple[SyntacticFunction, Realization]:
+def _parse_pair(pair: str) -> tuple[SyntacticFunction, Realization]:
     function_tok, sep, realization_tok = pair.partition(":")
     if not sep:
-        raise FormatError(f"malformed observed slot: {pair!r}", line)
-    function = lookup(FUNCTION_BY_TOKEN, function_tok, "function token", line)
-    return function, parse_realization(realization_tok, line)
+        raise FormatError(f"malformed observed slot: {pair!r}")
+    function = lookup(FUNCTION_BY_TOKEN, function_tok, "function token")
+    return function, parse_realization(realization_tok)
 
 
 def parse_corpus(text: str) -> list[tuple[str, list[ObservedFrame]]]:
@@ -206,27 +207,24 @@ def parse_corpus(text: str) -> list[tuple[str, list[ObservedFrame]]]:
     in first-appearance order.  Each distinct slot pair, and each distinct
     (lemma, redistribution, slots) triple of fields, is parsed once per
     call; lines that repeat a triple share its frame."""
-    grouped: dict[str, list[ObservedFrame]] = {}
-    pairs: dict[str, tuple[SyntacticFunction, Realization]] = {}
-    frames: dict[tuple[str, str, str], ObservedFrame] = {}
+    parse_pair = functools.cache(_parse_pair)
 
-    def parse_frame(fields: tuple[str, str, str], line: int) -> ObservedFrame:
-        lemma, redist_tok, slots_tok = fields
-        context = lookup(REDISTRIBUTION_BY_TOKEN, redist_tok, "redistribution", line)
+    @functools.cache
+    def parse_frame(lemma: str, redist_tok: str, slots_tok: str) -> ObservedFrame:
+        context = lookup(REDISTRIBUTION_BY_TOKEN, redist_tok, "redistribution")
         tokens = slots_tok.split(";") if slots_tok else ()
-        slots = frozenset(cached(pairs, token, _parse_pair, line) for token in tokens)
-        try:
-            return ObservedFrame(lemma, slots, context)
-        except ValueError as exc:
-            raise FormatError(str(exc), line) from exc
+        return ObservedFrame(lemma, frozenset(parse_pair(token) for token in tokens), context)
 
-    for line, fields in iter_rows(text):
+    def parse_row(fields: list[str]) -> tuple[str, ObservedFrame]:
         if len(fields) != 4:
-            raise FormatError(f"expected 4 tab-separated fields, got {len(fields)}", line)
+            raise FormatError(f"expected 4 tab-separated fields, got {len(fields)}")
         sentence_id, lemma, redist_tok, slots_tok = fields
         if not sentence_id:
-            raise FormatError("empty sentence id", line)
-        frame = cached(frames, (lemma, redist_tok, slots_tok), parse_frame, line)
+            raise FormatError("empty sentence id")
+        return sentence_id, parse_frame(lemma, redist_tok, slots_tok)
+
+    grouped: dict[str, list[ObservedFrame]] = {}
+    for _, (sentence_id, frame) in parse_rows(text, parse_row):
         grouped.setdefault(sentence_id, []).append(frame)
     return list(grouped.items())
 

@@ -1,13 +1,15 @@
 """Shared exception type and the line layer of the tab-separated formats.
 
-Every tab-separated format reads its rows with iter_rows and writes them
-with write_rows, so one rule decides what a line is; see "File formats"
-in the README.
+Every tab-separated format reads its rows with parse_rows and writes them
+with write_rows, so one rule decides what a line is, and parse_rows alone
+gives a row's parse error its line; see "File formats" in the README.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+
+T = TypeVar("T")
 
 
 class FormatError(ValueError):
@@ -23,26 +25,31 @@ class FormatError(ValueError):
         super().__init__(message if line is None else f"line {line}: {message}")
 
 
-def iter_rows(text: str) -> Iterator[tuple[int, list[str]]]:
-    """Yield (line number, tab-separated fields) for every data line.
+def parse_rows(text: str, parse_row: Callable[[list[str]], T]) -> Iterator[tuple[int, T]]:
+    """Yield (line number, parse_row(tab-separated fields)) for every data line.
 
     Lines end at LF only, and one trailing CR is dropped, so a CRLF
     document reads like its LF form.  Blank lines and lines starting with
-    ``#`` are skipped.
+    ``#`` are skipped.  A ValueError from parse_row becomes a FormatError
+    at the row's line.
     """
     for line, raw in enumerate(text.split("\n"), start=1):
         if raw.endswith("\r"):
             raw = raw[:-1]
         if not raw.strip() or raw.startswith("#"):
             continue
-        yield line, raw.split("\t")
+        try:
+            row = parse_row(raw.split("\t"))
+        except ValueError as exc:
+            raise FormatError(str(exc), line) from exc
+        yield line, row
 
 
 def write_rows(rows: Iterable[Sequence[str]]) -> str:
     """Join rows into a document of LF-terminated tab-separated lines.
 
     Raises ValueError for a field holding a tab, CR or LF, and for a first
-    field starting with ``#``: iter_rows would not read either back.
+    field starting with ``#``: parse_rows would not read either back.
     """
     lines = []
     for fields in rows:
@@ -56,18 +63,9 @@ def write_rows(rows: Iterable[Sequence[str]]) -> str:
     return "".join(lines)
 
 
-def lookup(table: Mapping, token: str | None, what: str, line: int | None = None):
+def lookup(table: Mapping, token: str | None, what: str):
     """table[token], or a FormatError naming the unknown token."""
     try:
         return table[token]
     except KeyError:
-        raise FormatError(f"unknown {what}: {token!r}", line) from None
-
-
-def cached(memo: dict, key, parse, line: int):
-    """memo[key], or parse(key, line) stored there.  Only successes are
-    stored, so a bad key fails again, at its own line, wherever it occurs."""
-    value = memo.get(key)
-    if value is None:
-        value = memo[key] = parse(key, line)
-    return value
+        raise FormatError(f"unknown {what}: {token!r}") from None

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import FormatError, iter_rows
+from .errors import FormatError, parse_rows
 
 
 @dataclass(frozen=True)
@@ -47,31 +47,31 @@ def top_lemmas(table: FrequencyTable, n: int) -> list[str]:
     return [lemma for lemma, _ in ranked[:n]]
 
 
-def _pairs(text: str, second: str):
-    """(line, form, second field) for each row of a two-column table."""
-    for line, fields in iter_rows(text):
-        if len(fields) != 2:
-            got = "\t".join(fields)
-            raise FormatError(f"expected 'form<TAB>{second}', got {got!r}", line)
-        yield line, fields[0], fields[1]
+def _form_pair(second: str, fields: list[str]) -> list[str]:
+    if len(fields) != 2:
+        got = "\t".join(fields)
+        raise FormatError(f"expected 'form<TAB>{second}', got {got!r}")
+    return fields
+
+
+def _count_row(fields: list[str]) -> tuple[str, int]:
+    form, count_tok = _form_pair("count", fields)
+    try:
+        count = int(count_tok)
+    except ValueError as exc:
+        raise FormatError(f"count {count_tok!r} is not an integer") from exc
+    if count < 0:
+        raise FormatError(f"negative count for form {form!r}")
+    return form, count
 
 
 def parse_frequency_table(text: str) -> tuple[tuple[str, int], ...]:
-    rows = []
-    for line, form, count_tok in _pairs(text, "count"):
-        try:
-            count = int(count_tok)
-        except ValueError as exc:
-            raise FormatError(f"count {count_tok!r} is not an integer", line) from exc
-        if count < 0:
-            raise FormatError(f"negative count for form {form!r}", line)
-        rows.append((form, count))
-    return tuple(rows)
+    return tuple(row for _, row in parse_rows(text, _count_row))
 
 
 def parse_lemma_map(text: str) -> dict[str, str]:
     mapping: dict[str, str] = {}
-    for line, form, lemma in _pairs(text, "lemma"):
+    for line, (form, lemma) in parse_rows(text, lambda fields: _form_pair("lemma", fields)):
         if form in mapping:
             raise FormatError(f"duplicate form in lemma map: {form!r}", line)
         mapping[form] = lemma

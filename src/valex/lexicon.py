@@ -23,12 +23,13 @@ see "File formats" in the README for what a line is.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator
 
-from .errors import FormatError, cached, iter_rows, lookup, write_rows
+from .errors import FormatError, lookup, parse_rows, write_rows
 
 
 # The closed enums below hash by identity: their members are singletons,
@@ -235,16 +236,14 @@ def oblique_signature(entry: LexicalEntry) -> frozenset[SyntacticFunction]:
 
 @dataclass
 class Lexicon:
-    """A named collection of entries grouped by lemma.
+    """A collection of entries grouped by lemma.
 
     Construction canonicalizes the layout: lemmas in lexicographic order,
     entries of a lemma in entry_id order.  Entry ids are unique across the
-    whole lexicon.  The name is a display label and does not take part in
-    equality.
+    whole lexicon.
     """
 
     entries: dict[str, tuple[LexicalEntry, ...]]
-    name: str = field(default="", compare=False)
 
     def __post_init__(self):
         canonical: dict[str, tuple[LexicalEntry, ...]] = {}
@@ -263,11 +262,11 @@ class Lexicon:
         self.entries = canonical
 
     @classmethod
-    def from_entries(cls, entries: Iterable[LexicalEntry], name: str = "") -> "Lexicon":
+    def from_entries(cls, entries: Iterable[LexicalEntry]) -> "Lexicon":
         grouped: dict[str, list[LexicalEntry]] = {}
         for entry in entries:
             grouped.setdefault(entry.lemma, []).append(entry)
-        return cls({lemma: tuple(group) for lemma, group in grouped.items()}, name)
+        return cls({lemma: tuple(group) for lemma, group in grouped.items()})
 
     def all_entries(self) -> Iterator[LexicalEntry]:
         for group in self.entries.values():
@@ -289,82 +288,79 @@ _CATEGORY_BY_TOKEN = {c.value: c for c in Category}
 REDISTRIBUTION_BY_TOKEN = {r.value: r for r in Redistribution}
 
 
-def parse_realization(token: str, line: int) -> Realization:
-    """The realization a token names, or a FormatError at line."""
+def parse_realization(token: str) -> Realization:
+    """The realization a token names; a bad token raises ValueError."""
     plain = _PLAIN_BY_TOKEN.get(token)
     if plain is not None:
         return plain
     m = _PP_TOKEN.match(token)
     if m is None:
-        raise FormatError(f"unknown realization token: {token!r}", line)
-    if m.group(1) != m.group(1).lower():
-        raise FormatError(f"preposition must be lowercase: {m.group(1)!r}", line)
-    return Realization(Marker.PP, m.group(1))
+        raise FormatError(f"unknown realization token: {token!r}")
+    realization = Realization(Marker.PP, m.group(1))
+    realization.token()  # refuses a preposition that token() could not write back
+    return realization
 
 
-def _parse_slot(token: str, line: int) -> FunctionSlot:
+def _parse_slot(token: str) -> FunctionSlot:
     head, sep, tail = token.partition(":")
     if not sep:
-        raise FormatError(f"malformed frame slot: {token!r}", line)
+        raise FormatError(f"malformed frame slot: {token!r}")
     optional = head.endswith("?")
     if optional:
         head = head[:-1]
-    function = lookup(FUNCTION_BY_TOKEN, head, "function token", line)
+    function = lookup(FUNCTION_BY_TOKEN, head, "function token")
     if not tail:
-        raise FormatError(f"empty realization set for {head}", line)
-    realizations = frozenset(parse_realization(t, line) for t in tail.split("|"))
+        raise FormatError(f"empty realization set for {head}")
+    realizations = frozenset(parse_realization(t) for t in tail.split("|"))
     return FunctionSlot(function, realizations, optional)
 
 
-def _parse_redistributions(token: str, line: int) -> frozenset[Redistribution]:
+def _parse_redistributions(token: str) -> frozenset[Redistribution]:
     return frozenset(
-        lookup(REDISTRIBUTION_BY_TOKEN, tok, "redistribution", line)
+        lookup(REDISTRIBUTION_BY_TOKEN, tok, "redistribution")
         for tok in (token.split(",") if token else ())
     )
 
 
-def _parse_entry(fields: list[str], line: int, slots: dict, redistribution_sets: dict) -> LexicalEntry:
+def _parse_entry(fields: list[str], parse_slot, parse_redistributions) -> LexicalEntry:
     if len(fields) < 7:
-        raise FormatError(f"expected at least 7 tab-separated fields, got {len(fields)}", line)
+        raise FormatError(f"expected at least 7 tab-separated fields, got {len(fields)}")
     lemma, category_tok, entry_id, frame_tok, redist_tok, coded_tok = fields[:6]
     provenance_tok = fields[6]
     examples = tuple(fields[7:])
 
-    category = lookup(_CATEGORY_BY_TOKEN, category_tok, "category", line)
+    category = lookup(_CATEGORY_BY_TOKEN, category_tok, "category")
 
-    frame = tuple(cached(slots, tok, _parse_slot, line) for tok in frame_tok.split(";")) if frame_tok else ()
-    redistributions = cached(redistribution_sets, redist_tok, _parse_redistributions, line)
+    frame = tuple(parse_slot(tok) for tok in frame_tok.split(";")) if frame_tok else ()
+    redistributions = parse_redistributions(redist_tok)
 
     if coded_tok == "coded":
         coded = True
     elif coded_tok == "uncoded":
         coded = False
     else:
-        raise FormatError(f"coded flag must be 'coded' or 'uncoded', got {coded_tok!r}", line)
+        raise FormatError(f"coded flag must be 'coded' or 'uncoded', got {coded_tok!r}")
 
     provenance = []
     for tok in provenance_tok.split(","):
         source, sep, orig_id = tok.partition(":")
         if not sep or not source or not orig_id:
-            raise FormatError(f"malformed provenance item: {tok!r}", line)
+            raise FormatError(f"malformed provenance item: {tok!r}")
         provenance.append((source, orig_id))
 
-    try:
-        return LexicalEntry(
-            lemma=lemma,
-            category=category,
-            entry_id=entry_id,
-            frame=frame,
-            redistributions=redistributions,
-            coded=coded,
-            provenance=tuple(provenance),
-            examples=examples,
-        )
-    except ValueError as exc:
-        raise FormatError(str(exc), line) from exc
+    return LexicalEntry(
+        lemma=lemma,
+        category=category,
+        entry_id=entry_id,
+        frame=frame,
+        redistributions=redistributions,
+        coded=coded,
+        provenance=tuple(provenance),
+        examples=examples,
+    )
 
 
-def parse_lexicon(text: str, name: str = "") -> Lexicon:
+def parse_lexicon(text: str) -> Lexicon:
     """Parse an interchange-format document into a Lexicon.
 
     Raises FormatError with the offending line number on any syntax
@@ -372,12 +368,12 @@ def parse_lexicon(text: str, name: str = "") -> Lexicon:
     Each distinct slot token and redistribution field is parsed once per
     call; the frozen results are shared by the entries that repeat them.
     """
+    parse_slot = functools.cache(_parse_slot)
+    parse_redistributions = functools.cache(_parse_redistributions)
+    rows = parse_rows(text, lambda fields: _parse_entry(fields, parse_slot, parse_redistributions))
     entries: list[LexicalEntry] = []
     seen_ids: dict[str, int] = {}
-    slots: dict[str, FunctionSlot] = {}
-    redistribution_sets: dict[str, frozenset[Redistribution]] = {}
-    for line, fields in iter_rows(text):
-        entry = _parse_entry(fields, line, slots, redistribution_sets)
+    for line, entry in rows:
         if entry.entry_id in seen_ids:
             raise FormatError(
                 f"duplicate entry_id {entry.entry_id!r} (first seen on line {seen_ids[entry.entry_id]})",
@@ -385,7 +381,7 @@ def parse_lexicon(text: str, name: str = "") -> Lexicon:
             )
         seen_ids[entry.entry_id] = line
         entries.append(entry)
-    return Lexicon.from_entries(entries, name)
+    return Lexicon.from_entries(entries)
 
 
 def _entry_fields(entry: LexicalEntry) -> list[str]:

@@ -219,8 +219,7 @@ def merge_lexicons(ref: Lexicon, other: Lexicon) -> tuple[Lexicon, MergeReport]:
             taken.add(new_id)
             entries.append(entry if new_id == entry.entry_id else replace(entry, entry_id=new_id))
         results.append(replace(result, entries=tuple(entries)))
-    name = f"{ref.name}+{other.name}" if ref.name or other.name else ""
-    merged = Lexicon.from_entries((e for r in results for e in r.entries), name)
+    merged = Lexicon.from_entries(e for r in results for e in r.entries)
     return merged, MergeReport(tuple(results))
 
 

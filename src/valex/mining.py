@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 from .checker import SentenceRecord
-from .errors import FormatError, iter_rows, write_rows
+from .errors import FormatError, parse_rows, write_rows
 
 
 @dataclass(frozen=True)
@@ -239,23 +239,27 @@ def format_suspects(ranked: Sequence[SuspicionScore]) -> str:
     )
 
 
-def _parse_lines(text: str) -> list[tuple[str, bool, tuple[str, ...]]]:
-    rows = []
+def _parse_lines(text: str, make: Callable[[str, tuple[str, ...], bool], object]) -> list:
+    """make(sentence_id, forms, failed) for each line."""
     seen: set[str] = set()
-    for line, fields in iter_rows(text):
+
+    def parse_row(fields: list[str]):
         if len(fields) != 3:
-            raise FormatError(f"expected 3 tab-separated fields, got {len(fields)}", line)
+            raise FormatError(f"expected 3 tab-separated fields, got {len(fields)}")
         sentence_id, tag, forms_tok = fields
         if tag not in ("failed", "ok"):
-            raise FormatError(f"tag must be 'failed' or 'ok', got {tag!r}", line)
+            raise FormatError(f"tag must be 'failed' or 'ok', got {tag!r}")
         if sentence_id in seen:
-            raise FormatError(f"duplicate sentence id: {sentence_id!r}", line)
+            raise FormatError(f"duplicate sentence id: {sentence_id!r}")
         seen.add(sentence_id)
         forms = tuple(forms_tok.split(",")) if forms_tok else ()
         if not forms or any(not f for f in forms):
-            raise FormatError("empty form list or empty form", line)
-        rows.append((sentence_id, tag == "failed", forms))
-    return rows
+            raise FormatError("empty form list or empty form")
+        if not sentence_id:
+            raise FormatError("empty sentence id")
+        return make(sentence_id, forms, tag == "failed")
+
+    return [row for _, row in parse_rows(text, parse_row)]
 
 
 def _row(sentence_id: str, failed: bool, forms: tuple[str, ...]) -> tuple[str, str, str]:
@@ -266,9 +270,7 @@ def _row(sentence_id: str, failed: bool, forms: tuple[str, ...]) -> tuple[str, s
 
 
 def parse_mining_corpus(text: str) -> MiningCorpus:
-    return MiningCorpus(
-        tuple(MiningSentence(i, forms, failed) for i, failed, forms in _parse_lines(text))
-    )
+    return MiningCorpus(tuple(_parse_lines(text, MiningSentence)))
 
 
 def serialize_mining_corpus(corpus: MiningCorpus) -> str:
@@ -277,10 +279,7 @@ def serialize_mining_corpus(corpus: MiningCorpus) -> str:
 
 def parse_records(text: str) -> list[SentenceRecord]:
     """Read a record file: ``ok`` marks a sentence as analyzable."""
-    return [
-        SentenceRecord(sentence_id, forms, analyzable=not failed)
-        for sentence_id, failed, forms in _parse_lines(text)
-    ]
+    return _parse_lines(text, lambda i, forms, failed: SentenceRecord(i, forms, analyzable=not failed))
 
 
 def serialize_records(records: Sequence[SentenceRecord]) -> str:

@@ -92,7 +92,7 @@ def rand_lexicon(rng: random.Random, n_lemmas: int, max_entries: int = 4, name: 
     for lemma in sorted(lemmas):
         for k in range(rng.randint(1, max_entries)):
             entries.append(rand_entry(rng, lemma, f"{name}.{lemma}.{k}"))
-    return Lexicon.from_entries(entries, name)
+    return Lexicon.from_entries(entries)
 
 
 def rand_observed_frame(rng: random.Random, entry: LexicalEntry, context=Redistribution.ACTIVE) -> ObservedFrame:

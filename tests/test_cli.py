@@ -19,9 +19,16 @@ from valex.cli import (
     parse_lemma_map,
     top_lemmas,
 )
+from valex.checker import parse_corpus
 from valex.errors import FormatError
 from valex.lexicon import parse_lexicon
-from valex.mining import MiningParams, build_mining_corpus, compute_suspicion, parse_records
+from valex.mining import (
+    MiningParams,
+    build_mining_corpus,
+    compute_suspicion,
+    parse_mining_corpus,
+    parse_records,
+)
 
 LEXICON = (
     "# toy lexicon\n"
@@ -476,6 +483,88 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("valex: error: cannot write")
         assert err.count("\n") == 1
+
+
+# Two good lines of each tab format, and the formats of each command's inputs.
+GOOD_ROWS = {
+    "lexicon": (
+        "donner\tV\td__1\tSuj:NP;Obj:NP\tACTIVE\tcoded\tlefff:1\n"
+        "voir\tV\tv__1\tSuj:NP;Obj:NP\tACTIVE\tcoded\tlefff:2\n"
+    ),
+    "corpus": "s1\tdonner\tACTIVE\tSuj:NP;Obj:NP\ns2\tdonner\tACTIVE\tSuj:NP;Obj:NP\n",
+    "records": "s1\tok\ta,b\ns2\tfailed\tb\n",
+    "freq_table": "donne\t5\nva\t2\n",
+    "lemma_map": "donne\tdonner\nva\taller\n",
+}
+COMMAND_INPUTS = {
+    "lex parse": ("lexicon",),
+    "check": ("lexicon", "corpus"),
+    "mine": ("records", "records"),
+    "freq": ("freq_table", "lemma_map"),
+}
+
+
+@pytest.mark.parametrize(
+    "command, bad_input, bad_line, message",
+    [
+        # line 3 reuses the slot tokens of lines 1 and 2; the entry model refuses it
+        ("lex parse", 0, "donner\tV\td__3\tSuj:NP;Obj:NP\tPASSIVE\tcoded\tlefff:3",
+         "coded entry d__3 must license ACTIVE"),
+        ("lex parse", 0, "voir\tV\tv__2\tSuj:NP;Zzz:NP\tACTIVE\tcoded\tlefff:3",
+         "unknown function token: 'Zzz'"),
+        ("lex parse", 0, "voir\tV\tv__1\tSuj:NP\tACTIVE\tcoded\tlefff:3",
+         "duplicate entry_id 'v__1' (first seen on line 2)"),
+        ("lex parse", 0, "voir\tV\tv__2\tSuj:NP;Obj:PP(a)b)\tACTIVE\tcoded\tlefff:3",
+         "preposition 'a)b' cannot be serialized"),
+        ("check", 0, "voir\tV\tv__2\tSuj:NP;Obj:PP(a)b)\tACTIVE\tcoded\tlefff:3",
+         "preposition 'a)b' cannot be serialized"),
+        ("check", 1, "s3\tdonner\tACTIVE\tSuj:NP;Obj:PP(a|b)", "preposition 'a|b' cannot be serialized"),
+        # the same fields as lines 1 and 2, whose frame is already parsed
+        ("check", 1, "\tdonner\tACTIVE\tSuj:NP;Obj:NP", "empty sentence id"),
+        ("check", 1, "s3\tdonner\tACTIVE\tSuj:NP;Obj:NP;Suj:CLITIC",
+         "duplicate function in observed frame for 'donner'"),
+        ("check", 1, "s3\tdonner\tWEIRD\tSuj:NP", "unknown redistribution: 'WEIRD'"),
+        ("mine", 0, "\tok\ta", "empty sentence id"),
+        ("mine", 1, "\tok\ta", "empty sentence id"),
+        ("mine", 0, "s3\tmaybe\ta", "tag must be 'failed' or 'ok', got 'maybe'"),
+        ("mine", 1, "s1\tok\ta,b", "duplicate sentence id: 's1'"),
+        ("freq", 0, "donnes\tx", "count 'x' is not an integer"),
+        ("freq", 0, "donnes\t-1", "negative count for form 'donnes'"),
+        ("freq", 1, "donne\tdonner", "duplicate form in lemma map: 'donne'"),
+        ("freq", 1, "donnes\tdonner\tx", "expected 'form<TAB>lemma', got 'donnes\\tdonner\\tx'"),
+    ],
+)
+def test_tab_format_error_names_file_and_line(tmp_path, capsys, command, bad_input, bad_line, message):
+    paths = [
+        write(tmp_path, f"{k}.{fmt}", GOOD_ROWS[fmt] + (bad_line + "\n" if k == bad_input else ""))
+        for k, fmt in enumerate(COMMAND_INPUTS[command])
+    ]
+    assert main([*command.split(), *paths, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"valex: error: {paths[bad_input]}:3: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (parse_lexicon, GOOD_ROWS["lexicon"]),
+        (parse_corpus, GOOD_ROWS["corpus"] + CORPUS),
+        (parse_records, REF_RECORDS),
+        (parse_mining_corpus, HYP_RECORDS),
+        (parse_frequency_table, FREQ_TABLE),
+        (parse_lemma_map, LEMMA_MAP),
+    ],
+)
+def test_tab_parse_leaves_no_cyclic_garbage(parse, text):
+    # valex.cli runs commands with the cyclic collector off
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert parse(text)
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 @pytest.mark.parametrize("enabled", [True, False])

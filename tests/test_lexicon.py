@@ -219,11 +219,6 @@ class TestModelInvariants:
         assert list(lex.entries) == ["aube", "zèbre"]
         assert [e.entry_id for e in lex.entries["aube"]] == ["a1", "a2"]
 
-    def test_name_not_compared(self):
-        a = Lexicon.from_entries([entry()], name="a")
-        b = Lexicon.from_entries([entry()], name="b")
-        assert a == b
-
 
 class TestSignatures:
     def test_base_signature_ignores_optionality(self):

@@ -249,7 +249,7 @@ class TestMergeLexicons:
     def test_empty_other_returns_ref(self):
         rng = random.Random(5)
         ref = rand_lexicon(rng, 6, name="ref")
-        merged, report = merge_lexicons(ref, Lexicon({}, name="empty"))
+        merged, report = merge_lexicons(ref, Lexicon({}))
         assert merged == ref
         assert report.flagged_lemmas == 0
         assert report.total_entries == len(list(ref.all_entries()))
@@ -269,7 +269,7 @@ class TestMergeLexicons:
             entry(lemma="poser", entry_id="p2", functions=(F.SUJ, F.OBJ)),
             entry(lemma="poser", entry_id="p3", functions=(F.SUJ, F.OBJ, F.OBJA)),
         ]
-        lex = Lexicon.from_entries(entries, name="same")
+        lex = Lexicon.from_entries(entries)
         merged, report = merge_lexicons(lex, lex)
         assert report.flagged_lemmas == 0
         assert report.total_entries == 3

@@ -413,6 +413,7 @@ class TestFiles:
             ("s1\tmaybe\ta", "tag must be"),
             ("s1\tfailed\t", "empty form"),
             ("s1\tfailed\ta,,b", "empty form"),
+            ("\tfailed\ta", "empty sentence id"),
         ],
     )
     def test_parse_errors(self, line, fragment):
