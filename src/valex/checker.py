@@ -60,6 +60,10 @@ class ObservedFrame:
 
     def __post_init__(self):
         object.__setattr__(self, "slots", frozenset(self.slots))
+        if not self.lemma:
+            raise ValueError("empty lemma")
+        if "," in self.lemma:
+            raise ValueError(f"lemma {self.lemma!r} cannot be serialized")
         if self.lemma != self.lemma.lower():
             raise ValueError(f"lemma must be lowercase: {self.lemma!r}")
         functions = {f for f, _ in self.slots}

@@ -56,23 +56,27 @@ def _form_pair(second: str, fields: list[str]) -> list[str]:
 
 def _count_row(fields: list[str]) -> tuple[str, int]:
     form, count_tok = _form_pair("count", fields)
-    try:
-        count = int(count_tok)
-    except ValueError as exc:
-        raise FormatError(f"count {count_tok!r} is not an integer") from exc
+    digits = count_tok.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise FormatError(f"count {count_tok!r} is not an integer")
+    count = int(count_tok)
     if count < 0:
         raise FormatError(f"negative count for form {form!r}")
     return form, count
 
 
+def _unique_forms(text: str, parse_row, what: str) -> dict:
+    mapping: dict = {}
+    for line, (form, value) in parse_rows(text, parse_row):
+        if form in mapping:
+            raise FormatError(f"duplicate form in {what}: {form!r}", line)
+        mapping[form] = value
+    return mapping
+
+
 def parse_frequency_table(text: str) -> tuple[tuple[str, int], ...]:
-    return tuple(row for _, row in parse_rows(text, _count_row))
+    return tuple(_unique_forms(text, _count_row, "frequency table").items())
 
 
 def parse_lemma_map(text: str) -> dict[str, str]:
-    mapping: dict[str, str] = {}
-    for line, (form, lemma) in parse_rows(text, lambda fields: _form_pair("lemma", fields)):
-        if form in mapping:
-            raise FormatError(f"duplicate form in lemma map: {form!r}", line)
-        mapping[form] = lemma
-    return mapping
+    return _unique_forms(text, lambda fields: _form_pair("lemma", fields), "lemma map")

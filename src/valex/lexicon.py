@@ -52,14 +52,6 @@ class SyntacticFunction(Enum):
     OBL = "Obl"
     OBL2 = "Obl2"
 
-    @property
-    def is_base(self) -> bool:
-        return self in BASE_FUNCTIONS
-
-    @property
-    def is_oblique(self) -> bool:
-        return self not in BASE_FUNCTIONS
-
 
 # Total, disjoint classification: every function is base or oblique.
 BASE_FUNCTIONS = frozenset(
@@ -68,9 +60,9 @@ BASE_FUNCTIONS = frozenset(
 OBLIQUE_FUNCTIONS = frozenset(SyntacticFunction) - BASE_FUNCTIONS
 
 # Bit of each function in an entry's base_mask or oblique_mask; the two
-# classes are numbered separately, so both masks stay small ints.
-_BASE_BIT = {f: 1 << k for k, f in enumerate(f for f in SyntacticFunction if f.is_base)}
-_OBLIQUE_BIT = {f: 1 << k for k, f in enumerate(f for f in SyntacticFunction if f.is_oblique)}
+# classes are numbered separately, in enum order, so both masks stay small ints.
+_BASE_BIT = {f: 1 << k for k, f in enumerate(f for f in SyntacticFunction if f in BASE_FUNCTIONS)}
+_OBLIQUE_BIT = {f: 1 << k for k, f in enumerate(f for f in SyntacticFunction if f in OBLIQUE_FUNCTIONS)}
 
 
 class Category(Enum):

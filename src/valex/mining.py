@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -137,35 +138,25 @@ def compute_suspicion(
     """
     if not corpus.sentences:
         raise ValueError("cannot mine an empty corpus")
-    form_index: dict[str, int] = {}
-    for sentence in corpus.sentences:
-        for form in sentence.forms:
-            form_index.setdefault(form, len(form_index))
-    names = list(form_index)
-    n = len(names)
-    occurrences = [0] * n
-    failed_occurrences = [0] * n
-    sentences = [
-        ([form_index[f] for f in s.forms], s.failed) for s in corpus.sentences
-    ]
-    for forms, failed in sentences:
-        for fi in forms:
-            occurrences[fi] += 1
-            if failed:
-                failed_occurrences[fi] += 1
-
     # Forms outside failed sentences take no blame: they start at 0 and stay
-    # there, so the loop runs over failed sentences and active forms only.
-    active = [fi for fi in range(n) if failed_occurrences[fi]]
-    position = {fi: k for k, fi in enumerate(active)}
-    failed = [[position[fi] for fi in forms] for forms, is_failed in sentences if is_failed]
+    # there, so only the forms of failed sentences get an index and a score.
+    occurrences: Counter[str] = Counter()  # every form, in first-appearance order
+    failed_sentences: Counter[str] = Counter()
+    sample: dict[str, str] = {}  # id of the first failed sentence that holds the form
+    index: dict[str, int] = {}  # forms of failed sentences, numbered as they first appear
+    failed: list[list[int]] = []  # each failed sentence, as positions in index
+    for sentence in corpus.sentences:
+        occurrences.update(sentence.forms)
+        if sentence.failed:
+            failed_sentences.update(set(sentence.forms))
+            for form in sentence.forms:
+                sample.setdefault(form, sentence.sentence_id)
+            failed.append([index.setdefault(form, len(index)) for form in sentence.forms])
     positions = [k for forms in failed for k in forms]  # every share's form, in summation order
-    active_occurrences = [occurrences[fi] for fi in active]
-    scores = [failed_occurrences[fi] / occurrences[fi] for fi in active]
+    active_occurrences = [occurrences[form] for form in index]
+    failed_occurrences = Counter(positions)
+    scores = [failed_occurrences[k] / o for k, o in enumerate(active_occurrences)]
     fsum = math.fsum
-    iterations_used = 0
-    converged = False
-    delta = 0.0
     for iteration in range(1, params.max_iterations + 1):
         score_of = scores.__getitem__
         shares: list[float] = []
@@ -178,7 +169,7 @@ def compute_suspicion(
                 locals_ = [value / denominator for value in values]
             assert abs(fsum(locals_) - 1.0) <= 1e-12, "per-sentence blame must sum to 1"
             shares += locals_
-        blame = [0.0] * len(active)
+        blame = [0.0] * len(index)
         for k, share in zip(positions, shares):
             blame[k] += share
         new_scores = [b / o for b, o in zip(blame, active_occurrences)]
@@ -187,38 +178,26 @@ def compute_suspicion(
         )
         delta = max(map(abs, map(operator.sub, new_scores, scores)), default=0.0)
         scores = new_scores
-        iterations_used = iteration
         if on_iteration is not None:
-            vector = dict.fromkeys(names, 0.0)
-            vector.update(zip([names[fi] for fi in active], scores))
+            vector = dict.fromkeys(occurrences, 0.0)
+            vector.update(zip(index, scores))
             on_iteration(iteration, vector)
         if delta < params.epsilon:
-            converged = True
             break
 
-    final = [0.0] * n
-    for fi, score in zip(active, scores):
-        final[fi] = score
-    failed_sentence_count = [0] * n
-    sample: list[str | None] = [None] * n
-    for sentence in corpus.sentences:
-        if not sentence.failed:
-            continue
-        for fi in sorted({form_index[f] for f in sentence.forms}):
-            failed_sentence_count[fi] += 1
-            if sample[fi] is None:
-                sample[fi] = sentence.sentence_id
+    score_of_form = dict(zip(index, scores))
     results = [
         SuspicionScore(
-            form=names[fi],
-            score=final[fi],
-            occurrences=occurrences[fi],
-            failed_sentences=failed_sentence_count[fi],
-            sample_sentence_id=sample[fi],
+            form=form,
+            score=score_of_form.get(form, 0.0),
+            occurrences=count,
+            failed_sentences=failed_sentences[form],
+            sample_sentence_id=sample.get(form),
         )
-        for fi in range(n)
+        for form, count in occurrences.items()
     ]
-    return MiningResult(results, iterations_used, converged, delta)
+    # MiningParams allows no fewer than one iteration, so iteration and delta are bound.
+    return MiningResult(results, iteration, delta < params.epsilon, delta)
 
 
 def rank_suspects(scores: Sequence[SuspicionScore], top_k: int) -> list[SuspicionScore]:

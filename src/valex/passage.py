@@ -346,29 +346,25 @@ def score_corpus(
         where = (f"gold has {len(gold_ids)} sentences, hypothesis {len(hyp_ids)}" if k is None
                  else f"sentence {k + 1} is {gold_ids[k]!r} in gold, {hyp_ids[k]!r} in hypothesis")
         raise ValueError(f"gold and hypothesis must list the same sentence ids in order: {where}")
-    ctp: Counter = Counter()
-    cgold: Counter = Counter()
-    chyp: Counter = Counter()
-    rtp: Counter = Counter()
-    rgold: Counter = Counter()
-    rhyp: Counter = Counter()
+    tp: Counter = Counter()  # these three are keyed by constituent or relation type
+    gold_count: Counter = Counter()
+    hyp_count: Counter = Counter()
     for g, h in zip(gold, hyp):
-        ctp.update(match_constituents(g, h, mode))  # update, unlike +=, does not re-filter
-        rtp.update(match_relations(g, h))
-        cgold.update(c.ctype for c in g.constituents)
-        chyp.update(c.ctype for c in h.constituents)
-        rgold.update(r.rtype for r in g.relations)
-        rhyp.update(r.rtype for r in h.relations)
-    per_constituent = {
-        t: Scores(ctp[t], cgold[t], chyp[t]) for t in ConstituentType
-    }
-    per_relation = {t: Scores(rtp[t], rgold[t], rhyp[t]) for t in RelationType}
-    return EvalScores(
-        constituents=Scores(sum(ctp.values()), sum(cgold.values()), sum(chyp.values())),
-        relations=Scores(sum(rtp.values()), sum(rgold.values()), sum(rhyp.values())),
-        per_constituent=per_constituent,
-        per_relation=per_relation,
-    )
+        tp.update(match_constituents(g, h, mode))  # update, unlike +=, does not re-filter
+        tp.update(match_relations(g, h))
+        for annotation, count in ((g, gold_count), (h, hyp_count)):
+            count.update(c.ctype for c in annotation.constituents)
+            count.update(r.rtype for r in annotation.relations)
+
+    def tally(types) -> tuple[Scores, dict]:
+        """The total and the per-type scores of one item kind."""
+        total = Scores(sum(tp[t] for t in types), sum(gold_count[t] for t in types),
+                       sum(hyp_count[t] for t in types))
+        return total, {t: Scores(tp[t], gold_count[t], hyp_count[t]) for t in types}
+
+    constituents, per_constituent = tally(ConstituentType)
+    relations, per_relation = tally(RelationType)
+    return EvalScores(constituents, relations, per_constituent, per_relation)
 
 
 @dataclass(frozen=True)

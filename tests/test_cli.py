@@ -133,6 +133,9 @@ class TestFrequency:
             ("a\tb\tc", "form<TAB>count"),
             ("a\tx", "not an integer"),
             ("a\t-3", "negative count"),
+            ("a\t1_000", "not an integer"),
+            ("a\t +3 ", "not an integer"),
+            ("a\t\u0665", "not an integer"),
         ],
     )
     def test_table_parse_errors(self, text, fragment):
@@ -524,12 +527,16 @@ COMMAND_INPUTS = {
         ("check", 1, "s3\tdonner\tACTIVE\tSuj:NP;Obj:NP;Suj:CLITIC",
          "duplicate function in observed frame for 'donner'"),
         ("check", 1, "s3\tdonner\tWEIRD\tSuj:NP", "unknown redistribution: 'WEIRD'"),
+        ("check", 1, "s3\t\tACTIVE\tSuj:NP;Obj:NP", "empty lemma"),
+        ("check", 1, "s3\tdor,mir\tACTIVE\tSuj:NP", "lemma 'dor,mir' cannot be serialized"),
         ("mine", 0, "\tok\ta", "empty sentence id"),
         ("mine", 1, "\tok\ta", "empty sentence id"),
         ("mine", 0, "s3\tmaybe\ta", "tag must be 'failed' or 'ok', got 'maybe'"),
         ("mine", 1, "s1\tok\ta,b", "duplicate sentence id: 's1'"),
         ("freq", 0, "donnes\tx", "count 'x' is not an integer"),
         ("freq", 0, "donnes\t-1", "negative count for form 'donnes'"),
+        ("freq", 0, "donne\t3", "duplicate form in frequency table: 'donne'"),
+        ("freq", 0, "donnes\t1_000", "count '1_000' is not an integer"),
         ("freq", 1, "donne\tdonner", "duplicate form in lemma map: 'donne'"),
         ("freq", 1, "donnes\tdonner\tx", "expected 'form<TAB>lemma', got 'donnes\\tdonner\\tx'"),
     ],

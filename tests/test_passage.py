@@ -478,10 +478,12 @@ class TestScoreCorpus:
         assert scores.constituents.recall == 1
         assert scores.constituents.f_measure == Fraction(2, 3)
 
-    def test_aggregate_is_sum_of_per_type(self):
-        rng = random.Random(101)
-        gold = [rand_annotation(rng, f"s{i}") for i in range(8)]
-        hyp = [rand_annotation(rng, f"s{i}") for i in range(8)]
+    @staticmethod
+    def aligned_corpora(seed, n):
+        """Random gold sentences, and hypotheses cut to fit their tokens."""
+        rng = random.Random(seed)
+        gold = [rand_annotation(rng, f"s{i}") for i in range(n)]
+        hyp = [rand_annotation(rng, f"s{i}") for i in range(n)]
         hyp = [
             SentenceAnnotation(g.sentence_id, g.tokens, h.constituents
                                if all(c.end <= len(g.tokens) for c in h.constituents) else (),
@@ -489,6 +491,10 @@ class TestScoreCorpus:
                                      if r.source < len(g.tokens) and r.target < len(g.tokens)))
             for g, h in zip(gold, hyp)
         ]
+        return gold, hyp
+
+    def test_aggregate_is_sum_of_per_type(self):
+        gold, hyp = self.aligned_corpora(101, 8)
         for mode in M:
             scores = score_corpus(gold, hyp, mode)
             assert scores.constituents.tp == sum(
@@ -497,6 +503,38 @@ class TestScoreCorpus:
             assert scores.relations.tp == sum(s.tp for s in scores.per_relation.values())
             assert scores.constituents.gold_count == sum(
                 s.gold_count for s in scores.per_constituent.values()
+            )
+
+    @pytest.mark.parametrize("seed", [101, 107, 109])
+    def test_counts_match_a_fold_over_the_sentences(self, seed):
+        gold, hyp = self.aligned_corpora(seed, 40)
+        for mode in M:
+            scores = score_corpus(gold, hyp, mode)
+            assert list(scores.per_constituent) == list(C)
+            assert list(scores.per_relation) == list(RT)
+            for t in C:
+                expected = Scores(
+                    sum(match_constituents(g, h, mode)[t] for g, h in zip(gold, hyp)),
+                    sum(c.ctype is t for g in gold for c in g.constituents),
+                    sum(c.ctype is t for h in hyp for c in h.constituents),
+                )
+                assert scores.per_constituent[t] == expected
+            for t in RT:
+                expected = Scores(
+                    sum(match_relations(g, h)[t] for g, h in zip(gold, hyp)),
+                    sum(r.rtype is t for g in gold for r in g.relations),
+                    sum(r.rtype is t for h in hyp for r in h.relations),
+                )
+                assert scores.per_relation[t] == expected
+            assert scores.constituents == Scores(
+                sum(sum(match_constituents(g, h, mode).values()) for g, h in zip(gold, hyp)),
+                sum(len(g.constituents) for g in gold),
+                sum(len(h.constituents) for h in hyp),
+            )
+            assert scores.relations == Scores(
+                sum(sum(match_relations(g, h).values()) for g, h in zip(gold, hyp)),
+                sum(len(g.relations) for g in gold),
+                sum(len(h.relations) for h in hyp),
             )
 
     def test_permutation_invariance(self):
