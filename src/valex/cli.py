@@ -20,7 +20,7 @@ from pathlib import Path
 from . import __version__
 from .checker import FailureReason, diagnose_corpus, parse_corpus
 from .errors import FormatError, write_rows
-from .freq import FrequencyTable, lemma_counts, parse_frequency_table, parse_lemma_map, top_lemmas
+from .freq import FrequencyTable, lemma_counts, parse_frequency_table, parse_lemma_map, rank_lemmas
 from .lexicon import lexicon_stats, parse_lexicon, serialize_lexicon
 from .merge import merge_lexicons, serialize_merge_report
 from .mining import (
@@ -164,9 +164,8 @@ def _mine(args, ref_records, hyp_records):
 
 
 def _freq(args, rows, mapping):
-    table = FrequencyTable(rows, mapping)
-    counts, unmapped = lemma_counts(table)
-    top = top_lemmas(table, args.n)
+    counts, unmapped = lemma_counts(FrequencyTable(rows, mapping))
+    top = rank_lemmas(counts, args.n)
     if unmapped:
         print(f"valex: warning: {unmapped} unmapped forms ignored", file=sys.stderr)
     ranked = ((str(rank), lemma, str(counts[lemma])) for rank, lemma in enumerate(top, start=1))

@@ -38,19 +38,31 @@ def lemma_counts(table: FrequencyTable) -> tuple[dict[str, int], int]:
     return counts, unmapped
 
 
-def top_lemmas(table: FrequencyTable, n: int) -> list[str]:
-    """The n most frequent lemmas, ties broken lexicographically."""
+def rank_lemmas(counts: dict[str, int], n: int) -> list[str]:
+    """The n lemmas with the highest counts, ties broken lexicographically."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    counts, _ = lemma_counts(table)
-    ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-    return [lemma for lemma, _ in ranked[:n]]
+    return sorted(counts, key=lambda lemma: (-counts[lemma], lemma))[:n]
+
+
+def top_lemmas(table: FrequencyTable, n: int) -> list[str]:
+    """The n most frequent lemmas, ties broken lexicographically."""
+    return rank_lemmas(lemma_counts(table)[0], n)
 
 
 def _form_pair(second: str, fields: list[str]) -> list[str]:
     if len(fields) != 2:
         got = "\t".join(fields)
         raise FormatError(f"expected 'form<TAB>{second}', got {got!r}")
+    if not fields[0]:
+        raise FormatError("empty form")
+    return fields
+
+
+def _lemma_row(fields: list[str]) -> list[str]:
+    form, lemma = _form_pair("lemma", fields)
+    if not lemma:
+        raise FormatError("empty lemma")
     return fields
 
 
@@ -79,4 +91,4 @@ def parse_frequency_table(text: str) -> tuple[tuple[str, int], ...]:
 
 
 def parse_lemma_map(text: str) -> dict[str, str]:
-    return _unique_forms(text, lambda fields: _form_pair("lemma", fields), "lemma map")
+    return _unique_forms(text, _lemma_row, "lemma map")

@@ -17,10 +17,10 @@ from valex.cli import (
     main,
     parse_frequency_table,
     parse_lemma_map,
-    top_lemmas,
 )
 from valex.checker import parse_corpus
 from valex.errors import FormatError
+from valex.freq import top_lemmas
 from valex.lexicon import parse_lexicon
 from valex.mining import (
     MiningParams,
@@ -539,6 +539,9 @@ COMMAND_INPUTS = {
         ("freq", 0, "donnes\t1_000", "count '1_000' is not an integer"),
         ("freq", 1, "donne\tdonner", "duplicate form in lemma map: 'donne'"),
         ("freq", 1, "donnes\tdonner\tx", "expected 'form<TAB>lemma', got 'donnes\\tdonner\\tx'"),
+        ("freq", 0, "\t3", "empty form"),
+        ("freq", 1, "\tdonner", "empty form"),
+        ("freq", 1, "donnes\t", "empty lemma"),
     ],
 )
 def test_tab_format_error_names_file_and_line(tmp_path, capsys, command, bad_input, bad_line, message):

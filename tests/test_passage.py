@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from valex import passage
 from valex.errors import FormatError
 from valex.passage import (
     Constituent,
@@ -151,6 +152,9 @@ class TestParse:
             ('<R type="COORD" src="-1" tgt="1"/>', 5, "negative token index"),
             ('<G type="GN" start="0" end="9"/>', 7, "exceeds"),
             ('<R type="COORD" src="0" tgt="9"/>', 7, "out of range"),
+            # the same attribute strings on another element are read again
+            ('<G type="GN" start="0" end="1"/>\n  <R type="GN" src="0" tgt="1"/>', 6,
+             "unknown relation type: 'GN'"),
         ],
     )
     def test_error_line_is_the_element_or_its_sentence(self, bad, line, fragment):
@@ -160,6 +164,68 @@ class TestParse:
             parse_passage(doc % bad)
         assert fragment in str(err.value)
         assert err.value.line == line
+
+    @pytest.mark.parametrize(
+        "bad, fragment",
+        [
+            ('<G type="GN" start="1" end="1"/>', "invalid span [1, 1)"),
+            ('<G type="GN" start="x" end="1"/>', "attribute start='x' is not an integer"),
+            ('<G type="ZZ" start="0" end="1"/>', "unknown constituent type: 'ZZ'"),
+            ('<R type="COORD" src="1" tgt="1"/>', "COORD relation with source == target"),
+            ('<R type="COORD" src="0"/>', "<R> missing 'tgt' attribute"),
+        ],
+    )
+    def test_a_repeated_bad_element_fails_at_its_first_line(self, bad, fragment):
+        doc = f'<S id="a"><W ix="0">a</W><W ix="1">b</W>\n{bad}\n{bad}\n</S>\n'
+        with pytest.raises(FormatError) as err:
+            parse_passage(doc)
+        assert err.value.message == fragment
+        assert err.value.line == 2
+
+    def test_a_repeated_element_is_checked_against_each_sentence(self):
+        # the second <G> is the first one again, but its sentence is too short for it
+        doc = (
+            '<S id="a"><W ix="0">a</W><W ix="1">b</W><G type="GN" start="0" end="2"/></S>\n'
+            '<S id="b"><W ix="0">a</W><G type="GN" start="0" end="2"/>\n</S>\n'
+        )
+        with pytest.raises(FormatError) as err:
+            parse_passage(doc)
+        assert err.value.message == "constituent span [0, 2) exceeds 1 tokens"
+        assert err.value.line == 3
+
+    def test_repeated_elements_parse_to_equal_items(self):
+        line = '<G type="GP" start="0" end="2"/><R type="MOD-N" src="1" tgt="0"/>'
+        doc = (f'<S id="a"><W ix="0">a</W><W ix="1">b</W>{line}{line}</S>'
+               f'<S id="b"><W ix="0">c</W><W ix="1">d</W>{line}</S>')
+        first, second = parse_passage(doc)
+        assert first.constituents == (Constituent(C.GP, 0, 2),) * 2
+        assert first.relations == (Relation(RT.MOD_N, 1, 0),) * 2
+        assert (second.constituents, second.relations) == (first.constituents[:1], first.relations[:1])
+        # one object per distinct item in a file
+        assert second.constituents[0] is first.constituents[0] is first.constituents[1]
+        assert second.relations[0] is first.relations[0] is first.relations[1]
+
+    @pytest.mark.parametrize(
+        "word, item",
+        [
+            ('<W ix="00">a</W><W ix="1">b</W>', '<G type="GN" start="0" end="2"/>'),
+            ('<W ix="0">a</W><W ix=" 1">b</W>', '<G type="GN" start="0" end="2"/>'),
+            ('<W ix="0">a</W><W ix="01 ">b</W>', '<G type="GN" start="+0" end="2"/>'),
+            ('<W ix="0">a</W><W ix="1">b</W>', '<G type="GN" start="+0" end=" 2"/>'),
+        ],
+    )
+    def test_integer_attributes_read_as_int_reads_them(self, word, item):
+        (ann,) = parse_passage(f'<S id="a">{word}{item}<R type="COORD" src="+1" tgt="00"/></S>')
+        assert ann.tokens == ("a", "b")
+        assert ann.constituents == (Constituent(C.GN, 0, 2),)
+        assert ann.relations == (Relation(RT.COORD, 1, 0),)
+
+    def test_indices_of_a_long_sentence(self):
+        words = "".join(f'<W ix="{i}">w</W>' for i in range(300))
+        (ann,) = parse_passage(f'<S id="a">{words}<G type="GN" start="0" end="300"/></S>')
+        assert ann.tokens == ("w",) * 300
+        with pytest.raises(FormatError, match="consecutive"):
+            parse_passage(f'<S id="a">{words}<W ix="301">w</W></S>')
 
     def test_duplicate_sentence_id_fails_at_the_second_block(self):
         doc = '<S id="a">\n<W ix="0">a</W>\n</S>\n<S id="b"><W ix="0">b</W></S>\n<S id="a">\n</S>\n'
@@ -505,9 +571,29 @@ class TestScoreCorpus:
                 s.gold_count for s in scores.per_constituent.values()
             )
 
+    @staticmethod
+    def with_repeats(gold, hyp, seed):
+        """The corpora with the items of some sentences doubled, and some
+        sentence pairs carrying the items of the pair before them, as they
+        are or with gold and hypothesis swapped."""
+        rng = random.Random(seed)
+        pairs = []
+        for g, h in zip(gold, hyp):
+            roll = rng.random()
+            if pairs and roll < 0.3:
+                before = pairs[-1] if roll < 0.15 else pairs[-1][::-1]
+                g, h = (SentenceAnnotation(a.sentence_id, b.tokens, b.constituents, b.relations)
+                        for a, b in zip((g, h), before))
+            elif roll < 0.6:
+                g = SentenceAnnotation(g.sentence_id, g.tokens, g.constituents * 2, g.relations * 2)
+                h = SentenceAnnotation(h.sentence_id, h.tokens, h.constituents + g.constituents[:3],
+                                       h.relations + g.relations[:3])
+            pairs.append((g, h))
+        return [g for g, _ in pairs], [h for _, h in pairs]
+
     @pytest.mark.parametrize("seed", [101, 107, 109])
     def test_counts_match_a_fold_over_the_sentences(self, seed):
-        gold, hyp = self.aligned_corpora(seed, 40)
+        gold, hyp = self.with_repeats(*self.aligned_corpora(seed, 40), seed)
         for mode in M:
             scores = score_corpus(gold, hyp, mode)
             assert list(scores.per_constituent) == list(C)
@@ -537,6 +623,14 @@ class TestScoreCorpus:
                 sum(len(h.relations) for h in hyp),
             )
 
+    @pytest.mark.parametrize("block", [1, 3, 7, 40])
+    def test_scores_do_not_depend_on_the_block_size(self, block, monkeypatch):
+        gold, hyp = self.with_repeats(*self.aligned_corpora(113, 40), 113)
+        whole = {mode: score_corpus(gold, hyp, mode) for mode in M}  # one block of 40
+        monkeypatch.setattr(passage, "_BLOCK", block)
+        for mode in M:
+            assert score_corpus(gold, hyp, mode) == whole[mode]
+
     def test_permutation_invariance(self):
         rng = random.Random(103)
         gold = [rand_annotation(rng, f"s{i}") for i in range(6)]
@@ -559,6 +653,10 @@ class TestScoreCorpus:
         with pytest.raises(ValueError) as err:
             score_corpus(gold[:1], [gold[0], sentence(sentence_id="c")], M.EXACT)
         assert str(err.value) == prefix + "gold has 1 sentences, hypothesis 2"
+        for mode in M:
+            with pytest.raises(ValueError) as err:
+                score_corpus(gold, [gold[0], sentence(sentence_id="b", n_tokens=3)], mode)
+            assert str(err.value) == "token count mismatch in 'b'"
 
 
 class TestCoverage:
