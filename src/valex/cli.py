@@ -129,7 +129,10 @@ def _eval(args, gold, hyp):
         if not annotations:
             raise CliError(f"{path}: no <S> sentence to evaluate")
     mode = RelaxationMode(args.mode)
-    scores = score_corpus(gold, hyp, mode)
+    try:
+        scores = score_corpus(gold, hyp, mode)
+    except ValueError as exc:  # the sentence ids or token counts differ
+        raise CliError(f"{args.gold} vs {args.hyp}: {exc}") from exc
     covered = coverage(hyp)
     rows = [
         ("summary", "sentences", str(covered.total)),

@@ -27,6 +27,10 @@ class MatchReason(Enum):
     MATCHED = "MATCHED"
 
 
+# As plain globals, since merge_lemma tests every pair: Enum member lookup is slow.
+_BASE_MISMATCH, _OBLIQUE_NOT_INCLUDED, _MATCHED = MatchReason
+
+
 @dataclass(frozen=True)
 class MatchDecision:
     ref_entry_id: str
@@ -87,14 +91,22 @@ class MergeReport:
         return sum(r.merged_count for r in self.results if r.needs_validation)
 
 
+def _match_reason(rbase: int, robl: int, other: LexicalEntry) -> MatchReason:
+    """The match rule, on a reference entry's base and oblique masks."""
+    if rbase != other.base_mask:
+        return _BASE_MISMATCH
+    if robl & ~other.oblique_mask:
+        return _OBLIQUE_NOT_INCLUDED
+    return _MATCHED
+
+
 def entry_matches(ref: LexicalEntry, other: LexicalEntry) -> MatchDecision:
     """Directional match test between two entries of the same lemma.
 
     Matches when base signatures are identical and the reference's oblique
     signature is included in the other's.  When the bases differ that is
-    the reported reason, whatever the obliques do.  The signatures are
-    compared through the entries' base_mask and oblique_mask, as in
-    merge_lemma.
+    the reported reason, whatever the obliques do.  The rule is the one
+    merge_lemma applies.
     """
     if ref.lemma != other.lemma:
         raise ValueError(f"lemma mismatch: {ref.lemma!r} vs {other.lemma!r}")
@@ -102,12 +114,7 @@ def entry_matches(ref: LexicalEntry, other: LexicalEntry) -> MatchDecision:
         raise ValueError(
             f"category mismatch for {ref.lemma!r}: {ref.category.value} vs {other.category.value}"
         )
-    if ref.base_mask != other.base_mask:
-        reason = MatchReason.BASE_MISMATCH
-    elif ref.oblique_mask & ~other.oblique_mask:
-        reason = MatchReason.OBLIQUE_NOT_INCLUDED
-    else:
-        reason = MatchReason.MATCHED
+    reason = _match_reason(ref.base_mask, ref.oblique_mask, other)
     return MatchDecision(ref.entry_id, other.entry_id, reason is MatchReason.MATCHED, reason)
 
 
@@ -172,10 +179,9 @@ def merge_lemma(ref_entries, other_entries) -> MergedLemmaResult:
     merged: list[LexicalEntry] = []
     for ref in ref_entries:
         rbase, robl = ref.base_mask, ref.oblique_mask
-        absorbed = []
-        kept = []
+        absorbed, kept = [], []
         for other in unconsumed:
-            if rbase == other.base_mask and not robl & ~other.oblique_mask:
+            if _match_reason(rbase, robl, other) is _MATCHED:
                 absorbed.append(other)
             else:
                 kept.append(other)

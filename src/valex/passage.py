@@ -10,9 +10,10 @@ The markup is a small XML dialect:
       <R type="SUJ-V" src="1" tgt="3"/> ...
     </S>
 
-Scoring counts true positives per type.  Constituents are aligned
-greedily under one of three relaxation modes (exact span, shared left
-boundary, non-empty overlap); relations match on exact (type, src, tgt).
+Scoring counts true positives per type.  Relations match on exact
+(type, src, tgt); constituents match under one of three relaxation modes:
+exact span and shared left boundary as multiset intersections, non-empty
+overlap by greedy alignment per sentence.
 Precision, recall and f-measure are kept as exact rationals; display
 formatting rounds half-up to two decimals, percentage style.
 """
@@ -252,52 +253,38 @@ def serialize_passage(annotations: Sequence[SentenceAnnotation]) -> str:
     return text
 
 
-def match_constituents(
-    gold: SentenceAnnotation, hyp: SentenceAnnotation, mode: RelaxationMode
-) -> Counter:
-    """True positives per constituent type under the given relaxation.
-
-    Gold constituents are visited in (start, end) order; each takes the
-    unconsumed hypothesis constituent of the same type with the smallest
-    boundary distance |start difference| + |end difference|, earliest
-    hypothesis first on ties.
-    """
-    if gold.sentence_id != hyp.sentence_id:
-        raise ValueError(f"sentence id mismatch: {gold.sentence_id!r} vs {hyp.sentence_id!r}")
-    if len(gold.tokens) != len(hyp.tokens):
-        raise ValueError(f"token count mismatch in {gold.sentence_id!r}")
+def _overlap_tp(gold: SentenceAnnotation, hyp: SentenceAnnotation) -> Counter:
+    """Overlap-mode true positives per constituent type in one sentence: gold
+    constituents, in (start, end) order, each take the unconsumed overlapping
+    hypothesis constituent of their type with the smallest boundary distance
+    |start difference| + |end difference|, the earliest on ties."""
     free = [(h.ctype, h.start, h.end) for h in hyp.constituents]  # None once consumed
     tp: Counter = Counter()
     for g in sorted(gold.constituents, key=lambda c: (c.start, c.end)):
         kind, start, end = g.ctype, g.start, g.end
         best = None
         for j, h in enumerate(free):
-            if h is None or h[0] is not kind:
-                continue
-            if mode is RelaxationMode.OVERLAP:
-                if max(start, h[1]) >= min(end, h[2]):
-                    continue
-            elif start != h[1] or (mode is RelaxationMode.EXACT and end != h[2]):
-                continue
-            distance = abs(start - h[1]) + abs(end - h[2])
-            if best is None or distance < best[0]:
-                best = (distance, j)
+            if h is not None and h[0] is kind and max(start, h[1]) < min(end, h[2]):
+                distance = abs(start - h[1]) + abs(end - h[2])
+                if best is None or distance < best[0]:
+                    best = (distance, j)
         if best is not None:
             free[best[1]] = None
             tp[kind] += 1
     return tp
 
 
+def match_constituents(gold: SentenceAnnotation, hyp: SentenceAnnotation,
+                       mode: RelaxationMode) -> Counter:
+    """True positives per constituent type in one sentence, as score_corpus counts them."""
+    scores = score_corpus((gold,), (hyp,), mode).per_constituent
+    return Counter({t: s.tp for t, s in scores.items() if s.tp})
+
+
 def match_relations(gold: SentenceAnnotation, hyp: SentenceAnnotation) -> Counter:
-    """True positives per relation type: multiset intersection on
-    (type, src, tgt) triples."""
-    if gold.sentence_id != hyp.sentence_id:
-        raise ValueError(f"sentence id mismatch: {gold.sentence_id!r} vs {hyp.sentence_id!r}")
-    common = Counter(gold.relations) & Counter(hyp.relations)
-    tp: Counter = Counter()
-    for relation, count in common.items():
-        tp[relation.rtype] += count
-    return tp
+    """True positives per relation type in one sentence, as score_corpus counts them."""
+    scores = score_corpus((gold,), (hyp,)).per_relation
+    return Counter({t: s.tp for t, s in scores.items() if s.tp})
 
 
 @dataclass(frozen=True)
@@ -355,30 +342,33 @@ def score_corpus(
         where = (f"gold has {len(gold_ids)} sentences, hypothesis {len(hyp_ids)}" if k is None
                  else f"sentence {k + 1} is {gold_ids[k]!r} in gold, {hyp_ids[k]!r} in hypothesis")
         raise ValueError(f"gold and hypothesis must list the same sentence ids in order: {where}")
-    unequal = next((g for g, h in zip(gold, hyp) if len(g.tokens) != len(h.tokens)), None)
-    if unequal is not None:
-        raise ValueError(f"token count mismatch in {unequal.sentence_id!r}")
-    exact = mode is RelaxationMode.EXACT
+    for g, h in zip(gold, hyp):
+        if len(g.tokens) != len(h.tokens):
+            raise ValueError(f"token count mismatch in {g.sentence_id!r}: "
+                             f"gold has {len(g.tokens)} tokens, hypothesis {len(h.tokens)}")
+    exact, overlap = mode is RelaxationMode.EXACT, mode is RelaxationMode.OVERLAP
     tp: Counter = Counter()  # these three are keyed by constituent or relation type
     gold_count, hyp_count = (Counter(c.ctype for a in corpus for c in a.constituents)
                              + Counter(r.rtype for a in corpus for r in a.relations)
                              for corpus in (gold, hyp))
-    # Relations, and constituents in exact mode (greedy matching at distance
-    # 0), match as a multiset intersection of (sentence position, type, a, b),
-    # taken per block of sentences so that only one block's keys are alive.
+    # Relations match on (type, src, tgt), constituents on (type, start, end)
+    # in exact mode and on (type, start) in left mode.  Each rule is an
+    # equivalence, so greedy matching is the multiset intersection of (sentence
+    # position, type, a, b), taken per block so that one block's keys are alive.
     for lo in range(0, len(gold), _BLOCK):
         matched = []
         for corpus in (gold, hyp):
             part = corpus[lo:lo + _BLOCK]
             keys = [(k, r.rtype, r.source, r.target) for k, a in enumerate(part) for r in a.relations]
-            if exact:
-                keys += [(k, c.ctype, c.start, c.end) for k, a in enumerate(part) for c in a.constituents]
+            if not overlap:
+                keys += [(k, c.ctype, c.start, c.end if exact else None)
+                         for k, a in enumerate(part) for c in a.constituents]
             matched.append(Counter(keys))
         for key, n in (matched[0] & matched[1]).items():
             tp[key[1]] += n
-    if not exact:
+    if overlap:
         for g, h in zip(gold, hyp):
-            tp.update(match_constituents(g, h, mode))  # update, unlike +=, does not re-filter
+            tp.update(_overlap_tp(g, h))  # update, unlike +=, does not re-filter
 
     def tally(types) -> tuple[Scores, dict]:
         """The total and the per-type scores of one item kind."""

@@ -424,9 +424,17 @@ class TestErrors:
         hyp = write(tmp_path, "hyp.xml", GOLD_DOC.replace('id="E1"', 'id="E2"'))
         assert main(["eval", gold, hyp]) == 1
         assert capsys.readouterr().err == (
-            "valex: error: gold and hypothesis must list the same sentence ids in order: "
-            "sentence 1 is 'E1' in gold, 'E2' in hypothesis\n"
+            f"valex: error: {gold} vs {hyp}: gold and hypothesis must list the same sentence "
+            "ids in order: sentence 1 is 'E1' in gold, 'E2' in hypothesis\n"
         )
+        gold = write(tmp_path, "one.xml", '<S id="a"><W ix="0">le</W></S>\n')
+        hyp = write(tmp_path, "two.xml", '<S id="a"><W ix="0">le</W><W ix="1">chat</W></S>\n')
+        for mode in ("exact", "left", "overlap"):
+            assert main(["eval", gold, hyp, "--mode", mode]) == 1
+            assert capsys.readouterr().err == (
+                f"valex: error: {gold} vs {hyp}: "
+                "token count mismatch in 'a': gold has 1 tokens, hypothesis 2\n"
+            )
 
     def test_mine_record_mismatch(self, tmp_path, capsys):
         ref = write(tmp_path, "ref.tsv", REF_RECORDS)

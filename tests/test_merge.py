@@ -128,6 +128,7 @@ class TestEntryMatches:
             ref = rand_entry(rng, "tester", f"r{k}")
             other = rand_entry(rng, "tester", f"o{k}")
             assert entry_matches(ref, other).matched == oracle_matches(ref, other)
+            assert entry_matches(ref, other).matched == (merge_lemma([ref], [other]).merged_count == 1)
 
 
 class TestMergeLemma:

@@ -420,6 +420,12 @@ class TestMatchConstituents:
                 assert greedy >= optimal - 1
                 if mode in (M.EXACT, M.LEFT):
                     assert greedy == optimal
+                    per_type = match_constituents(gold, hyp, mode)
+                    for t in C:  # each type alone, against the exhaustive oracle
+                        gold_t, hyp_t = (SentenceAnnotation("s", a.tokens, [c for c in a.constituents
+                                                                           if c.ctype is t])
+                                         for a in (gold, hyp))
+                        assert per_type[t] == optimal_tp(gold_t, hyp_t, mode)
 
     def test_mode_monotonicity(self):
         rng = random.Random(79)
@@ -656,7 +662,7 @@ class TestScoreCorpus:
         for mode in M:
             with pytest.raises(ValueError) as err:
                 score_corpus(gold, [gold[0], sentence(sentence_id="b", n_tokens=3)], mode)
-            assert str(err.value) == "token count mismatch in 'b'"
+            assert str(err.value) == "token count mismatch in 'b': gold has 8 tokens, hypothesis 3"
 
 
 class TestCoverage:
