@@ -376,8 +376,8 @@ def parse_lexicon(text: str) -> Lexicon:
     return Lexicon.from_entries(entries)
 
 
-def _entry_fields(entry: LexicalEntry) -> list[str]:
-    frame = ";".join(slot.token() for slot in entry.frame)
+def _entry_fields(entry: LexicalEntry, slot_token) -> list[str]:
+    frame = ";".join(slot_token(slot) for slot in entry.frame)
     redistributions = ",".join(r.value for r in Redistribution if r in entry.redistributions)
     provenance_items = []
     for source, orig_id in entry.provenance:
@@ -398,7 +398,8 @@ def _entry_fields(entry: LexicalEntry) -> list[str]:
 
 def serialize_lexicon(lexicon: Lexicon) -> str:
     """Serialize to canonical form: lemmas sorted, entries in entry_id order."""
-    return write_rows(_entry_fields(entry) for entry in lexicon.all_entries())
+    slot_token = functools.cache(FunctionSlot.token)  # the parser's memo makes equal slots repeat
+    return write_rows(_entry_fields(entry, slot_token) for entry in lexicon.all_entries())
 
 
 def lexicon_stats(lexicon: Lexicon, top_k: int = 10) -> StatsReport:

@@ -20,6 +20,7 @@ formatting rounds half-up to two decimals, percentage style.
 
 from __future__ import annotations
 
+import functools
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -134,14 +135,43 @@ _CR_REF = {"\r": "&#13;"}
 _UNWRITABLE = "[\x00-\x08\x0b\x0c\x0e-\x1f]"
 
 
-def _int_attr(tag: str, attrs: dict, name: str) -> int:
-    value = attrs.get(name)
+# One line of serialize_passage output per alternative: <W>, <G>, <R>, <S>,
+# </S> (compiled on first use).  Only the last line may lack its LF.  An id
+# or token holding what the writer escapes, or a character expat refuses or
+# rewrites, does not match: CR, C0 controls (but tab and LF in a token), lone
+# surrogates, U+FFFE and U+FFFF.  Quotes match (expat reads them as written),
+# but for the one that closes the id.
+_CANONICAL = (
+    r'  <W ix="([0-9]+)">([^<>&\x00-\x08\x0b-\x1f\ud800-\udfff\ufffe\uffff]*)</W>\n'
+    r'|  <(G) type="([A-Z-]+)" start="([0-9]+)" end="([0-9]+)"/>\n'
+    r'|  <(R) type="([A-Z-]+)" src="([0-9]+)" tgt="([0-9]+)"/>\n'
+    r'|<S id="([^<>&"\x00-\x1f\ud800-\udfff\ufffe\uffff]+)" full="(yes|no)">\n'
+    r'|</S>(?:\n|\Z)'
+)
+
+
+def _required(tag: str, name: str, value: str | None) -> str:
     if value is None:
         raise FormatError(f"<{tag}> missing {name!r} attribute")
+    return value
+
+
+def _int_attr(tag: str, name: str, value: str | None) -> int:
+    value = _required(tag, name, value)
     try:
         return int(value)
     except ValueError as exc:
         raise FormatError(f"attribute {name}={value!r} is not an integer") from exc
+
+
+def _item(tag: str, kind: str | None, first: str | None,
+          second: str | None) -> Constituent | Relation:
+    """The <G> or <R> item of these attribute strings.  Both readers of a
+    file call it through one functools.cache, so equal items share one
+    object per file, and a key that fails is tried again."""
+    model, table, what, first_name, second_name = _ITEMS[tag]
+    kind = lookup(table, _required(tag, "type", kind), what)
+    return model(kind, _int_attr(tag, first_name, first), _int_attr(tag, second_name, second))
 
 
 def _unexpected(tag: str, where: str) -> FormatError:
@@ -150,17 +180,68 @@ def _unexpected(tag: str, where: str) -> FormatError:
 
 
 def parse_passage(text: str) -> list[SentenceAnnotation]:
-    """Parse a sequence of <S> blocks into sentence annotations, in one pass
-    over expat events that builds each sentence as its </S> closes.
+    """Parse a sequence of <S> blocks into sentence annotations.
 
-    A <W> token is the text before its first child; elements nested in <W>,
-    <G> or <R> are ignored.  Every FormatError carries the line of the
-    element at fault, or of </S> for an error in the whole sentence.
+    A line matcher reads the sentences at the start of text that are in
+    serialize_passage's line shape; expat reads the rest, from the first
+    sentence the matcher cannot read, with what came before it blanked so
+    that lines and offsets are the file's.  Only expat raises, and the
+    result is what expat alone makes of the whole text.  A <W> token is the
+    text before its first child; elements nested in <W>, <G> or <R> are
+    ignored.  Every FormatError carries the line of the element at fault,
+    or of </S> for an error in the whole sentence.
     """
+    annotations: dict[str, SentenceAnnotation] = {}  # by id, in document order
+    item = functools.cache(_item)
+    pos = _read_canonical(text, annotations, item)
+    if pos < len(text):
+        _read_expat(text, pos, annotations, item)
+    return list(annotations.values())
+
+
+def _read_canonical(text: str, annotations: dict, item) -> int:
+    """Add to annotations the sentences at the start of text that are runs of
+    _CANONICAL matches, well formed and of new ids; return the offset where
+    the first other sentence starts, or len(text)."""
+    match = re.compile(_CANONICAL).match  # anchored at pos: a gap ends the search at once
+    pos = done = 0  # done: the end of the last sentence read
+    tokens = None  # of the open <S>, with sentence_id, full, constituents, relations
+    try:
+        while pos < len(text):
+            m = match(text, pos)
+            if m is None:
+                break
+            pos = m.end()
+            k = m.lastindex  # the last group of the alternative that matched
+            if k == 2:  # <W>
+                if tokens is None or m[1] != str(len(tokens)):
+                    break
+                tokens.append(m[2])
+            elif k == 6 or k == 10:  # <G>, <R>: groups tag, type, first, second
+                if tokens is None:
+                    break
+                (constituents if k == 6 else relations).append(item(*m.group(k - 3, k - 2, k - 1, k)))
+            elif k == 12:  # <S>
+                if tokens is not None or m[11] in annotations:
+                    break
+                sentence_id, full = m.group(11, 12)
+                tokens, constituents, relations = [], [], []
+            else:  # </S>
+                if tokens is None:
+                    break
+                annotations[sentence_id] = SentenceAnnotation(
+                    sentence_id, tokens, constituents, relations, full == "yes")
+                tokens, done = None, pos
+    except ValueError:  # a bad type, span or sentence: expat gives the error its line
+        pass
+    return done
+
+
+def _read_expat(text: str, pos: int, annotations: dict, item) -> None:
+    """One pass over expat events from pos, the start of a line in text, that
+    adds each sentence as its </S> closes."""
     parser = ParserCreate(namespace_separator="}")  # namespaces as ElementTree
     parser.buffer_text = True
-    annotations: dict[str, SentenceAnnotation] = {}  # by id, in document order
-    items: dict[tuple, Constituent | Relation] = {}  # by (tag, type, first, second); successes only
     chunks: list[str] = []  # text of the open <W>
     collect = chunks.append
     depth = 0
@@ -173,28 +254,21 @@ def parse_passage(text: str) -> list[SentenceAnnotation]:
             if depth == 3:  # a child of <S>
                 if tag == "W":
                     n = len(tokens)
-                    if attrs.get("ix") != str(n) and _int_attr(tag, attrs, "ix") != n:
+                    if attrs.get("ix") != str(n) and _int_attr(tag, "ix", attrs.get("ix")) != n:
                         raise FormatError(
                             f"token indices must be consecutive from 0 in {sentence_id!r}"
                         )
                     parser.CharacterDataHandler = collect
                 elif tag in _ITEMS:
-                    model, table, what, first, second = _ITEMS[tag]
-                    key = (tag, attrs.get("type"), attrs.get(first), attrs.get(second))
-                    item = items.get(key)
-                    if item is None:
-                        kind = lookup(table, key[1], what)
-                        item = items[key] = model(
-                            kind, _int_attr(tag, attrs, first), _int_attr(tag, attrs, second))
-                    (constituents if tag == "G" else relations).append(item)
+                    first, second = _ITEMS[tag][3:]
+                    (constituents if tag == "G" else relations).append(item(
+                        tag, attrs.get("type"), attrs.get(first), attrs.get(second)))
                 else:
                     raise _unexpected(tag, f"in {sentence_id!r}")
             elif depth == 2:
                 if tag != "S":
                     raise _unexpected(tag, "at top level")
-                sentence_id = attrs.get("id")
-                if sentence_id is None:
-                    raise FormatError("<S> missing 'id' attribute")
+                sentence_id = _required(tag, "id", attrs.get("id"))
                 if sentence_id in annotations:
                     raise FormatError(f"duplicate sentence id: {sentence_id!r}")
                 full_tok = attrs.get("full", "yes")
@@ -223,13 +297,14 @@ def parse_passage(text: str) -> list[SentenceAnnotation]:
 
     parser.StartElementHandler = start
     parser.EndElementHandler = end
+    lines = text.count("\n", 0, pos)  # text[:pos] goes blank, keeping its length and its line ends
+    document = "".join(("<document>", " " * (pos - lines), "\n" * lines, text[pos:], "</document>"))
     try:
-        parser.Parse(f"<document>{text}</document>", True)
+        parser.Parse(document, True)
     except ExpatError as exc:
         raise FormatError(f"malformed markup: {exc}", line=exc.lineno) from exc
     finally:  # the handlers hold the parser: free it without waiting for the cyclic collector
         parser.StartElementHandler = parser.EndElementHandler = parser.CharacterDataHandler = None
-    return list(annotations.values())
 
 
 def serialize_passage(annotations: Sequence[SentenceAnnotation]) -> str:

@@ -146,6 +146,7 @@ class TestParse:
             ('<Q/>', 5, "unexpected element"),
             ('<W ix="3">x</W>', 5, "consecutive"),
             ('<G type="ZZ" start="0" end="1"/>', 5, "unknown constituent type"),
+            ('<G start="0" end="1"/>', 5, "<G> missing 'type' attribute"),
             ('<G type="GN"\n   start="x" end="1"/>', 5, "not an integer"),
             ('<G type="GN" start="1" end="1"/>', 5, "invalid span"),
             ('<R type="COORD" src="1" tgt="1"/>', 5, "source == target"),
