@@ -95,6 +95,8 @@ class SentenceRecord:
 
     def __post_init__(self):
         object.__setattr__(self, "forms", tuple(self.forms))
+        if not self.sentence_id:
+            raise ValueError("empty sentence id")
         if not self.forms:
             raise ValueError(f"sentence {self.sentence_id!r} has no forms")
 
@@ -241,8 +243,16 @@ def _observation_fields(sentence_id: str, obs: ObservedFrame) -> tuple[str, str,
     return sentence_id, obs.lemma, obs.redistribution_context.value, slots
 
 
-def serialize_corpus(corpus) -> str:
-    """Inverse of parse_corpus for corpora with unique sentence ids."""
+def serialize_corpus(corpus: list[tuple[str, list[ObservedFrame]]]) -> str:
+    """Inverse of parse_corpus; raises ValueError for an empty or repeated
+    sentence id and for a sentence without frames, which would not read back."""
+    for sentence_id, frames in corpus:
+        if not sentence_id:
+            raise ValueError("empty sentence id")
+        if not frames:
+            raise ValueError(f"sentence {sentence_id!r} has no frames")
+    if len({sentence_id for sentence_id, _ in corpus}) < len(corpus):
+        raise ValueError("duplicate sentence id")
     return write_rows(
         _observation_fields(sentence_id, obs) for sentence_id, frames in corpus for obs in frames
     )

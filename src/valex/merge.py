@@ -212,15 +212,15 @@ def _unique_id(base: str, taken: set[str]) -> str:
 def merge_lexicons(ref: Lexicon, other: Lexicon) -> tuple[Lexicon, MergeReport]:
     """Merge every lemma of both lexicons; lemmas are the set union.
 
-    Entry ids are kept where possible; an id from the other side that
-    collides with one already in the result gets a ``~n`` suffix.
+    Reference ids are kept; an id from the other side that collides with a
+    reference id, or with one already in the result, gets a ``~n`` suffix.
     """
     results = []
-    taken: set[str] = set()
+    taken = {e.entry_id for e in ref.all_entries()}
     for lemma in sorted(set(ref.entries) | set(other.entries)):
         result = merge_lemma(ref.entries.get(lemma, ()), other.entries.get(lemma, ()))
-        entries = []
-        for entry in result.entries:
+        entries = list(result.entries[:result.ref_count])  # merge_lemma lists the reference's first
+        for entry in result.entries[result.ref_count:]:  # then the other side's leftovers
             new_id = _unique_id(entry.entry_id, taken)
             taken.add(new_id)
             entries.append(entry if new_id == entry.entry_id else replace(entry, entry_id=new_id))

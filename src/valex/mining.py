@@ -262,4 +262,7 @@ def parse_records(text: str) -> list[SentenceRecord]:
 
 
 def serialize_records(records: Sequence[SentenceRecord]) -> str:
+    """Inverse of parse_records; raises ValueError for a repeated sentence id."""
+    if len({r.sentence_id for r in records}) < len(records):
+        raise ValueError("duplicate sentence id")
     return write_rows(_row(r.sentence_id, not r.analyzable, r.forms) for r in records)

@@ -135,19 +135,18 @@ _CR_REF = {"\r": "&#13;"}
 _UNWRITABLE = "[\x00-\x08\x0b\x0c\x0e-\x1f]"
 
 
-# One line of serialize_passage output per alternative: <W>, <G>, <R>, <S>,
-# </S> (compiled on first use).  Only the last line may lack its LF.  An id
-# or token holding what the writer escapes, or a character expat refuses or
-# rewrites, does not match: CR, C0 controls (but tab and LF in a token), lone
-# surrogates, U+FFFE and U+FFFF.  Quotes match (expat reads them as written),
-# but for the one that closes the id.
-_CANONICAL = (
-    r'  <W ix="([0-9]+)">([^<>&\x00-\x08\x0b-\x1f\ud800-\udfff\ufffe\uffff]*)</W>\n'
-    r'|  <(G) type="([A-Z-]+)" start="([0-9]+)" end="([0-9]+)"/>\n'
-    r'|  <(R) type="([A-Z-]+)" src="([0-9]+)" tgt="([0-9]+)"/>\n'
-    r'|<S id="([^<>&"\x00-\x1f\ud800-\udfff\ufffe\uffff]+)" full="(yes|no)">\n'
-    r'|</S>(?:\n|\Z)'
-)
+# serialize_passage's body lines and one whole sentence (compiled on first
+# use).  Only </S> may lack its LF.  An id or token holding what the writer
+# escapes, or a character expat refuses or rewrites, does not match: CR, C0
+# controls (but tab and LF in a token), lone surrogates, U+FFFE and U+FFFF.
+# Quotes match (expat reads them as written), but for the one that closes
+# the id.  Each line kind has its own prefix and a token holds no "<", so a
+# body that fails backtracks in linear time.
+_W = r'  <W ix="([0-9]+)">([^<>&\x00-\x08\x0b-\x1f\ud800-\udfff\ufffe\uffff]*)</W>\n'
+_G = r'  <G type="([A-Z-]+)" start="([0-9]+)" end="([0-9]+)"/>\n'
+_R = r'  <R type="([A-Z-]+)" src="([0-9]+)" tgt="([0-9]+)"/>\n'
+_SENTENCE = (r'<S id="([^<>&"\x00-\x1f\ud800-\udfff\ufffe\uffff]+)" full="(yes|no)">\n'
+             r'((?:' + "|".join((_W, _G, _R)) + r')*)</S>(?:\n|\Z)')  # body lines in any order
 
 
 def _required(tag: str, name: str, value: str | None) -> str:
@@ -182,14 +181,15 @@ def _unexpected(tag: str, where: str) -> FormatError:
 def parse_passage(text: str) -> list[SentenceAnnotation]:
     """Parse a sequence of <S> blocks into sentence annotations.
 
-    A line matcher reads the sentences at the start of text that are in
-    serialize_passage's line shape; expat reads the rest, from the first
-    sentence the matcher cannot read, with what came before it blanked so
-    that lines and offsets are the file's.  Only expat raises, and the
-    result is what expat alone makes of the whole text.  A <W> token is the
-    text before its first child; elements nested in <W>, <G> or <R> are
-    ignored.  Every FormatError carries the line of the element at fault,
-    or of </S> for an error in the whole sentence.
+    One regex match per sentence and one findall per line kind read the
+    sentences at the start of text in serialize_passage's line shape, with
+    <W>, <G> and <R> lines in any order; expat reads the rest, from the
+    first other sentence, with what came before it blanked so that lines
+    and offsets are the file's.  Only expat raises, and the result is what
+    expat alone makes of the whole text.  A <W> token is the text before its
+    first child; elements nested in <W>, <G> or <R> are ignored.  Every
+    FormatError carries the line of the element at fault, or of </S> for an
+    error in the whole sentence.
     """
     annotations: dict[str, SentenceAnnotation] = {}  # by id, in document order
     item = functools.cache(_item)
@@ -200,41 +200,26 @@ def parse_passage(text: str) -> list[SentenceAnnotation]:
 
 
 def _read_canonical(text: str, annotations: dict, item) -> int:
-    """Add to annotations the sentences at the start of text that are runs of
-    _CANONICAL matches, well formed and of new ids; return the offset where
-    the first other sentence starts, or len(text)."""
-    match = re.compile(_CANONICAL).match  # anchored at pos: a gap ends the search at once
-    pos = done = 0  # done: the end of the last sentence read
-    tokens = None  # of the open <S>, with sentence_id, full, constituents, relations
+    """Add to annotations the sentences at the start of text that match
+    _SENTENCE, well formed and of new ids; return where the next starts."""
+    match = re.compile(_SENTENCE).match  # anchored at pos: a gap ends the search at once
+    words, constituents, relations = (re.compile(p).findall for p in (_W, _G, _R))
+    pos = 0
     try:
-        while pos < len(text):
-            m = match(text, pos)
-            if m is None:
+        while m := match(text, pos):
+            sentence_id, full, body = m.group(1, 2, 3)
+            pairs = words(body)
+            tokens = [token for k, (ix, token) in enumerate(pairs) if ix == str(k)]
+            if sentence_id in annotations or len(tokens) < len(pairs):
                 break
+            annotations[sentence_id] = SentenceAnnotation(
+                sentence_id, tokens,
+                [item("G", *g) for g in constituents(body)],
+                [item("R", *r) for r in relations(body)], full == "yes")
             pos = m.end()
-            k = m.lastindex  # the last group of the alternative that matched
-            if k == 2:  # <W>
-                if tokens is None or m[1] != str(len(tokens)):
-                    break
-                tokens.append(m[2])
-            elif k == 6 or k == 10:  # <G>, <R>: groups tag, type, first, second
-                if tokens is None:
-                    break
-                (constituents if k == 6 else relations).append(item(*m.group(k - 3, k - 2, k - 1, k)))
-            elif k == 12:  # <S>
-                if tokens is not None or m[11] in annotations:
-                    break
-                sentence_id, full = m.group(11, 12)
-                tokens, constituents, relations = [], [], []
-            else:  # </S>
-                if tokens is None:
-                    break
-                annotations[sentence_id] = SentenceAnnotation(
-                    sentence_id, tokens, constituents, relations, full == "yes")
-                tokens, done = None, pos
     except ValueError:  # a bad type, span or sentence: expat gives the error its line
         pass
-    return done
+    return pos
 
 
 def _read_expat(text: str, pos: int, annotations: dict, item) -> None:

@@ -442,11 +442,22 @@ class TestCorpusFormat:
         assert parse_corpus(CORPUS_TEXT.replace("\n", "\r\n")) == parse_corpus(CORPUS_TEXT)
 
     @pytest.mark.parametrize(
-        "sentence_id, lemma", [("#s1", "donner"), ("s\r1", "donner"), ("s1", "don\rner")]
+        "sentence_id, lemma", [("#s1", "donner"), ("s\r1", "donner"), ("s1", "don\rner"), ("", "donner")]
     )
     def test_unreadable_field_rejected(self, sentence_id, lemma):
         with pytest.raises(ValueError):
             serialize_corpus([(sentence_id, [obs(lemma=lemma)])])
+
+    @pytest.mark.parametrize(
+        "corpus, message",
+        [
+            ([("s1", [])], "sentence 's1' has no frames"),  # it would vanish
+            ([("s1", [obs()]), ("s2", [obs()]), ("s1", [obs()])], "duplicate sentence id"),  # merged
+        ],
+    )
+    def test_unreadable_sentence_rejected(self, corpus, message):
+        with pytest.raises(ValueError, match=message):
+            serialize_corpus(corpus)
 
     def test_unreadable_preposition_rejected(self):
         # written as Obj:PP(x;y), it would read back as the token 'PP(x'

@@ -307,6 +307,14 @@ class TestMergeLexicons:
         assert [e.entry_id for e in merged.entries["voir"]] == ["x", "x~2"]
         assert report.results[0].merged_count == 2
 
+    def test_reference_id_is_kept_against_an_earlier_lemma(self):
+        # the other side's "a" comes first in lemma order, yet only its id is renamed
+        ref = Lexicon.from_entries([entry(lemma="b", entry_id="x", functions=(F.SUJ,))])
+        other = Lexicon.from_entries([entry(lemma="a", entry_id="x", functions=(F.SUJ,))])
+        merged, _ = merge_lexicons(ref, other)
+        assert [e.entry_id for e in merged.entries["a"]] == ["x~2"]
+        assert [e.entry_id for e in merged.entries["b"]] == ["x"]
+
     def test_mixed_categories_for_lemma_is_error(self):
         a = Lexicon.from_entries([entry(lemma="garde", entry_id="g1", category=Category.V)])
         b = Lexicon.from_entries([entry(lemma="garde", entry_id="g2", category=Category.N_PRED)])

@@ -438,13 +438,17 @@ class TestFiles:
         assert parse_records(MINING_FILE.replace("\n", "\r\n")) == parse_records(MINING_FILE)
 
     @pytest.mark.parametrize(
-        "sentence_id, form", [("#s1", "a"), ("s\r1", "a"), ("s1", "a\rb"), ("s1", "")]
+        "sentence_id, form", [("#s1", "a"), ("s\r1", "a"), ("s1", "a\rb"), ("s1", ""), ("", "a")]
     )
     def test_unreadable_field_rejected(self, sentence_id, form):
         with pytest.raises(ValueError):
             serialize_mining_corpus(corpus((sentence_id, (form,), True)))
         with pytest.raises(ValueError):
             serialize_records([SentenceRecord(sentence_id, (form,), True)])
+
+    def test_repeated_record_id_rejected(self):
+        with pytest.raises(ValueError, match="duplicate sentence id"):
+            serialize_records([SentenceRecord("s1", ("a",), True), SentenceRecord("s1", ("b",), False)])
 
     def test_serialize_rejects_delimiters(self):
         with pytest.raises(ValueError):

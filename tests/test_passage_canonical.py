@@ -1,4 +1,4 @@
-"""The line matcher of parse_passage against its expat reader.
+"""The sentence matcher of parse_passage against its expat reader.
 
 A seeded generator writes documents in serialize_passage's line shape, then
 perturbs some of them.  parse_passage, which reads with the matcher as far as
@@ -131,7 +131,7 @@ def expat_alone(text: str) -> list[SentenceAnnotation]:
 
 
 def matcher_reach(text: str) -> int:
-    """Where the line matcher stops on text."""
+    """Where the sentence matcher stops on text."""
     return passage._read_canonical(text, {}, functools.cache(passage._item))
 
 
@@ -217,6 +217,12 @@ S_B = '<S id="b" full="no">\n  <W ix="0">l\'a</W>\n  <W ix="1">"</W>\n  <G type=
         (S_A, S_B.replace('"GN"', '"ZZ"')),
         (S_A, '<S id="b" full="yes">\n</S>\n'),  # no tokens
         (S_A, '<!-- c -->\n'),
+        # line kinds in any order inside <S>
+        ('<S id="g" full="yes">\n  <G type="GN" start="0" end="2"/>\n  <W ix="0">le</W>\n'
+         '  <W ix="1">chat</W>\n</S>\n', ""),
+        ('<S id="r" full="no">\n  <W ix="0">le</W>\n  <R type="SUJ-V" src="1" tgt="0"/>\n'
+         '  <W ix="1">chat</W>\n</S>\n', ""),
+        (S_A, S_B.replace('end="2"', 'end="x"')),  # a malformed last body line
     ],
 )
 def test_the_matcher_reads_whole_sentences_up_to_the_first_other(read, rest):
