@@ -22,12 +22,9 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from dataclasses import dataclass
-from enum import Enum
 
-from .errors import FormatError, lookup, parse_rows, write_rows
+from .errors import FormatError, Vocabulary, parse_rows, write_rows
 from .lexicon import (
-    FUNCTION_BY_TOKEN,
-    REDISTRIBUTION_BY_TOKEN,
     LexicalEntry,
     Lexicon,
     Realization,
@@ -42,7 +39,7 @@ _FUNCTIONS = frozenset(SyntacticFunction)
 _SUBJECT_EXEMPT_CONTEXTS = frozenset({Redistribution.PASSIVE, Redistribution.IMPERSONAL})
 
 
-class FailureReason(Enum):
+class FailureReason(Vocabulary):
     MISSING_LEMMA = "MISSING-LEMMA"
     UNCODED_ENTRY = "UNCODED-ENTRY"
     MISSING_REDISTRIBUTION = "MISSING-REDISTRIBUTION"
@@ -204,20 +201,21 @@ def _parse_pair(pair: str) -> tuple[SyntacticFunction, Realization]:
     function_tok, sep, realization_tok = pair.partition(":")
     if not sep:
         raise FormatError(f"malformed observed slot: {pair!r}")
-    function = lookup(FUNCTION_BY_TOKEN, function_tok, "function token")
+    function = SyntacticFunction.parse(function_tok, "function token")
     return function, parse_realization(realization_tok)
 
 
 def parse_corpus(text: str) -> list[tuple[str, list[ObservedFrame]]]:
     """Parse the corpus annotation format, grouping frames by sentence id
-    in first-appearance order.  Each distinct slot pair, and each distinct
-    (lemma, redistribution, slots) triple of fields, is parsed once per
-    call; lines that repeat a triple share its frame."""
+    in first-appearance order.  Each distinct redistribution token, slot
+    pair and (lemma, redistribution, slots) triple of fields is parsed once
+    per call; lines that repeat a triple share its frame."""
+    parse_redistribution = functools.cache(Redistribution.parse)
     parse_pair = functools.cache(_parse_pair)
 
     @functools.cache
     def parse_frame(lemma: str, redist_tok: str, slots_tok: str) -> ObservedFrame:
-        context = lookup(REDISTRIBUTION_BY_TOKEN, redist_tok, "redistribution")
+        context = parse_redistribution(redist_tok, "redistribution")
         tokens = slots_tok.split(";") if slots_tok else ()
         return ObservedFrame(lemma, frozenset(parse_pair(token) for token in tokens), context)
 

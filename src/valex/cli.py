@@ -54,9 +54,10 @@ class RunManifest:
 
 
 def _parse_file(path: str, parser):
-    """Read a UTF-8 file and parse it; failures name the file and line."""
+    """Read a UTF-8 file, less a leading BOM, and parse it; failures name
+    the file and line."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:

@@ -1,4 +1,4 @@
-"""Shared exception type and the line layer of the tab-separated formats.
+"""Shared exception type, vocabulary base and line layer of the tab formats.
 
 Every tab-separated format reads its rows with parse_rows and writes them
 with write_rows, so one rule decides what a line is, and parse_rows alone
@@ -7,7 +7,8 @@ gives a row's parse error its line; see "File formats" in the README.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from enum import Enum
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -63,9 +64,20 @@ def write_rows(rows: Iterable[Sequence[str]]) -> str:
     return "".join(lines)
 
 
-def lookup(table: Mapping, token: str | None, what: str):
-    """table[token], or a FormatError naming the unknown token."""
-    try:
-        return table[token]
-    except KeyError:
-        raise FormatError(f"unknown {what}: {token!r}") from None
+class Vocabulary(Enum):
+    """A closed token set: each member's value is the token that names it.
+
+    Members hash by identity: they are singletons, and Enum's own __hash__
+    is a Python-level call on every set and dict lookup.  No report depends
+    on the iteration order of a set of members.
+    """
+
+    __hash__ = object.__hash__
+
+    @classmethod
+    def parse(cls, token: str | None, what: str):
+        """The member token names, or a FormatError naming the unknown token."""
+        try:
+            return cls._value2member_map_[token]
+        except KeyError:
+            raise FormatError(f"unknown {what}: {token!r}") from None

@@ -26,21 +26,13 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Iterable, Iterator
 
-from .errors import FormatError, lookup, parse_rows, write_rows
+from .errors import FormatError, Vocabulary, parse_rows, write_rows
 
 
-# The closed enums below hash by identity: their members are singletons,
-# and Enum's own __hash__ is a Python-level call on every set and dict
-# lookup.  No report depends on the iteration order of a set of members.
-
-
-class SyntacticFunction(Enum):
+class SyntacticFunction(Vocabulary):
     """Closed inventory of syntactic functions a frame slot can bear."""
-
-    __hash__ = object.__hash__
 
     SUJ = "Suj"
     OBJ = "Obj"
@@ -65,19 +57,15 @@ _BASE_BIT = {f: 1 << k for k, f in enumerate(f for f in SyntacticFunction if f i
 _OBLIQUE_BIT = {f: 1 << k for k, f in enumerate(f for f in SyntacticFunction if f in OBLIQUE_FUNCTIONS)}
 
 
-class Category(Enum):
+class Category(Vocabulary):
     """Entry category: plain verb or predicative noun."""
-
-    __hash__ = object.__hash__
 
     V = "V"
     N_PRED = "N-PRED"
 
 
-class Redistribution(Enum):
+class Redistribution(Vocabulary):
     """Frame redistributions an entry may license."""
-
-    __hash__ = object.__hash__
 
     ACTIVE = "ACTIVE"
     PASSIVE = "PASSIVE"
@@ -86,10 +74,8 @@ class Redistribution(Enum):
     OBJ_CLITICIZATION = "OBJ-CLITICIZATION"
 
 
-class Marker(Enum):
+class Marker(Vocabulary):
     """Surface realization markers."""
-
-    __hash__ = object.__hash__
 
     NP = "NP"
     CLITIC = "CLITIC"
@@ -275,11 +261,6 @@ class StatsReport:
     top: tuple[tuple[str, int], ...]
 
 
-FUNCTION_BY_TOKEN = {f.value: f for f in SyntacticFunction}
-_CATEGORY_BY_TOKEN = {c.value: c for c in Category}
-REDISTRIBUTION_BY_TOKEN = {r.value: r for r in Redistribution}
-
-
 def parse_realization(token: str) -> Realization:
     """The realization a token names; a bad token raises ValueError."""
     plain = _PLAIN_BY_TOKEN.get(token)
@@ -300,7 +281,7 @@ def _parse_slot(token: str) -> FunctionSlot:
     optional = head.endswith("?")
     if optional:
         head = head[:-1]
-    function = lookup(FUNCTION_BY_TOKEN, head, "function token")
+    function = SyntacticFunction.parse(head, "function token")
     if not tail:
         raise FormatError(f"empty realization set for {head}")
     realizations = frozenset(parse_realization(t) for t in tail.split("|"))
@@ -309,19 +290,18 @@ def _parse_slot(token: str) -> FunctionSlot:
 
 def _parse_redistributions(token: str) -> frozenset[Redistribution]:
     return frozenset(
-        lookup(REDISTRIBUTION_BY_TOKEN, tok, "redistribution")
-        for tok in (token.split(",") if token else ())
+        Redistribution.parse(tok, "redistribution") for tok in (token.split(",") if token else ())
     )
 
 
-def _parse_entry(fields: list[str], parse_slot, parse_redistributions) -> LexicalEntry:
+def _parse_entry(fields: list[str], parse_category, parse_slot, parse_redistributions) -> LexicalEntry:
     if len(fields) < 7:
         raise FormatError(f"expected at least 7 tab-separated fields, got {len(fields)}")
     lemma, category_tok, entry_id, frame_tok, redist_tok, coded_tok = fields[:6]
     provenance_tok = fields[6]
     examples = tuple(fields[7:])
 
-    category = lookup(_CATEGORY_BY_TOKEN, category_tok, "category")
+    category = parse_category(category_tok, "category")
 
     frame = tuple(parse_slot(tok) for tok in frame_tok.split(";")) if frame_tok else ()
     redistributions = parse_redistributions(redist_tok)
@@ -357,12 +337,13 @@ def parse_lexicon(text: str) -> Lexicon:
 
     Raises FormatError with the offending line number on any syntax
     problem, unknown token, empty realization set or duplicate entry_id.
-    Each distinct slot token and redistribution field is parsed once per
-    call; the frozen results are shared by the entries that repeat them.
+    Each distinct category, slot token and redistribution field is parsed
+    once per call; the results are shared by the entries that repeat them.
     """
+    parse_category = functools.cache(Category.parse)
     parse_slot = functools.cache(_parse_slot)
     parse_redistributions = functools.cache(_parse_redistributions)
-    rows = parse_rows(text, lambda fields: _parse_entry(fields, parse_slot, parse_redistributions))
+    rows = parse_rows(text, lambda fields: _parse_entry(fields, parse_category, parse_slot, parse_redistributions))
     entries: list[LexicalEntry] = []
     seen_ids: dict[str, int] = {}
     for line, entry in rows:

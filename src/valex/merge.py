@@ -15,13 +15,12 @@ both input counts is flagged for manual validation.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from enum import Enum
 
-from .errors import write_rows
+from .errors import Vocabulary, write_rows
 from .lexicon import FunctionSlot, LexicalEntry, Lexicon
 
 
-class MatchReason(Enum):
+class MatchReason(Vocabulary):
     BASE_MISMATCH = "BASE-MISMATCH"
     OBLIQUE_NOT_INCLUDED = "OBLIQUE-NOT-INCLUDED"
     MATCHED = "MATCHED"
@@ -200,30 +199,28 @@ def merge_lemma(ref_entries, other_entries) -> MergedLemmaResult:
     )
 
 
-def _unique_id(base: str, taken: set[str]) -> str:
-    if base not in taken:
-        return base
-    k = 2
-    while f"{base}~{k}" in taken:
-        k += 1
-    return f"{base}~{k}"
-
-
 def merge_lexicons(ref: Lexicon, other: Lexicon) -> tuple[Lexicon, MergeReport]:
     """Merge every lemma of both lexicons; lemmas are the set union.
 
-    Reference ids are kept; an id from the other side that collides with a
-    reference id, or with one already in the result, gets a ``~n`` suffix.
+    Reference ids are kept, and so is every other-side id that no reference
+    entry bears.  An other-side id that a reference entry bears gets the
+    first ``~n`` suffix (n >= 2) that no input entry on either side bears
+    and no earlier renamed entry took.
     """
     results = []
-    taken = {e.entry_id for e in ref.all_entries()}
+    ref_ids = {e.entry_id for e in ref.all_entries()}
+    avoid = ref_ids | {e.entry_id for e in other.all_entries()}  # and every new id, once chosen
     for lemma in sorted(set(ref.entries) | set(other.entries)):
         result = merge_lemma(ref.entries.get(lemma, ()), other.entries.get(lemma, ()))
         entries = list(result.entries[:result.ref_count])  # merge_lemma lists the reference's first
         for entry in result.entries[result.ref_count:]:  # then the other side's leftovers
-            new_id = _unique_id(entry.entry_id, taken)
-            taken.add(new_id)
-            entries.append(entry if new_id == entry.entry_id else replace(entry, entry_id=new_id))
+            if entry.entry_id in ref_ids:
+                k = 2
+                while f"{entry.entry_id}~{k}" in avoid:
+                    k += 1
+                entry = replace(entry, entry_id=f"{entry.entry_id}~{k}")
+                avoid.add(entry.entry_id)
+            entries.append(entry)
         results.append(replace(result, entries=tuple(entries)))
     merged = Lexicon.from_entries(e for r in results for e in r.entries)
     return merged, MergeReport(tuple(results))

@@ -24,18 +24,14 @@ import functools
 import re
 from collections import Counter
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 from xml.parsers.expat import ExpatError, ParserCreate
 
-from .errors import FormatError, lookup
+from .errors import FormatError, Vocabulary
 
 
-# Identity hashes, as in lexicon: scoring hashes a member per counted item.
-class ConstituentType(Enum):
-    __hash__ = object.__hash__
-
+class ConstituentType(Vocabulary):
     GN = "GN"
     NV = "NV"
     GA = "GA"
@@ -44,9 +40,7 @@ class ConstituentType(Enum):
     PV = "PV"
 
 
-class RelationType(Enum):
-    __hash__ = object.__hash__
-
+class RelationType(Vocabulary):
     SUJ_V = "SUJ-V"
     AUX_V = "AUX-V"
     COD_V = "COD-V"
@@ -63,7 +57,7 @@ class RelationType(Enum):
     JUXT = "JUXT"
 
 
-class RelaxationMode(Enum):
+class RelaxationMode(Vocabulary):
     EXACT = "exact"
     LEFT = "left"
     OVERLAP = "overlap"
@@ -122,12 +116,10 @@ class SentenceAnnotation:
                 raise ValueError(f"relation index out of range in {self.sentence_id}")
 
 
-_CTYPE_BY_TOKEN = {c.value: c for c in ConstituentType}
-_RTYPE_BY_TOKEN = {r.value: r for r in RelationType}
-# <G> and <R>: the model each builds, its type table and its two integer attributes
+# <G> and <R>: the model each builds, its type vocabulary and its two integer attributes
 _ITEMS = {
-    "G": (Constituent, _CTYPE_BY_TOKEN, "constituent type", "start", "end"),
-    "R": (Relation, _RTYPE_BY_TOKEN, "relation type", "src", "tgt"),
+    "G": (Constituent, ConstituentType, "constituent type", "start", "end"),
+    "R": (Relation, RelationType, "relation type", "src", "tgt"),
 }
 # In a token, markup would read a raw CR back as LF; XML 1.0 cannot carry
 # the other C0 controls but tab and LF at all (compiled on first use).
@@ -168,8 +160,8 @@ def _item(tag: str, kind: str | None, first: str | None,
     """The <G> or <R> item of these attribute strings.  Both readers of a
     file call it through one functools.cache, so equal items share one
     object per file, and a key that fails is tried again."""
-    model, table, what, first_name, second_name = _ITEMS[tag]
-    kind = lookup(table, _required(tag, "type", kind), what)
+    model, vocabulary, what, first_name, second_name = _ITEMS[tag]
+    kind = vocabulary.parse(_required(tag, "type", kind), what)
     return model(kind, _int_attr(tag, first_name, first), _int_attr(tag, second_name, second))
 
 

@@ -301,6 +301,15 @@ class TestCheckCommand:
         }
         assert sum(int(v) for v in failures.values()) == 1
 
+    def test_leading_bom_is_dropped(self, tmp_path):
+        # a BOM read as text would make the first lemma "\ufeffdonner"
+        lex_path = write(tmp_path, "toy.lex", "\ufeff" + LEXICON.split("\n", 1)[1])
+        corpus_path = write(tmp_path, "corpus.tsv", "\ufeff" + CORPUS)
+        out = tmp_path / "out"
+        assert main(["check", lex_path, corpus_path, "--out", str(out)]) == 0
+        assert body_lines(out / "records.tsv")[0] == "s1\tok\tdonner"
+        assert "MISSING-LEMMA\t1" in body_lines(out / "failures.tsv")  # s4's vouloir only
+
 
 class TestEvalCommand:
     def test_identical_annotations(self, tmp_path):
@@ -396,6 +405,16 @@ class TestFreqCommand:
         out = tmp_path / "out"
         assert main(["freq", table, mapping, "--out", str(out)]) == 0
         assert "1 unmapped forms ignored" in capsys.readouterr().err
+        assert body_lines(out / "top_lemmas.tsv") == ["1\tdonner\t8", "2\taller\t2"]
+
+    @pytest.mark.parametrize("bom_table, bom_map", [(True, False), (False, True)])
+    def test_leading_bom_is_dropped(self, tmp_path, capsys, bom_table, bom_map):
+        # a BOM read as text would leave the first form "\ufeffdonne" unmapped
+        table = write(tmp_path, "freq.tsv", "\ufeff" * bom_table + FREQ_TABLE)
+        mapping = write(tmp_path, "map.tsv", "\ufeff" * bom_map + LEMMA_MAP)
+        out = tmp_path / "out"
+        assert main(["freq", table, mapping, "--out", str(out)]) == 0
+        assert "1 unmapped forms ignored" in capsys.readouterr().err  # xyz only
         assert body_lines(out / "top_lemmas.tsv") == ["1\tdonner\t8", "2\taller\t2"]
 
     def test_n_limits_rows(self, tmp_path):

@@ -315,6 +315,19 @@ class TestMergeLexicons:
         assert [e.entry_id for e in merged.entries["a"]] == ["x~2"]
         assert [e.entry_id for e in merged.entries["b"]] == ["x"]
 
+    def test_renamed_id_is_clear_of_every_input_id(self):
+        # "x~2" is an other-side input id: the renamed "x" skips it, and that
+        # entry, which collides with no reference id, keeps it
+        ref = Lexicon.from_entries([entry(lemma="a", entry_id="x", functions=(F.SUJ,))])
+        other = Lexicon.from_entries([
+            entry(lemma="a", entry_id="x", functions=(F.SUJ, F.OBJ)),
+            entry(lemma="b", entry_id="x~2", functions=(F.SUJ,)),
+        ])
+        merged, _ = merge_lexicons(ref, other)
+        assert [(e.lemma, e.entry_id) for e in merged.all_entries()] == [
+            ("a", "x"), ("a", "x~3"), ("b", "x~2")
+        ]
+
     def test_mixed_categories_for_lemma_is_error(self):
         a = Lexicon.from_entries([entry(lemma="garde", entry_id="g1", category=Category.V)])
         b = Lexicon.from_entries([entry(lemma="garde", entry_id="g2", category=Category.N_PRED)])
