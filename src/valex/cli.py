@@ -57,7 +57,9 @@ def _parse_file(path: str, parser):
     """Read a UTF-8 file, less a leading BOM, and parse it; failures name
     the file and line."""
     try:
-        text = Path(path).read_text(encoding="utf-8-sig")
+        # Plain utf-8, so that a decode error gives the byte's file offset
+        # (utf-8-sig counts from after the BOM); the BOM is dropped after.
+        text = Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
@@ -150,6 +152,8 @@ def _eval(args, gold, hyp):
 
 
 def _mine(args, ref_records, hyp_records):
+    if args.top_k < 1:  # rank_suspects refuses it too, but only after the fixed point
+        raise CliError("top_k must be at least 1")
     params = MiningParams(epsilon=args.epsilon, max_iterations=args.max_iter)
     result = compute_suspicion(build_mining_corpus(ref_records, hyp_records), params)
     ranked = rank_suspects(result.scores, args.top_k)

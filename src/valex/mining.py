@@ -21,9 +21,10 @@ by the hypothesis while fine for the reference).
 from __future__ import annotations
 
 import math
-import operator
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
+from operator import sub, truediv
 from typing import Callable, NamedTuple, Sequence
 
 from .checker import SentenceRecord
@@ -130,8 +131,8 @@ def compute_suspicion(
 
     Starts from each form's failure rate (failed occurrences over total
     occurrences).  One step redistributes, inside every failed sentence,
-    one unit of blame proportionally to current scores (uniformly when
-    they sum to zero), then averages per form over all its occurrences.
+    one unit of blame proportionally to current scores, then averages per
+    form over all its occurrences.
     Stops when the largest score change drops below epsilon, or after
     max_iterations steps.  on_iteration, if given, receives each new
     score vector; summation order is fixed (sentence id, then position).
@@ -156,27 +157,48 @@ def compute_suspicion(
     active_occurrences = [occurrences[form] for form in index]
     failed_occurrences = Counter(positions)
     scores = [failed_occurrences[k] / o for k, o in enumerate(active_occurrences)]
+    # Each step works on the failed sentences of one length at a time, held
+    # column by column (the forms at position 0 of every sentence, then at
+    # position 1, ...), so that it is a few C-level maps per group.  Its
+    # shares come out group after group, column after column; order maps
+    # each position, in summation order, to its share in that layout, so
+    # that every blame[k] stays the same left-to-right sum.
+    by_length: dict[int, list[range]] = {}  # failed sentences, as ranges of positions
+    start = 0
+    for forms in failed:
+        by_length.setdefault(len(forms), []).append(range(start, start + len(forms)))
+        start += len(forms)
+    layout = [[list(column) for column in zip(*spans)] for spans in by_length.values()]
+    groups = [[list(map(positions.__getitem__, column)) for column in columns] for columns in layout]
+    order = [0] * len(positions)
+    for flat_index, position in enumerate(p for columns in layout for column in columns for p in column):
+        order[position] = flat_index
+    # No denominator is ever 0.0: every active form starts at a failure
+    # rate > 0, and after any step each failed sentence S has given some
+    # position a share >= 1/|S|, so that form scores >= 1/(|S|·occ) > 0.
+    # A zero would raise ZeroDivisionError rather than spread blame.
     fsum = math.fsum
     for iteration in range(1, params.max_iterations + 1):
         score_of = scores.__getitem__
-        shares: list[float] = []
-        for forms in failed:
-            values = list(map(score_of, forms))
-            denominator = fsum(values)
-            if denominator == 0.0:
-                locals_ = [1.0 / len(forms)] * len(forms)
-            else:
-                locals_ = [value / denominator for value in values]
-            assert abs(fsum(locals_) - 1.0) <= 1e-12, "per-sentence blame must sum to 1"
-            shares += locals_
+        flat: list[float] = []
+        for columns in groups:
+            values = [list(map(score_of, column)) for column in columns]
+            denominators = list(map(fsum, zip(*values)))  # fsum is correctly rounded: order-free
+            shares = [list(map(truediv, column, denominators)) for column in values]
+            # one fsum per sentence; all() fails on NaN, as the comparison does
+            assert all(map((1e-12).__ge__, map(abs, map(sub, map(fsum, zip(*shares)), repeat(1.0))))), (
+                "per-sentence blame must sum to 1"
+            )
+            for column in shares:
+                flat += column
         blame = [0.0] * len(index)
-        for k, share in zip(positions, shares):
+        for k, share in zip(positions, map(flat.__getitem__, order)):
             blame[k] += share
-        new_scores = [b / o for b, o in zip(blame, active_occurrences)]
+        new_scores = list(map(truediv, blame, active_occurrences))
         assert 0.0 <= min(new_scores, default=0.0) and max(new_scores, default=0.0) <= 1.0, (
             "scores must stay in [0, 1]"
         )
-        delta = max(map(abs, map(operator.sub, new_scores, scores)), default=0.0)
+        delta = max(map(abs, map(sub, new_scores, scores)), default=0.0)
         scores = new_scores
         if on_iteration is not None:
             vector = dict.fromkeys(occurrences, 0.0)

@@ -377,6 +377,18 @@ class TestMineCommand:
         assert "warning: fixed point not converged" in captured.err
         assert "# converged: no" in captured.out
 
+    def test_bad_top_k_fails_before_mining(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the fixed point ran")
+
+        monkeypatch.setattr(valex.cli, "compute_suspicion", refuse)
+        ref = write(tmp_path, "ref.tsv", REF_RECORDS)
+        hyp = write(tmp_path, "hyp.tsv", HYP_RECORDS)
+        out = tmp_path / "out"
+        assert main(["mine", ref, hyp, "--top-k", "0", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "valex: error: top_k must be at least 1\n"
+        assert not (out / "suspects.tsv").exists()
+
     def test_check_output_feeds_mine(self, tmp_path):
         # records written by `check` are valid `mine` input as-is
         lex_path = write(tmp_path, "toy.lex", LEXICON)
@@ -505,6 +517,13 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"valex: error: cannot read {binary}: 'utf-8' codec can't decode")
         assert err.count("\n") == 1
+
+    def test_undecodable_byte_after_bom_gives_its_file_offset(self, tmp_path, capsys):
+        # utf-8-sig would count from after the BOM and report position 0
+        binary = tmp_path / "bom.lex"
+        binary.write_bytes(b"\xef\xbb\xbf\xff\n")
+        assert main(["lex", "parse", str(binary)]) == 1
+        assert "can't decode byte 0xff in position 3: " in capsys.readouterr().err
 
     def test_unusable_out_directory(self, tmp_path, capsys):
         lexicon = write(tmp_path, "ok.lex", LEXICON)

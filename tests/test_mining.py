@@ -301,6 +301,7 @@ class TestKernelAgainstSeedLoop:
         assert (result.iterations_used, result.converged) == (iterations, converged)
         assert result.final_delta == delta
         assert ours == theirs  # every iteration's vector, in form order, with == on floats
+        return ours
 
     @pytest.mark.parametrize("seed", [3, 5, 8, 13, 21])
     def test_random_corpora(self, seed):
@@ -320,6 +321,32 @@ class TestKernelAgainstSeedLoop:
     def test_no_failed_or_only_failed_sentences(self, failed):
         sample = corpus(("s1", ("a", "b", "a"), failed), ("s2", ("b",), failed), ("s3", ("c",), failed))
         self.assert_same_run(sample, MiningParams())
+
+    def test_score_underflowing_to_zero(self):
+        # b's score halves each step, through the subnormals, to exactly 0.0
+        # (at iteration 1074); s1's denominator still holds a's score
+        sample = corpus(("s1", ("a", "b"), True), ("s2", ("b",), False))
+        vectors = self.assert_same_run(sample, MiningParams(epsilon=5e-324, max_iterations=1200))
+        b_scores = [dict(vector)["b"] for _, vector in vectors]
+        assert 0.0 < min(b for b in b_scores if b) < 2.2250738585072014e-308  # a subnormal
+        assert b_scores.index(0.0) == 1073
+        assert len(vectors) == 1075
+
+    @pytest.mark.parametrize("params", [MiningParams(), MiningParams(max_iterations=7)])
+    def test_failed_sentences_of_mixed_lengths(self, params):
+        # every length from 1 to 8, interleaved in id order, 8 only once, and
+        # forms repeated inside a sentence: the by-length groups and the
+        # return of their shares to summation order
+        rng = random.Random(29)
+        sentences = [("s00", ("a", "b", "a"), True)]
+        for n, length in enumerate([3, 1, 8, 2, 5, 3, 7, 4, 1, 6, 2, 4, 7, 5, 6, 3], start=1):
+            forms = tuple(rng.choice("abcdef") for _ in range(length))
+            sentences.append((f"s{n:02}", forms, True))
+            if n % 3 == 0:
+                sentences.append((f"s{n:02}ok", forms[:2] + ("g",), False))
+        sample = corpus(*sentences)
+        assert {len(s.forms) for s in sample.sentences if s.failed} == set(range(1, 9))
+        self.assert_same_run(sample, params)
 
 
 class TestRank:
