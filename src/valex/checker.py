@@ -32,6 +32,7 @@ from .lexicon import (
     SyntacticFunction,
     parse_realization,
 )
+from .mining import SentenceRecord
 
 _FUNCTIONS = frozenset(SyntacticFunction)
 
@@ -82,20 +83,6 @@ class AnalyzabilityVerdict:
             raise ValueError("exactly one of witness or failure_reason applies")
         if self.analyzable != bool(self.witness_entry_ids):
             raise ValueError("witnesses must be present exactly when analyzable")
-
-
-@dataclass(frozen=True)
-class SentenceRecord:
-    sentence_id: str
-    forms: tuple[str, ...]
-    analyzable: bool
-
-    def __post_init__(self):
-        object.__setattr__(self, "forms", tuple(self.forms))
-        if not self.sentence_id:
-            raise ValueError("empty sentence id")
-        if not self.forms:
-            raise ValueError(f"sentence {self.sentence_id!r} has no forms")
 
 
 class _Entry:
@@ -207,15 +194,14 @@ def _parse_pair(pair: str) -> tuple[SyntacticFunction, Realization]:
 
 def parse_corpus(text: str) -> list[tuple[str, list[ObservedFrame]]]:
     """Parse the corpus annotation format, grouping frames by sentence id
-    in first-appearance order.  Each distinct redistribution token, slot
-    pair and (lemma, redistribution, slots) triple of fields is parsed once
-    per call; lines that repeat a triple share its frame."""
-    parse_redistribution = functools.cache(Redistribution.parse)
+    in first-appearance order.  Each distinct slot pair and (lemma,
+    redistribution, slots) triple of fields is parsed once per call; lines
+    that repeat a triple share its frame."""
     parse_pair = functools.cache(_parse_pair)
 
     @functools.cache
     def parse_frame(lemma: str, redist_tok: str, slots_tok: str) -> ObservedFrame:
-        context = parse_redistribution(redist_tok, "redistribution")
+        context = Redistribution.parse(redist_tok, "redistribution")
         tokens = slots_tok.split(";") if slots_tok else ()
         return ObservedFrame(lemma, frozenset(parse_pair(token) for token in tokens), context)
 

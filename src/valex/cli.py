@@ -57,9 +57,10 @@ def _parse_file(path: str, parser):
     """Read a UTF-8 file, less a leading BOM, and parse it; failures name
     the file and line."""
     try:
-        # Plain utf-8, so that a decode error gives the byte's file offset
-        # (utf-8-sig counts from after the BOM); the BOM is dropped after.
-        text = Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
+        # Bytes decoded as plain utf-8, the BOM dropped after: lines end at LF
+        # only, not at every universal newline, and a decode error gives its
+        # file offset (utf-8-sig would count from after the BOM).
+        text = Path(path).read_bytes().decode("utf-8").removeprefix("\ufeff")
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
@@ -93,12 +94,12 @@ def _write(out_dir: str | None, filename: str, manifest: RunManifest, body: str)
         raise CliError(f"cannot write {target}: {exc.strerror or exc}") from exc
 
 
-def _lex_parse(args, lexicon):
-    return {"canonical.lex": serialize_lexicon(lexicon)}, ()
+def _lex_parse(args, inputs):
+    return {"canonical.lex": serialize_lexicon(*inputs)}, ()
 
 
-def _lex_stats(args, lexicon):
-    stats = lexicon_stats(lexicon)
+def _lex_stats(args, inputs):
+    stats = lexicon_stats(*inputs)
     rows = [
         ("lemmas", str(stats.lemma_count)),
         ("entries", str(stats.entry_count)),
@@ -109,14 +110,14 @@ def _lex_stats(args, lexicon):
     return {"stats.tsv": write_rows(rows)}, ()
 
 
-def _merge(args, ref, other):
-    merged, report = merge_lexicons(ref, other)
+def _merge(args, inputs):
+    merged, report = merge_lexicons(*inputs)
     reports = {"merged.lex": serialize_lexicon(merged), "merge_report.tsv": serialize_merge_report(report)}
     return reports, ()
 
 
-def _check(args, lexicon, corpus):
-    records, histogram = diagnose_corpus(lexicon, corpus)
+def _check(args, inputs):
+    records, histogram = diagnose_corpus(*inputs)
     failures = write_rows((reason.value, str(histogram.get(reason, 0))) for reason in FailureReason)
     return {"records.tsv": serialize_records(records), "failures.tsv": failures}, ()
 
@@ -127,7 +128,8 @@ def _scores_row(kind: str, label: str, scores) -> tuple[str, ...]:
     return (kind, label, *map(str, counts), *map(format_percent, ratios))
 
 
-def _eval(args, gold, hyp):
+def _eval(args, inputs):
+    gold, hyp = inputs
     for path, annotations in ((args.gold, gold), (args.hyp, hyp)):
         if not annotations:
             raise CliError(f"{path}: no <S> sentence to evaluate")
@@ -151,11 +153,11 @@ def _eval(args, gold, hyp):
     return {"eval_report.tsv": write_rows(rows)}, (("mode", mode.value),)
 
 
-def _mine(args, ref_records, hyp_records):
+def _mine(args, inputs):
     if args.top_k < 1:  # rank_suspects refuses it too, but only after the fixed point
         raise CliError("top_k must be at least 1")
     params = MiningParams(epsilon=args.epsilon, max_iterations=args.max_iter)
-    result = compute_suspicion(build_mining_corpus(ref_records, hyp_records), params)
+    result = compute_suspicion(build_mining_corpus(*inputs), params)
     ranked = rank_suspects(result.scores, args.top_k)
     if not result.converged:
         print(
@@ -171,8 +173,10 @@ def _mine(args, ref_records, hyp_records):
     )
 
 
-def _freq(args, rows, mapping):
-    counts, unmapped = lemma_counts(FrequencyTable(rows, mapping))
+def _freq(args, inputs):
+    if args.n < 1:  # rank_lemmas refuses it too, but only after every input is read
+        raise CliError("n must be at least 1")
+    counts, unmapped = lemma_counts(FrequencyTable(*inputs))
     top = rank_lemmas(counts, args.n)
     if unmapped:
         print(f"valex: warning: {unmapped} unmapped forms ignored", file=sys.stderr)
@@ -189,8 +193,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def command(parent, name, help, run, inputs, out_required=False):
         """Register a command: its positional inputs as (name, parser)
-        pairs, whether --out is required, and its run function, which
-        takes the arguments and the parsed inputs and returns
+        pairs, whether --out is required, and its run function, which takes
+        the arguments and an iterator that reads and parses each input as it
+        is drawn, so that flags fail before any read, and returns
         ({filename: body}, manifest params)."""
         subparser = parent.add_parser(name, help=help)
         for input_name, _ in inputs:
@@ -234,7 +239,7 @@ def main(argv=None) -> int:
     try:
         paths = [(name, getattr(args, name)) for name, _ in args.inputs]
         parsed = (_parse_file(path, parse) for (_, path), (_, parse) in zip(paths, args.inputs))
-        reports, params = args.run(args, *parsed)
+        reports, params = args.run(args, parsed)
         manifest = RunManifest(tuple(paths), params)
         for filename, body in reports.items():
             _write(args.out, filename, manifest, body)

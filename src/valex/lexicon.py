@@ -294,14 +294,14 @@ def _parse_redistributions(token: str) -> frozenset[Redistribution]:
     )
 
 
-def _parse_entry(fields: list[str], parse_category, parse_slot, parse_redistributions) -> LexicalEntry:
+def _parse_entry(fields: list[str], parse_slot, parse_redistributions) -> LexicalEntry:
     if len(fields) < 7:
         raise FormatError(f"expected at least 7 tab-separated fields, got {len(fields)}")
     lemma, category_tok, entry_id, frame_tok, redist_tok, coded_tok = fields[:6]
     provenance_tok = fields[6]
     examples = tuple(fields[7:])
 
-    category = parse_category(category_tok, "category")
+    category = Category.parse(category_tok, "category")
 
     frame = tuple(parse_slot(tok) for tok in frame_tok.split(";")) if frame_tok else ()
     redistributions = parse_redistributions(redist_tok)
@@ -337,13 +337,12 @@ def parse_lexicon(text: str) -> Lexicon:
 
     Raises FormatError with the offending line number on any syntax
     problem, unknown token, empty realization set or duplicate entry_id.
-    Each distinct category, slot token and redistribution field is parsed
-    once per call; the results are shared by the entries that repeat them.
+    Each distinct slot token and redistribution field is parsed once per
+    call; the results are shared by the entries that repeat them.
     """
-    parse_category = functools.cache(Category.parse)
     parse_slot = functools.cache(_parse_slot)
     parse_redistributions = functools.cache(_parse_redistributions)
-    rows = parse_rows(text, lambda fields: _parse_entry(fields, parse_category, parse_slot, parse_redistributions))
+    rows = parse_rows(text, lambda fields: _parse_entry(fields, parse_slot, parse_redistributions))
     entries: list[LexicalEntry] = []
     seen_ids: dict[str, int] = {}
     for line, entry in rows:

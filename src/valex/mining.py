@@ -27,15 +27,15 @@ from itertools import repeat
 from operator import sub, truediv
 from typing import Callable, NamedTuple, Sequence
 
-from .checker import SentenceRecord
 from .errors import FormatError, parse_rows, write_rows
 
 
 @dataclass(frozen=True)
-class MiningSentence:
+class _Sentence:
+    """The fields and validator a record and a mining sentence share."""
+
     sentence_id: str
     forms: tuple[str, ...]
-    failed: bool
 
     def __post_init__(self):
         object.__setattr__(self, "forms", tuple(self.forms))
@@ -43,6 +43,16 @@ class MiningSentence:
             raise ValueError("empty sentence id")
         if not self.forms:
             raise ValueError(f"sentence {self.sentence_id!r} has no forms")
+
+
+@dataclass(frozen=True)
+class SentenceRecord(_Sentence):
+    analyzable: bool
+
+
+@dataclass(frozen=True)
+class MiningSentence(_Sentence):
+    failed: bool
 
 
 @dataclass(frozen=True)
@@ -256,8 +266,6 @@ def _parse_lines(text: str, make: Callable[[str, tuple[str, ...], bool], object]
         forms = tuple(forms_tok.split(",")) if forms_tok else ()
         if not forms or any(not f for f in forms):
             raise FormatError("empty form list or empty form")
-        if not sentence_id:
-            raise FormatError("empty sentence id")
         return make(sentence_id, forms, tag == "failed")
 
     return [row for _, row in parse_rows(text, parse_row)]

@@ -429,6 +429,18 @@ class TestFreqCommand:
         assert "1 unmapped forms ignored" in capsys.readouterr().err  # xyz only
         assert body_lines(out / "top_lemmas.tsv") == ["1\tdonner\t8", "2\taller\t2"]
 
+    def test_lone_cr_stays_inside_its_form(self, tmp_path, capsys):
+        # lines end at LF only, on the command line as in the library
+        table_text, map_text = "do\rnne\t5\nva\t2\n", "do\rnne\tdonner\nva\taller\n"
+        (tmp_path / "freq.tsv").write_bytes(table_text.encode())
+        (tmp_path / "map.tsv").write_bytes(map_text.encode())
+        out = tmp_path / "out"
+        assert main(["freq", str(tmp_path / "freq.tsv"), str(tmp_path / "map.tsv"), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        table = FrequencyTable(parse_frequency_table(table_text), parse_lemma_map(map_text))
+        assert lemma_counts(table) == ({"donner": 5, "aller": 2}, 0)
+        assert body_lines(out / "top_lemmas.tsv") == ["1\tdonner\t5", "2\taller\t2"]
+
     def test_n_limits_rows(self, tmp_path):
         table = write(tmp_path, "freq.tsv", FREQ_TABLE)
         mapping = write(tmp_path, "map.tsv", LEMMA_MAP)
@@ -525,6 +537,21 @@ class TestErrors:
         assert main(["lex", "parse", str(binary)]) == 1
         assert "can't decode byte 0xff in position 3: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, flags, message",
+        [
+            ("mine", ["--top-k", "0"], "top_k must be at least 1"),
+            ("mine", ["--max-iter", "0"], "max_iterations must be at least 1"),
+            ("mine", ["--epsilon", "0"], "epsilon must be positive"),
+            ("freq", ["--n", "0"], "n must be at least 1"),
+        ],
+        ids=["top-k", "max-iter", "epsilon", "n"],
+    )
+    def test_bad_count_flag_fails_before_any_read(self, tmp_path, capsys, command, flags, message):
+        absent = [str(tmp_path / "absent1.tsv"), str(tmp_path / "absent2.tsv")]
+        assert main([command, *absent, *flags]) == 1
+        assert capsys.readouterr().err == f"valex: error: {message}\n"
+
     def test_unusable_out_directory(self, tmp_path, capsys):
         lexicon = write(tmp_path, "ok.lex", LEXICON)
         blocker = write(tmp_path, "afile", "")
@@ -599,6 +626,21 @@ def test_tab_format_error_names_file_and_line(tmp_path, capsys, command, bad_inp
     assert capsys.readouterr().err == f"valex: error: {paths[bad_input]}:3: {message}\n"
 
 
+@pytest.mark.parametrize("command", COMMAND_INPUTS)
+def test_crlf_input_gives_the_lf_report(tmp_path, monkeypatch, command):
+    reports = {}
+    for ending in ("\n", "\r\n"):
+        run_dir = tmp_path / repr(ending)
+        run_dir.mkdir()
+        names = [f"{k}.{fmt}" for k, fmt in enumerate(COMMAND_INPUTS[command])]
+        for name, fmt in zip(names, COMMAND_INPUTS[command]):
+            (run_dir / name).write_bytes(GOOD_ROWS[fmt].replace("\n", ending).encode())
+        monkeypatch.chdir(run_dir)
+        assert main([*command.split(), *names, "--out", "out"]) == 0
+        reports[ending] = {path.name: path.read_bytes() for path in (run_dir / "out").iterdir()}
+    assert reports["\n"] == reports["\r\n"]
+
+
 @pytest.mark.parametrize(
     "parse, text",
     [
@@ -640,21 +682,28 @@ def test_main_restores_the_callers_gc_setting(tmp_path, monkeypatch, enabled):
     assert seen == [False]  # the command ran with the collector off
 
 
-def _loaded_after_import(prefix):
+def _loaded_after_import(module, prefix):
+    """The modules under prefix that a fresh interpreter holds after
+    importing module."""
     src = str(Path(valex.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    code = f"import sys, valex.cli; print(any(m.startswith({prefix!r}) for m in sys.modules))"
+    code = f"import sys, {module}; print(*sorted(m for m in sys.modules if m.startswith({prefix!r})))"
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    return result.stdout.strip()
+    return result.stdout.split()
 
 
 def test_import_leaves_xml_sax_unloaded():
     # xml.sax.saxutils pulls in urllib; only serialize_passage needs it
-    assert _loaded_after_import("xml.sax") == "False"
+    assert _loaded_after_import("valex.cli", "xml.sax") == []
 
 
 def test_import_leaves_xml_etree_unloaded():
     # parse_passage streams expat events and builds no element tree
-    assert _loaded_after_import("xml.etree") == "False"
+    assert _loaded_after_import("valex.cli", "xml.etree") == []
+
+
+def test_mining_import_loads_neither_checker_nor_lexicon():
+    # mine needs only each sentence's forms and flag, nothing of the lexicon
+    assert _loaded_after_import("valex.mining", "valex") == ["valex", "valex.errors", "valex.mining"]

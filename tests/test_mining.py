@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+import valex.mining
 from valex.checker import SentenceRecord
 from valex.errors import FormatError
 from valex.mining import (
@@ -142,11 +143,18 @@ def seed_fixed_point(corpus, params=MiningParams(), on_iteration=None):
 
 
 class TestModel:
-    def test_sentence_validation(self):
-        with pytest.raises(ValueError):
-            MiningSentence("", ("a",), False)
-        with pytest.raises(ValueError):
-            MiningSentence("s1", (), False)
+    @pytest.mark.parametrize("model", [MiningSentence, SentenceRecord])
+    def test_sentence_validation(self, model):
+        with pytest.raises(ValueError, match="^empty sentence id$"):
+            model("", ("a",), False)
+        with pytest.raises(ValueError, match="^sentence 's1' has no forms$"):
+            model("s1", (), False)
+
+    def test_record_lives_in_mining(self):
+        assert SentenceRecord is valex.mining.SentenceRecord
+        record = SentenceRecord("s1", ["a"], True)
+        assert repr(record) == "SentenceRecord(sentence_id='s1', forms=('a',), analyzable=True)"
+        assert record != MiningSentence("s1", ("a",), True)
 
     def test_corpus_sorts_and_rejects_duplicates(self):
         out_of_order = corpus(("s2", ("a",), False), ("s1", ("b",), True))
