@@ -30,6 +30,7 @@ from .lexicon import (
     Realization,
     Redistribution,
     SyntacticFunction,
+    check_lemma,
     parse_realization,
 )
 from .mining import SentenceRecord
@@ -58,12 +59,9 @@ class ObservedFrame:
 
     def __post_init__(self):
         object.__setattr__(self, "slots", frozenset(self.slots))
-        if not self.lemma:
-            raise ValueError("empty lemma")
-        if "," in self.lemma:
+        if "," in self.lemma:  # a record's forms are the lemmas of its frames
             raise ValueError(f"lemma {self.lemma!r} cannot be serialized")
-        if self.lemma != self.lemma.lower():
-            raise ValueError(f"lemma must be lowercase: {self.lemma!r}")
+        check_lemma(self.lemma)
         functions = {f for f, _ in self.slots}
         if not functions <= _FUNCTIONS:
             raise ValueError(f"observed slot function is not a SyntacticFunction for {self.lemma!r}")

@@ -29,16 +29,20 @@ class FormatError(ValueError):
 def parse_rows(text: str, parse_row: Callable[[list[str]], T]) -> Iterator[tuple[int, T]]:
     """Yield (line number, parse_row(tab-separated fields)) for every data line.
 
-    Lines end at LF only, and one trailing CR is dropped, so a CRLF
-    document reads like its LF form.  Blank lines and lines starting with
-    ``#`` are skipped.  A ValueError from parse_row becomes a FormatError
-    at the row's line.
+    Lines end at LF only and one trailing CR is dropped, so CRLF reads as LF;
+    any other CR in a data line is a FormatError, as no field holds one.
+    Blank lines and lines starting with ``#`` are skipped.  A ValueError
+    from parse_row becomes a FormatError at the row's line.
     """
+    has_cr = "\r" in text  # one test of the whole text spares a CR-free one both line tests
     for line, raw in enumerate(text.split("\n"), start=1):
-        if raw.endswith("\r"):
+        if has_cr and raw.endswith("\r"):
             raw = raw[:-1]
         if not raw.strip() or raw.startswith("#"):
             continue
+        if has_cr and "\r" in raw:
+            bad = next(f for f in raw.split("\t") if "\r" in f)
+            raise FormatError(f"field {bad!r} contains a CR that does not end its line", line)
         try:
             row = parse_row(raw.split("\t"))
         except ValueError as exc:

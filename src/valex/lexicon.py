@@ -87,6 +87,14 @@ class Marker(Vocabulary):
 _PP_TOKEN = re.compile(r"^PP\((.+)\)$")
 
 
+def check_lemma(lemma: str) -> None:
+    """Refuse an empty or non-lowercase lemma, in every model that holds one."""
+    if not lemma:
+        raise ValueError("empty lemma")
+    if lemma != lemma.lower():
+        raise ValueError(f"lemma must be lowercase: {lemma!r}")
+
+
 @dataclass(frozen=True)
 class Realization:
     """One admissible surface realization; PP carries its preposition."""
@@ -100,17 +108,14 @@ class Realization:
                 raise ValueError("PP realization requires a preposition")
             if self.prep != self.prep.lower():
                 raise ValueError(f"preposition must be lowercase: {self.prep!r}")
+            if ")" in self.prep or "|" in self.prep or ";" in self.prep:  # around PP(prep): ; and |
+                raise ValueError(f"preposition {self.prep!r} cannot be serialized")
         elif self.prep is not None:
             raise ValueError(f"{self.marker.value} realization takes no preposition")
 
     def token(self) -> str:
-        """The token parse_realization reads back; both formats split on
-        ``;``, and the lexicon also on ``|``, around it."""
-        if self.marker is not Marker.PP:
-            return self.marker.value
-        if ")" in self.prep or "|" in self.prep or ";" in self.prep:
-            raise ValueError(f"preposition {self.prep!r} cannot be serialized")
-        return f"PP({self.prep})"
+        """The token parse_realization reads back."""
+        return self.marker.value if self.prep is None else f"PP({self.prep})"
 
 
 NP = Realization(Marker.NP)
@@ -178,10 +183,7 @@ class LexicalEntry:
         object.__setattr__(self, "provenance", tuple((s, i) for s, i in self.provenance))
         if type(self.examples) is not tuple:
             object.__setattr__(self, "examples", tuple(self.examples))
-        if not self.lemma:
-            raise ValueError("empty lemma")
-        if self.lemma != self.lemma.lower():
-            raise ValueError(f"lemma must be lowercase: {self.lemma!r}")
+        check_lemma(self.lemma)
         if not self.entry_id:
             raise ValueError("empty entry_id")
         base = oblique = 0
@@ -196,6 +198,9 @@ class LexicalEntry:
             raise ValueError(f"duplicate function in frame of {self.entry_id}")
         if not self.provenance:
             raise ValueError(f"entry {self.entry_id} has no provenance")
+        for source, orig_id in self.provenance:  # written source:id, comma-joined
+            if not source or not orig_id or ":" in source or "," in source or "," in orig_id:
+                raise ValueError(f"provenance item {(source, orig_id)!r} cannot be serialized")
         if self.coded and Redistribution.ACTIVE not in self.redistributions:
             raise ValueError(f"coded entry {self.entry_id} must license ACTIVE")
         if not self.coded and any(slot.optional for slot in self.frame):
@@ -269,9 +274,7 @@ def parse_realization(token: str) -> Realization:
     m = _PP_TOKEN.match(token)
     if m is None:
         raise FormatError(f"unknown realization token: {token!r}")
-    realization = Realization(Marker.PP, m.group(1))
-    realization.token()  # refuses a preposition that token() could not write back
-    return realization
+    return Realization(Marker.PP, m.group(1))
 
 
 def _parse_slot(token: str) -> FunctionSlot:
@@ -313,12 +316,9 @@ def _parse_entry(fields: list[str], parse_slot, parse_redistributions) -> Lexica
     else:
         raise FormatError(f"coded flag must be 'coded' or 'uncoded', got {coded_tok!r}")
 
-    provenance = []
     for tok in provenance_tok.split(","):
-        source, sep, orig_id = tok.partition(":")
-        if not sep or not source or not orig_id:
+        if ":" not in tok:
             raise FormatError(f"malformed provenance item: {tok!r}")
-        provenance.append((source, orig_id))
 
     return LexicalEntry(
         lemma=lemma,
@@ -327,7 +327,7 @@ def _parse_entry(fields: list[str], parse_slot, parse_redistributions) -> Lexica
         frame=frame,
         redistributions=redistributions,
         coded=coded,
-        provenance=tuple(provenance),
+        provenance=tuple(tok.partition(":")[::2] for tok in provenance_tok.split(",")),
         examples=examples,
     )
 
@@ -359,11 +359,6 @@ def parse_lexicon(text: str) -> Lexicon:
 def _entry_fields(entry: LexicalEntry, slot_token) -> list[str]:
     frame = ";".join(slot_token(slot) for slot in entry.frame)
     redistributions = ",".join(r.value for r in Redistribution if r in entry.redistributions)
-    provenance_items = []
-    for source, orig_id in entry.provenance:
-        if not source or not orig_id or ":" in source or "," in source or "," in orig_id:
-            raise ValueError(f"provenance item {(source, orig_id)!r} cannot be serialized")
-        provenance_items.append(f"{source}:{orig_id}")
     return [
         entry.lemma,
         entry.category.value,
@@ -371,7 +366,7 @@ def _entry_fields(entry: LexicalEntry, slot_token) -> list[str]:
         frame,
         redistributions,
         "coded" if entry.coded else "uncoded",
-        ",".join(provenance_items),
+        ",".join(f"{source}:{orig_id}" for source, orig_id in entry.provenance),
         *entry.examples,
     ]
 

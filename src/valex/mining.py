@@ -43,6 +43,11 @@ class _Sentence:
             raise ValueError("empty sentence id")
         if not self.forms:
             raise ValueError(f"sentence {self.sentence_id!r} has no forms")
+        if "" in self.forms:
+            raise ValueError(f"empty form in sentence {self.sentence_id!r}")
+        if "," in "".join(self.forms):  # forms are written comma-joined
+            bad = next(form for form in self.forms if "," in form)
+            raise ValueError(f"form {bad!r} cannot be serialized")
 
 
 @dataclass(frozen=True)
@@ -263,18 +268,12 @@ def _parse_lines(text: str, make: Callable[[str, tuple[str, ...], bool], object]
         if sentence_id in seen:
             raise FormatError(f"duplicate sentence id: {sentence_id!r}")
         seen.add(sentence_id)
-        forms = tuple(forms_tok.split(",")) if forms_tok else ()
-        if not forms or any(not f for f in forms):
-            raise FormatError("empty form list or empty form")
-        return make(sentence_id, forms, tag == "failed")
+        return make(sentence_id, tuple(forms_tok.split(",")), tag == "failed")
 
     return [row for _, row in parse_rows(text, parse_row)]
 
 
 def _row(sentence_id: str, failed: bool, forms: tuple[str, ...]) -> tuple[str, str, str]:
-    for form in forms:
-        if not form or "," in form:
-            raise ValueError(f"form {form!r} cannot be serialized")
     return sentence_id, "failed" if failed else "ok", ",".join(forms)
 
 

@@ -121,24 +121,24 @@ _ITEMS = {
     "G": (Constituent, ConstituentType, "constituent type", "start", "end"),
     "R": (Relation, RelationType, "relation type", "src", "tgt"),
 }
-# In a token, markup would read a raw CR back as LF; XML 1.0 cannot carry
-# the other C0 controls but tab and LF at all (compiled on first use).
+# In a token, markup would read a raw CR back as LF; XML 1.0 cannot carry the
+# other C0 controls but tab and LF, U+FFFE, U+FFFF or a lone surrogate at all.
 _CR_REF = {"\r": "&#13;"}
-_UNWRITABLE = "[\x00-\x08\x0b\x0c\x0e-\x1f]"
+_UNWRITABLE = "[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]"
 
 
-# serialize_passage's body lines and one whole sentence (compiled on first
-# use).  Only </S> may lack its LF.  An id or token holding what the writer
-# escapes, or a character expat refuses or rewrites, does not match: CR, C0
-# controls (but tab and LF in a token), lone surrogates, U+FFFE and U+FFFF.
-# Quotes match (expat reads them as written), but for the one that closes
-# the id.  Each line kind has its own prefix and a token holds no "<", so a
-# body that fails backtracks in linear time.
-_W = r'  <W ix="([0-9]+)">([^<>&\x00-\x08\x0b-\x1f\ud800-\udfff\ufffe\uffff]*)</W>\n'
-_G = r'  <G type="([A-Z-]+)" start="([0-9]+)" end="([0-9]+)"/>\n'
-_R = r'  <R type="([A-Z-]+)" src="([0-9]+)" tgt="([0-9]+)"/>\n'
-_SENTENCE = (r'<S id="([^<>&"\x00-\x1f\ud800-\udfff\ufffe\uffff]+)" full="(yes|no)">\n'
-             r'((?:' + "|".join((_W, _G, _R)) + r')*)</S>(?:\n|\Z)')  # body lines in any order
+# serialize_passage's body lines and one whole sentence, each line ending in
+# LF or CRLF (compiled on first use).  Only </S> may lack its line end.  An id
+# or token holding what the writer escapes, or a character expat refuses or
+# rewrites, does not match: CR, C0 controls (but tab and LF in a token), lone
+# surrogates, U+FFFE and U+FFFF.  Quotes match (expat reads them as written),
+# but for the one that closes the id.  Each line kind has its own prefix and a
+# token holds no "<", so a body that fails backtracks in linear time.
+_W = r'  <W ix="([0-9]+)">([^<>&\x00-\x08\x0b-\x1f\ud800-\udfff\ufffe\uffff]*)</W>\r?\n'
+_G = r'  <G type="([A-Z-]+)" start="([0-9]+)" end="([0-9]+)"/>\r?\n'
+_R = r'  <R type="([A-Z-]+)" src="([0-9]+)" tgt="([0-9]+)"/>\r?\n'
+_SENTENCE = (r'<S id="([^<>&"\x00-\x1f\ud800-\udfff\ufffe\uffff]+)" full="(yes|no)">\r?\n'
+             r'((?:' + "|".join((_W, _G, _R)) + r')*)</S>(?:\r?\n|\Z)')  # body lines in any order
 
 
 def _required(tag: str, name: str, value: str | None) -> str:
@@ -285,8 +285,11 @@ def _read_expat(text: str, pos: int, annotations: dict, item) -> None:
 
 
 def serialize_passage(annotations: Sequence[SentenceAnnotation]) -> str:
+    """Inverse of parse_passage; raises ValueError on what would not read back."""
     from xml.sax.saxutils import escape, quoteattr  # pulls in urllib; no command needs it
 
+    if len({ann.sentence_id for ann in annotations}) < len(annotations):
+        raise ValueError("duplicate sentence id")
     lines = []
     for ann in annotations:
         full = "yes" if ann.full_parse else "no"

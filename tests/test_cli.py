@@ -429,17 +429,20 @@ class TestFreqCommand:
         assert "1 unmapped forms ignored" in capsys.readouterr().err  # xyz only
         assert body_lines(out / "top_lemmas.tsv") == ["1\tdonner\t8", "2\taller\t2"]
 
-    def test_lone_cr_stays_inside_its_form(self, tmp_path, capsys):
-        # lines end at LF only, on the command line as in the library
-        table_text, map_text = "do\rnne\t5\nva\t2\n", "do\rnne\tdonner\nva\taller\n"
+    def test_lone_cr_is_refused_at_its_line(self, tmp_path, capsys):
+        # lines end at LF only, and no field holds a CR, in the library as on the command line
+        table_text, map_text = "va\t2\ndo\rnne\t5\n", "do\rnne\tdonner\nva\taller\n"
+        message = "field 'do\\rnne' contains a CR that does not end its line"
+        for parse, text, line in ((parse_frequency_table, table_text, 2), (parse_lemma_map, map_text, 1)):
+            with pytest.raises(FormatError) as err:
+                parse(text)
+            assert (err.value.line, err.value.message) == (line, message)
         (tmp_path / "freq.tsv").write_bytes(table_text.encode())
         (tmp_path / "map.tsv").write_bytes(map_text.encode())
         out = tmp_path / "out"
-        assert main(["freq", str(tmp_path / "freq.tsv"), str(tmp_path / "map.tsv"), "--out", str(out)]) == 0
-        assert capsys.readouterr().err == ""
-        table = FrequencyTable(parse_frequency_table(table_text), parse_lemma_map(map_text))
-        assert lemma_counts(table) == ({"donner": 5, "aller": 2}, 0)
-        assert body_lines(out / "top_lemmas.tsv") == ["1\tdonner\t5", "2\taller\t2"]
+        assert main(["freq", str(tmp_path / "freq.tsv"), str(tmp_path / "map.tsv"), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"valex: error: {tmp_path / 'freq.tsv'}:2: {message}\n"
+        assert not out.exists()
 
     def test_n_limits_rows(self, tmp_path):
         table = write(tmp_path, "freq.tsv", FREQ_TABLE)
@@ -580,6 +583,9 @@ COMMAND_INPUTS = {
 }
 
 
+LONE_CR = "contains a CR that does not end its line"
+
+
 @pytest.mark.parametrize(
     "command, bad_input, bad_line, message",
     [
@@ -615,6 +621,13 @@ COMMAND_INPUTS = {
         ("freq", 0, "\t3", "empty form"),
         ("freq", 1, "\tdonner", "empty form"),
         ("freq", 1, "donnes\t", "empty lemma"),
+        # a CR that does not end its line is refused by the one line layer
+        ("lex parse", 0, "dor\rmir\tV\td__1\tSuj:NP\tACTIVE\tcoded\tl:1", "field 'dor\\rmir' " + LONE_CR),
+        ("check", 1, "s\r3\tdonner\tACTIVE\tSuj:NP;Obj:NP", "field 's\\r3' " + LONE_CR),
+        ("check", 1, "s3\tdon\rner\tACTIVE\tSuj:NP;Obj:NP", "field 'don\\rner' " + LONE_CR),
+        ("mine", 0, "a\rb\tok\ta", "field 'a\\rb' " + LONE_CR),
+        ("freq", 0, "do\rnne\t5", "field 'do\\rnne' " + LONE_CR),
+        ("freq", 1, "donnes\tdon\rner", "field 'don\\rner' " + LONE_CR),
     ],
 )
 def test_tab_format_error_names_file_and_line(tmp_path, capsys, command, bad_input, bad_line, message):

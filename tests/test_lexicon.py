@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 
 import pytest
 
@@ -118,6 +119,10 @@ class TestParseErrors:
             ("donner\tV\te1\tSuj:NP\tACTIVE\tmaybe\ts:1", "coded flag"),
             ("donner\tV\te1\tSuj:NP\tACTIVE\tcoded\tnocolon", "provenance"),
             ("donner\tV\te1\tSuj:NP\tACTIVE\tcoded\t", "provenance"),
+            ("donner\tV\te1\tSuj:NP\tACTIVE\tcoded\ts:", "provenance item ('s', '') cannot be serialized"),
+            ("donner\tV\te1\tSuj:NP;Obj:PP(x;y)\tACTIVE\tcoded\ts:1", "unknown realization token: 'PP(x'"),
+            ("donner\tV\te1\tSuj:NP;Obj:PP(x)y)\tACTIVE\tcoded\ts:1", "preposition 'x)y' cannot be"),
+            ("don\rner\tV\te1\tSuj:NP\tACTIVE\tcoded\ts:1", "field 'don\\rner' contains a CR"),
             ("donner\tV\te1\tSuj:NP;Suj:CLITIC\tACTIVE\tcoded\ts:1", "duplicate function"),
             ("donner\tV\te1\tSuj:NP\tPASSIVE\tcoded\ts:1", "must license ACTIVE"),
             ("donner\tV\te1\tSuj?:NP\tACTIVE\tuncoded\ts:1", "optional"),
@@ -186,6 +191,17 @@ class TestModelInvariants:
             pp("")
         with pytest.raises(ValueError):
             pp("À")
+
+    @pytest.mark.parametrize("prep", ["x;y", "x)y", "x|y"])
+    def test_unwritable_preposition_rejected(self, prep):
+        # written PP(x;y), it would split into two slots; the model refuses it
+        with pytest.raises(ValueError, match=f"preposition '{re.escape(prep)}' cannot be serialized"):
+            pp(prep)
+
+    @pytest.mark.parametrize("item", [("", "1"), ("lefff", ""), ("a:b", "1"), ("a,b", "1"), ("lefff", "1,2")])
+    def test_unwritable_provenance_rejected(self, item):
+        with pytest.raises(ValueError, match=re.escape(f"provenance item {item!r} cannot be serialized")):
+            entry(provenance=(("lefff", "0"), item))
 
     def test_coded_requires_active(self):
         with pytest.raises(ValueError):
@@ -338,11 +354,10 @@ class TestRoundTrip:
             dict(examples=("a\rb",)),
             dict(provenance=(("", "1"),)),
             dict(provenance=(("lefff", ""),)),
-            dict(frame=(slot(SyntacticFunction.OBJ, (pp("x;y"),)),)),
         ],
         ids=[
             "hash-lemma", "cr-entry-id", "cr-example", "empty-provenance-source",
-            "empty-provenance-id", "semicolon-preposition",
+            "empty-provenance-id",
         ],
     )
     def test_unreadable_field_rejected(self, fields):

@@ -149,6 +149,12 @@ class TestModel:
             model("", ("a",), False)
         with pytest.raises(ValueError, match="^sentence 's1' has no forms$"):
             model("s1", (), False)
+        # forms are written comma-joined, so the model refuses what would not read back
+        with pytest.raises(ValueError, match="^empty form in sentence 's1'$"):
+            model("s1", ("a", ""), False)
+        for forms, bad in [(("a,b",), "'a,b'"), (("a", "b", ","), "','")]:
+            with pytest.raises(ValueError, match=f"^form {bad} cannot be serialized$"):
+                model("s1", forms, False)
 
     def test_record_lives_in_mining(self):
         assert SentenceRecord is valex.mining.SentenceRecord

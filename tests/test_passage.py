@@ -318,6 +318,22 @@ class TestRoundTrip:
             serialize_passage([ann])
         assert str(err.value) == f"character {char!r} cannot be serialized"
 
+    def test_repeated_sentence_id_rejected(self):
+        # parse_passage would refuse the second <S> with that id
+        ann = SentenceAnnotation("s", ("a",))
+        with pytest.raises(ValueError, match="^duplicate sentence id$"):
+            serialize_passage([ann, SentenceAnnotation("t", ("b",)), ann])
+
+    @pytest.mark.parametrize("char", ["\ud800", "\udfff", "\ufffe", "\uffff"])
+    @pytest.mark.parametrize("field", ["token", "id"])
+    def test_character_xml_cannot_carry_rejected(self, char, field):
+        # written as is, U+FFFE and U+FFFF read back as malformed markup, and a
+        # lone surrogate cannot be encoded to be read at all
+        ann = SentenceAnnotation(f"s{char}", ("a",)) if field == "id" else SentenceAnnotation("s", (f"a{char}b",))
+        with pytest.raises(ValueError) as err:
+            serialize_passage([ann])
+        assert str(err.value) == f"character {char!r} cannot be serialized"
+
     def test_random(self):
         rng = random.Random(71)
         for _ in range(25):

@@ -191,6 +191,13 @@ def test_serializer_output_free_of_escapes_is_read_whole_by_the_matcher(seed):
         assert list(read.values()) == annotations
         assert check_agreement(text) == len(text)
         assert check_agreement(text.rstrip("\n")) == len(text.rstrip("\n"))  # the last line may lack its LF
+        # a CRLF copy is read whole too; no token here starts with LF, so every
+        # ">\n" ends a line
+        crlf = text.replace(">\n", ">\r\n")
+        read = {}
+        assert passage._read_canonical(crlf, read, functools.cache(passage._item)) == len(crlf)
+        assert list(read.values()) == annotations
+        assert check_agreement(crlf) == len(crlf)
 
 
 S_A = '<S id="a" full="yes">\n  <W ix="0">le</W>\n</S>\n'
@@ -223,6 +230,10 @@ S_B = '<S id="b" full="no">\n  <W ix="0">l\'a</W>\n  <W ix="1">"</W>\n  <G type=
         ('<S id="r" full="no">\n  <W ix="0">le</W>\n  <R type="SUJ-V" src="1" tgt="0"/>\n'
          '  <W ix="1">chat</W>\n</S>\n', ""),
         (S_A, S_B.replace('end="2"', 'end="x"')),  # a malformed last body line
+        # CRLF line ends, but not a lone CR, nor a CR inside a token
+        (S_A.replace("\n", "\r\n") + S_B.replace("\n", "\r\n"), ""),
+        (S_A.replace("\n", "\r\n"), S_B.replace("\n", "\r", 1)),
+        (S_A, S_B.replace("l'a", "l\r\na")),
     ],
 )
 def test_the_matcher_reads_whole_sentences_up_to_the_first_other(read, rest):
