@@ -32,7 +32,8 @@ from .mining import (
     rank_suspects,
     serialize_records,
 )
-from .passage import RelaxationMode, coverage, format_percent, parse_passage, score_corpus
+from .markup import parse_passage
+from .passage import RelaxationMode, coverage, format_percent, score_corpus
 
 
 class CliError(Exception):
@@ -45,6 +46,10 @@ class RunManifest:
 
     inputs: tuple[tuple[str, str], ...]
     params: tuple[tuple[str, str], ...] = ()
+
+    def __post_init__(self):
+        if bad := next((v for pair in self.inputs + self.params for v in pair if "\n" in v), None):
+            raise ValueError(f"manifest value {bad!r} holds an LF and cannot be written")
 
     def header_lines(self) -> list[str]:
         lines = [f"# valex {__version__}"]
@@ -76,16 +81,21 @@ def _write(out_dir: str | None, filename: str, manifest: RunManifest, body: str)
     """Manifest header plus body, written atomically into out_dir, or to
     stdout when out_dir is None."""
     text = "".join(line + "\n" for line in manifest.header_lines()) + body
+    data = text.encode("utf-8")
     if out_dir is None:
-        sys.stdout.write(text)
+        if hasattr(sys.stdout, "buffer"):  # UTF-8 whatever the locale, as --out writes
+            sys.stdout.flush()
+            sys.stdout.buffer.write(data)
+        else:  # a text-only stream, such as io.StringIO
+            sys.stdout.write(text)
         return
     target = Path(out_dir) / filename
     try:
         target.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp_path = tempfile.mkstemp(prefix=filename + ".", dir=target.parent)
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(text)
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(data)
             os.replace(tmp_path, target)
         except BaseException:
             os.unlink(tmp_path)
@@ -238,9 +248,10 @@ def main(argv=None) -> int:
     gc.disable()
     try:
         paths = [(name, getattr(args, name)) for name, _ in args.inputs]
+        manifest = RunManifest(tuple(paths))  # a path it cannot hold fails before any read
         parsed = (_parse_file(path, parse) for (_, path), (_, parse) in zip(paths, args.inputs))
         reports, params = args.run(args, parsed)
-        manifest = RunManifest(tuple(paths), params)
+        manifest = RunManifest(manifest.inputs, params)
         for filename, body in reports.items():
             _write(args.out, filename, manifest, body)
         return 0

@@ -38,7 +38,7 @@ def parse_rows(text: str, parse_row: Callable[[list[str]], T]) -> Iterator[tuple
     for line, raw in enumerate(text.split("\n"), start=1):
         if has_cr and raw.endswith("\r"):
             raw = raw[:-1]
-        if not raw.strip() or raw.startswith("#"):
+        if not raw.strip(" \t") or raw.startswith("#"):
             continue
         if has_cr and "\r" in raw:
             bad = next(f for f in raw.split("\t") if "\r" in f)

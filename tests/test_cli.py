@@ -1,4 +1,5 @@
 import gc
+import io
 import itertools
 import os
 import random
@@ -29,6 +30,8 @@ from valex.mining import (
     parse_mining_corpus,
     parse_records,
 )
+
+from gen import LINE_BREAK_LOOKALIKES
 
 LEXICON = (
     "# toy lexicon\n"
@@ -161,6 +164,20 @@ class TestManifest:
             "# mode: left",
         ]
 
+    @pytest.mark.parametrize("inputs, params", [
+        ((("lexicon", "x\ny.lex"),), ()),
+        ((("lexicon", "x.lex"),), (("mode", "left\n"),)),
+        ((("lexicon\n", "x.lex"),), ()),
+    ])
+    def test_value_holding_lf_refused(self, inputs, params):
+        # a "#" line ends at LF, and what followed one would read back as a data line
+        with pytest.raises(ValueError, match="holds an LF and cannot be written"):
+            RunManifest(inputs, params)
+
+    def test_value_holding_cr_reads_back_as_a_comment(self):
+        manifest = RunManifest(inputs=(("lexicon", "x\ry.lex"),))
+        assert parse_records("".join(line + "\n" for line in manifest.header_lines())) == []
+
 
 def _mine_params(max_iterations):
     corpus = build_mining_corpus(parse_records(REF_RECORDS), parse_records(HYP_RECORDS))
@@ -235,6 +252,22 @@ class TestLexCommands:
         assert main(["lex", "parse", lex_path]) == 0
         captured = capsys.readouterr()
         assert "donner\tV\tdonner__1" in captured.out
+
+    def test_stdout_report_is_utf8_whatever_the_locale(self, tmp_path, monkeypatch):
+        lex_path = write(tmp_path, "toy.lex", LEXICON.replace("lefff:10\n", "lefff:10\tà 日本\n"))
+        assert main(["lex", "parse", lex_path, "--out", str(tmp_path / "out")]) == 0
+        report = (tmp_path / "out" / "canonical.lex").read_bytes()
+        assert "\tà 日本\n".encode() in report
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="latin-1")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        stdout.write("before\n")  # text written earlier comes out first
+        assert main(["lex", "parse", lex_path]) == 0
+        stdout.flush()
+        assert stdout.buffer.getvalue() == b"before\n" + report
+        text_only = io.StringIO()  # a stream with no byte layer takes the text
+        monkeypatch.setattr(sys, "stdout", text_only)
+        assert main(["lex", "parse", lex_path]) == 0
+        assert text_only.getvalue() == report.decode("utf-8")
 
     def test_stats(self, tmp_path):
         lex_path = write(tmp_path, "toy.lex", LEXICON)
@@ -555,6 +588,15 @@ class TestErrors:
         assert main([command, *absent, *flags]) == 1
         assert capsys.readouterr().err == f"valex: error: {message}\n"
 
+    @pytest.mark.parametrize("out", [[], ["--out", "out"]], ids=["stdout", "out"])
+    def test_input_path_holding_lf_fails_before_any_read(self, tmp_path, capsys, monkeypatch, out):
+        monkeypatch.chdir(tmp_path)
+        path = "x\ny.lex"  # absent, so a read would fail with "cannot read"
+        assert main(["lex", "parse", path, *out]) == 1
+        message = f"valex: error: manifest value {path!r} holds an LF and cannot be written\n"
+        assert capsys.readouterr() == ("", message)
+        assert list(tmp_path.iterdir()) == []
+
     def test_unusable_out_directory(self, tmp_path, capsys):
         lexicon = write(tmp_path, "ok.lex", LEXICON)
         blocker = write(tmp_path, "afile", "")
@@ -695,6 +737,20 @@ def test_main_restores_the_callers_gc_setting(tmp_path, monkeypatch, enabled):
     assert seen == [False]  # the command ran with the collector off
 
 
+@pytest.mark.parametrize(
+    "parse",
+    [parse_lexicon, parse_corpus, parse_records, parse_mining_corpus, parse_frequency_table, parse_lemma_map],
+    ids=lambda parse: parse.__name__,
+)
+@pytest.mark.parametrize("char", LINE_BREAK_LOOKALIKES)
+def test_only_spaces_and_tabs_make_a_line_blank(parse, char):
+    parse(" \t \r\n\n")
+    # a line-break look-alike is field content, so its line is a data line
+    with pytest.raises(FormatError) as err:
+        parse(f"{char}\t\n")
+    assert err.value.line == 1
+
+
 def _loaded_after_import(module, prefix):
     """The modules under prefix that a fresh interpreter holds after
     importing module."""
@@ -720,3 +776,9 @@ def test_import_leaves_xml_etree_unloaded():
 def test_mining_import_loads_neither_checker_nor_lexicon():
     # mine needs only each sentence's forms and flag, nothing of the lexicon
     assert _loaded_after_import("valex.mining", "valex") == ["valex", "valex.errors", "valex.mining"]
+
+
+def test_markup_import_loads_neither_the_scorer_nor_fractions():
+    # the annotation format needs nothing of valex but valex.errors
+    assert _loaded_after_import("valex.markup", "valex") == ["valex", "valex.errors", "valex.markup"]
+    assert _loaded_after_import("valex.markup", "fractions") == []

@@ -254,6 +254,21 @@ class TestParse:
         assert "unknown constituent type" in str(err.value)
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("char", ["\ud800", "\udfff"])
+    @pytest.mark.parametrize("where", ["token", "id"])
+    def test_lone_surrogate_is_malformed_markup_at_its_line(self, char, where):
+        # a str may hold one though no UTF-8 file can; expat refuses it like any bad character
+        second = f'<S id="b{char}"><W ix="0">b</W></S>' if where == "id" else f'<S id="b"><W ix="0">b{char}</W></S>'
+        with pytest.raises(FormatError) as err:
+            parse_passage(f'<S id="a"><W ix="0">a</W></S>\n{second}\n')
+        assert err.value.message.startswith("malformed markup: not well-formed (invalid token)")
+        assert err.value.line == 2
+        # an earlier error in the document is still the one reported
+        with pytest.raises(FormatError) as err:
+            parse_passage(f'<S id="a"><W ix="0">a</W><G type="ZZ" start="0" end="1"/></S>\n{second}\n')
+        assert err.value.message == "unknown constituent type: 'ZZ'"
+        assert err.value.line == 1
+
     @pytest.mark.parametrize(
         "word, token",
         [
@@ -327,8 +342,7 @@ class TestRoundTrip:
     @pytest.mark.parametrize("char", ["\ud800", "\udfff", "\ufffe", "\uffff"])
     @pytest.mark.parametrize("field", ["token", "id"])
     def test_character_xml_cannot_carry_rejected(self, char, field):
-        # written as is, U+FFFE and U+FFFF read back as malformed markup, and a
-        # lone surrogate cannot be encoded to be read at all
+        # written as is, each would read back as malformed markup
         ann = SentenceAnnotation(f"s{char}", ("a",)) if field == "id" else SentenceAnnotation("s", (f"a{char}b",))
         with pytest.raises(ValueError) as err:
             serialize_passage([ann])

@@ -12,11 +12,12 @@ import random
 
 import pytest
 
-from valex import passage
+from valex import markup
+from valex.errors import FormatError
 from valex.passage import SentenceAnnotation, parse_passage, serialize_passage
 
-CTYPES = [c.value for c in passage.ConstituentType]
-RTYPES = [r.value for r in passage.RelationType]
+CTYPES = [c.value for c in markup.ConstituentType]
+RTYPES = [r.value for r in markup.RelationType]
 # Tokens both readers take as they stand: tab, LF, DEL, C1 controls,
 # non-characters that XML allows, non-BMP characters, the empty token,
 # quotes and apostrophes.
@@ -126,20 +127,20 @@ def sharing(annotations) -> list[int]:
 
 def expat_alone(text: str) -> list[SentenceAnnotation]:
     annotations: dict = {}
-    passage._read_expat(text, 0, annotations, functools.cache(passage._item))
+    markup._read_expat(text, 0, annotations, functools.cache(markup._item))
     return list(annotations.values())
 
 
 def matcher_reach(text: str) -> int:
     """Where the sentence matcher stops on text."""
-    return passage._read_canonical(text, {}, functools.cache(passage._item))
+    return markup._read_canonical(text, {}, functools.cache(markup._item))
 
 
 def check_agreement(text: str) -> int:
     """Assert that parse_passage reads text as expat alone does; return where the matcher stopped."""
     try:
         slow = expat_alone(text)
-    except ValueError as exc:  # FormatError, or UnicodeEncodeError for a lone surrogate
+    except FormatError as exc:
         with pytest.raises(type(exc)) as err:
             parse_passage(text)
         assert str(err.value) == str(exc)
@@ -181,13 +182,13 @@ def test_serializer_output_free_of_escapes_is_read_whole_by_the_matcher(seed):
             annotations.append(SentenceAnnotation(
                 f"{rng.choice(ids)}{k}",
                 tuple(rng.choice(PLAIN_TOKENS) for _ in range(n)),
-                tuple(passage.Constituent(rng.choice(list(passage.ConstituentType)), s, e) for s, e in spans),
-                tuple(passage.Relation(rng.choice(list(passage.RelationType)), s, t) for s, t in pairs),
+                tuple(markup.Constituent(rng.choice(list(markup.ConstituentType)), s, e) for s, e in spans),
+                tuple(markup.Relation(rng.choice(list(markup.RelationType)), s, t) for s, t in pairs),
                 rng.random() < 0.7,
             ))
         text = serialize_passage(annotations)
         read: dict = {}
-        assert passage._read_canonical(text, read, functools.cache(passage._item)) == len(text)
+        assert markup._read_canonical(text, read, functools.cache(markup._item)) == len(text)
         assert list(read.values()) == annotations
         assert check_agreement(text) == len(text)
         assert check_agreement(text.rstrip("\n")) == len(text.rstrip("\n"))  # the last line may lack its LF
@@ -195,7 +196,7 @@ def test_serializer_output_free_of_escapes_is_read_whole_by_the_matcher(seed):
         # ">\n" ends a line
         crlf = text.replace(">\n", ">\r\n")
         read = {}
-        assert passage._read_canonical(crlf, read, functools.cache(passage._item)) == len(crlf)
+        assert markup._read_canonical(crlf, read, functools.cache(markup._item)) == len(crlf)
         assert list(read.values()) == annotations
         assert check_agreement(crlf) == len(crlf)
 
