@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import importlib
 import os
 import sys
 import tempfile
@@ -18,22 +19,48 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
-from .checker import FailureReason, diagnose_corpus, parse_corpus
 from .errors import FormatError, write_rows
-from .freq import FrequencyTable, lemma_counts, parse_frequency_table, parse_lemma_map, rank_lemmas
-from .lexicon import lexicon_stats, parse_lexicon, serialize_lexicon
-from .merge import merge_lexicons, serialize_merge_report
-from .mining import (
-    MiningParams,
-    build_mining_corpus,
-    compute_suspicion,
-    format_suspects,
-    parse_records,
-    rank_suspects,
-    serialize_records,
-)
-from .markup import parse_passage
-from .passage import RelaxationMode, coverage, format_percent, score_corpus
+from .relaxation import RelaxationMode
+
+# The domain names valex.cli offers, by home module.  Importing valex.cli
+# loads none of these modules: main loads those its command declares once
+# the flags are parsed, and a first valex.cli.<name> loads that name's home.
+# Either way every name whose home is then loaded is bound here, but only if
+# it is still unbound, so a replaced name (a test's stub, a tracer's wrapper)
+# stays, and the run functions, which look their names up here, call it.
+_EXPORTS = {
+    "lexicon": ("lexicon_stats", "parse_lexicon", "serialize_lexicon"),
+    "merge": ("merge_lexicons", "serialize_merge_report"),
+    "checker": ("FailureReason", "diagnose_corpus", "parse_corpus"),
+    "mining": (
+        "MiningParams", "build_mining_corpus", "compute_suspicion", "format_suspects",
+        "parse_records", "rank_suspects", "serialize_records",
+    ),
+    "markup": ("parse_passage",),
+    "passage": ("coverage", "format_percent", "score_corpus"),
+    "freq": ("FrequencyTable", "lemma_counts", "parse_frequency_table", "parse_lemma_map", "rank_lemmas"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+
+def _load(*modules: str) -> None:
+    """Import the named domain modules, then bind every unbound name of
+    _EXPORTS whose home is loaded (checker, for one, loads mining)."""
+    for module in modules:
+        importlib.import_module(f"{__package__}.{module}")
+    namespace = globals()
+    for module, names in _EXPORTS.items():
+        if (home := sys.modules.get(f"{__package__}.{module}")) is not None:
+            for name in names:
+                namespace.setdefault(name, getattr(home, name))
+
+
+def __getattr__(name: str):
+    """valex.cli.<name> for a domain name not yet bound (PEP 562)."""
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load(_HOME[name])
+    return globals()[name]
 
 
 class CliError(Exception):
@@ -48,8 +75,13 @@ class RunManifest:
     params: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self):
-        if bad := next((v for pair in self.inputs + self.params for v in pair if "\n" in v), None):
-            raise ValueError(f"manifest value {bad!r} holds an LF and cannot be written")
+        for value in (v for pair in self.inputs + self.params for v in pair):
+            if "\n" in value:
+                raise ValueError(f"manifest value {value!r} holds an LF and cannot be written")
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError:  # a lone surrogate, such as a path byte that is not UTF-8
+                raise ValueError(f"manifest value {value!r} is not valid UTF-8 and cannot be written") from None
 
     def header_lines(self) -> list[str]:
         lines = [f"# valex {__version__}"]
@@ -201,39 +233,37 @@ def _build_parser() -> argparse.ArgumentParser:
     lex = sub.add_parser("lex", help="inspect a lexicon file")
     lex_sub = lex.add_subparsers(dest="lex_command", required=True)
 
-    def command(parent, name, help, run, inputs, out_required=False):
-        """Register a command: its positional inputs as (name, parser)
-        pairs, whether --out is required, and its run function, which takes
-        the arguments and an iterator that reads and parses each input as it
-        is drawn, so that flags fail before any read, and returns
-        ({filename: body}, manifest params)."""
+    def command(parent, name, help, run, modules, inputs, out_required=False):
+        """Register a command: the domain modules it runs, its positional
+        inputs as (name, parser name) pairs, whether --out is required, and
+        its run function, which takes the arguments and an iterator that
+        reads and parses each input as it is drawn, so that flags fail
+        before any read, and returns ({filename: body}, manifest params)."""
         subparser = parent.add_parser(name, help=help)
         for input_name, _ in inputs:
             subparser.add_argument(input_name)
         out_help = "output directory" if out_required else "output directory (default stdout)"
         subparser.add_argument("--out", required=out_required, help=out_help)
-        subparser.set_defaults(run=run, inputs=inputs)
+        subparser.set_defaults(run=run, modules=modules, inputs=inputs)
         return subparser
 
-    # The parsers are looked up here, at call time, so that a replaced
-    # module attribute (valex.cli.parse_lexicon, ...) is the one called.
-    lexicon = ("lexicon", parse_lexicon)
-    command(lex_sub, "parse", "validate and re-emit canonical form", _lex_parse, (lexicon,))
-    command(lex_sub, "stats", "lemma/entry counts and ambiguity top list", _lex_stats, (lexicon,))
-    command(sub, "merge", "merge two lexicons", _merge,
-            (("ref", parse_lexicon), ("other", parse_lexicon)), out_required=True)
+    lexicon = ("lexicon", "parse_lexicon")
+    command(lex_sub, "parse", "validate and re-emit canonical form", _lex_parse, ("lexicon",), (lexicon,))
+    command(lex_sub, "stats", "lemma/entry counts and ambiguity top list", _lex_stats, ("lexicon",), (lexicon,))
+    command(sub, "merge", "merge two lexicons", _merge, ("lexicon", "merge"),
+            (("ref", "parse_lexicon"), ("other", "parse_lexicon")), out_required=True)
     command(sub, "check", "check an observed-frame corpus against a lexicon", _check,
-            (lexicon, ("corpus", parse_corpus)), out_required=True)
+            ("lexicon", "checker", "mining"), (lexicon, ("corpus", "parse_corpus")), out_required=True)
     evaluate = command(sub, "eval", "score hypothesis annotations against gold", _eval,
-                       (("gold", parse_passage), ("hyp", parse_passage)))
+                       ("markup", "passage"), (("gold", "parse_passage"), ("hyp", "parse_passage")))
     evaluate.add_argument("--mode", choices=[m.value for m in RelaxationMode], default="exact")
-    mine = command(sub, "mine", "mine suspicious forms from two record files", _mine,
-                   (("ref_records", parse_records), ("hyp_records", parse_records)))
+    mine = command(sub, "mine", "mine suspicious forms from two record files", _mine, ("mining",),
+                   (("ref_records", "parse_records"), ("hyp_records", "parse_records")))
     mine.add_argument("--epsilon", type=float, default=1e-9)
     mine.add_argument("--max-iter", type=int, default=200)
     mine.add_argument("--top-k", type=int, default=20)
-    freq = command(sub, "freq", "most frequent lemmas from a form frequency table", _freq,
-                   (("freq_table", parse_frequency_table), ("lemma_map", parse_lemma_map)))
+    freq = command(sub, "freq", "most frequent lemmas from a form frequency table", _freq, ("freq",),
+                   (("freq_table", "parse_frequency_table"), ("lemma_map", "parse_lemma_map")))
     freq.add_argument("--n", type=int, default=100)
     return parser
 
@@ -242,6 +272,7 @@ def main(argv=None) -> int:
     """Parse the command's inputs, run it, and write each report it returns
     under one manifest: the inputs by argument name, then its parameters."""
     args = _build_parser().parse_args(argv)
+    _load(*args.modules)
     # A command builds an acyclic model and exits, so the cyclic collector
     # would only re-scan it; the caller's setting is restored on return.
     gc_was_enabled = gc.isenabled()
@@ -249,7 +280,9 @@ def main(argv=None) -> int:
     try:
         paths = [(name, getattr(args, name)) for name, _ in args.inputs]
         manifest = RunManifest(tuple(paths))  # a path it cannot hold fails before any read
-        parsed = (_parse_file(path, parse) for (_, path), (_, parse) in zip(paths, args.inputs))
+        # Looked up once loaded, so a replaced valex.cli.parse_lexicon, ... is the one called.
+        parsers = [globals()[parser] for _, parser in args.inputs]
+        parsed = (_parse_file(path, parse) for (_, path), parse in zip(paths, parsers))
         reports, params = args.run(args, parsed)
         manifest = RunManifest(manifest.inputs, params)
         for filename, body in reports.items():

@@ -91,4 +91,12 @@ def parse_frequency_table(text: str) -> tuple[tuple[str, int], ...]:
 
 
 def parse_lemma_map(text: str) -> dict[str, str]:
-    return _unique_forms(text, _lemma_row, "lemma map")
+    """The form-to-lemma map, holding one string per distinct lemma: each
+    row's copy is dropped as it is read, which keeps the peak small."""
+    lemmas: dict[str, str] = {}
+
+    def row(fields: list[str]) -> tuple[str, str]:
+        form, lemma = _lemma_row(fields)
+        return form, lemmas.setdefault(lemma, lemma)
+
+    return _unique_forms(text, row, "lemma map")

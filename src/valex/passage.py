@@ -15,16 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import Vocabulary
 from .markup import (  # the model; Constituent, Relation, the reader and the writer are re-exported
     Constituent, ConstituentType, Relation, RelationType, SentenceAnnotation, parse_passage, serialize_passage,
 )
-
-
-class RelaxationMode(Vocabulary):
-    EXACT = "exact"
-    LEFT = "left"
-    OVERLAP = "overlap"
+from .relaxation import RelaxationMode  # re-exported
 
 
 def _overlap_tp(gold: SentenceAnnotation, hyp: SentenceAnnotation) -> Counter:

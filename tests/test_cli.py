@@ -30,6 +30,7 @@ from valex.mining import (
     parse_mining_corpus,
     parse_records,
 )
+from valex.passage import RelaxationMode
 
 from gen import LINE_BREAK_LOOKALIKES
 
@@ -151,6 +152,12 @@ class TestFrequency:
         with pytest.raises(FormatError, match="duplicate form"):
             parse_lemma_map("a\tx\na\ty\n")
 
+    def test_map_holds_one_string_per_lemma(self):
+        mapping = parse_lemma_map(LEMMA_MAP + "# c\ndonnait\tdonner\nallez\taller\n")
+        assert mapping == {"donne": "donner", "donnes": "donner", "va": "aller", "donnait": "donner", "allez": "aller"}
+        assert mapping["donne"] is mapping["donnes"] is mapping["donnait"]
+        assert mapping["va"] is mapping["allez"]
+
 
 class TestManifest:
     def test_header_lines(self):
@@ -172,6 +179,14 @@ class TestManifest:
     def test_value_holding_lf_refused(self, inputs, params):
         # a "#" line ends at LF, and what followed one would read back as a data line
         with pytest.raises(ValueError, match="holds an LF and cannot be written"):
+            RunManifest(inputs, params)
+
+    @pytest.mark.parametrize("inputs, params", [
+        ((("lexicon", "a\udcff.lex"),), ()),  # the path bytes b"a\xff.lex", decoded by the OS layer
+        ((("lexicon", "x.lex"),), (("mode", "\ud800"),)),
+    ])
+    def test_value_utf8_cannot_encode_refused(self, inputs, params):
+        with pytest.raises(ValueError, match="is not valid UTF-8 and cannot be written"):
             RunManifest(inputs, params)
 
     def test_value_holding_cr_reads_back_as_a_comment(self):
@@ -597,6 +612,15 @@ class TestErrors:
         assert capsys.readouterr() == ("", message)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("out", [[], ["--out", "out"]], ids=["stdout", "out"])
+    def test_input_path_not_utf8_fails_before_any_read(self, tmp_path, capsys, monkeypatch, out):
+        monkeypatch.chdir(tmp_path)
+        path = os.fsdecode(b"a\xff.lex")  # absent, so a read would fail with "cannot read"
+        assert main(["lex", "parse", path, *out]) == 1
+        message = f"valex: error: manifest value {path!r} is not valid UTF-8 and cannot be written\n"
+        assert capsys.readouterr() == ("", message)
+        assert list(tmp_path.iterdir()) == []
+
     def test_unusable_out_directory(self, tmp_path, capsys):
         lexicon = write(tmp_path, "ok.lex", LEXICON)
         blocker = write(tmp_path, "afile", "")
@@ -782,3 +806,112 @@ def test_markup_import_loads_neither_the_scorer_nor_fractions():
     # the annotation format needs nothing of valex but valex.errors
     assert _loaded_after_import("valex.markup", "valex") == ["valex", "valex.errors", "valex.markup"]
     assert _loaded_after_import("valex.markup", "fractions") == []
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _run_fresh(code, cwd=None):
+    """stdout of code run in a fresh interpreter importing valex from this tree."""
+    src = str(Path(valex.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, str(BENCH)])}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, cwd=cwd, capture_output=True, text=True, check=True
+    )
+    return result.stdout
+
+
+# The valex modules each command loads; valex.errors and valex.relaxation
+# come with valex.cli, for the token table of eval --mode.
+BASE_MODULES = ["valex", "valex.cli", "valex.errors", "valex.relaxation"]
+COMMAND_MODULES = {
+    "lex parse": ["valex.lexicon"],
+    "lex stats": ["valex.lexicon"],
+    "merge": ["valex.lexicon", "valex.merge"],
+    "check": ["valex.checker", "valex.lexicon", "valex.mining"],
+    "eval": ["valex.markup", "valex.passage"],
+    "mine": ["valex.mining"],
+    "freq": ["valex.freq"],
+}
+COMMAND_FILES = {
+    "lex parse": (LEXICON,),
+    "lex stats": (LEXICON,),
+    "merge": (LEXICON, OTHER_LEXICON),
+    "check": (LEXICON, CORPUS),
+    "eval": (GOLD_DOC, SHIFTED_DOC),
+    "mine": (REF_RECORDS, HYP_RECORDS),
+    "freq": (FREQ_TABLE, LEMMA_MAP),
+}
+
+
+def _loaded_by_main(argv, cwd):
+    """The modules main loads in a fresh interpreter, beyond those the
+    interpreter holds at start-up, after it returns status 0."""
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from valex.cli import main\n"
+        "try:\n"
+        f"    status = main({argv!r})\n"
+        "except SystemExit as exc:\n"
+        "    status = exc.code\n"
+        "assert status == 0, status\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    )
+    return set(_run_fresh(code, cwd).split())
+
+
+@pytest.mark.parametrize("command", [None, *COMMAND_MODULES], ids=lambda c: c or "--version")
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, command):
+    if command is None:
+        argv, expected = ["--version"], BASE_MODULES
+    else:
+        paths = [write(tmp_path, f"in{k}", text) for k, text in enumerate(COMMAND_FILES[command])]
+        argv, expected = [*command.split(), *paths, "--out", "out"], sorted(BASE_MODULES + COMMAND_MODULES[command])
+    loaded = _loaded_by_main(argv, tmp_path)
+    assert sorted(m for m in loaded if m == "valex" or m.startswith("valex.")) == expected
+    # the scorer's rationals and the annotation reader's expat are eval's alone
+    eval_only = {"fractions", "xml.parsers.expat"}
+    assert eval_only & loaded == (eval_only if command == "eval" else set())
+
+
+def test_every_traced_layer_function_is_its_home_modules_on_valex_cli():
+    # looked up on valex.cli first, in the tracer's order, as its traced pass
+    # does in a process that has imported only valex.cli
+    code = (
+        "import importlib, valex.cli as cli\n"
+        "from layertrace import LAYER_FUNCTIONS\n"
+        "for layer, name, _ in LAYER_FUNCTIONS:\n"
+        "    assert getattr(cli, name) is getattr(importlib.import_module('valex.' + layer), name), name\n"
+        "print(len(LAYER_FUNCTIONS))\n"
+    )
+    assert int(_run_fresh(code)) == 14
+
+
+def test_name_replaced_on_valex_cli_before_main_survives_it(tmp_path):
+    lexicon = write(tmp_path, "ok.lex", LEXICON)
+    code = (
+        "import valex.cli as cli\n"
+        "from valex.lexicon import parse_lexicon\n"
+        "calls = []\n"
+        "def stub(text):\n"
+        "    calls.append(text)\n"
+        "    return parse_lexicon(text)\n"
+        "def stats(lexicon):\n"
+        "    raise ValueError('stubbed')\n"
+        "cli.parse_lexicon, cli.lexicon_stats = stub, stats\n"
+        f"assert cli.main(['lex', 'stats', {lexicon!r}]) == 1\n"
+        "assert cli.parse_lexicon is stub and cli.lexicon_stats is stats\n"
+        "assert len(calls) == 1\n"
+        "print('ok')\n"
+    )
+    assert _run_fresh(code) == "ok\n"
+
+
+def test_eval_help_lists_the_relaxation_modes(capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        main(["eval", "--help"])
+    assert exc_info.value.code == 0
+    choices = "{" + ",".join(mode.value for mode in RelaxationMode) + "}"
+    assert f"--mode {choices}" in capsys.readouterr().out
+    assert choices == "{exact,left,overlap}"
