@@ -10,12 +10,12 @@ parameters).  Reports go to stdout, or into the directory given with
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import importlib
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
@@ -63,31 +63,17 @@ def __getattr__(name: str):
     return globals()[name]
 
 
-class CliError(Exception):
-    """User-facing failure: bad file, bad format, bad data."""
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """What produced a report: inputs and parameters, recorded verbatim."""
-
-    inputs: tuple[tuple[str, str], ...]
-    params: tuple[tuple[str, str], ...] = ()
-
-    def __post_init__(self):
-        for value in (v for pair in self.inputs + self.params for v in pair):
-            if "\n" in value:
-                raise ValueError(f"manifest value {value!r} holds an LF and cannot be written")
-            try:
-                value.encode("utf-8")
-            except UnicodeEncodeError:  # a lone surrogate, such as a path byte that is not UTF-8
-                raise ValueError(f"manifest value {value!r} is not valid UTF-8 and cannot be written") from None
-
-    def header_lines(self) -> list[str]:
-        lines = [f"# valex {__version__}"]
-        lines.extend(f"# input {label}: {path}" for label, path in self.inputs)
-        lines.extend(f"# {key}: {value}" for key, value in self.params)
-        return lines
+def _manifest_lines(pairs) -> list[str]:
+    """'# KEY: VALUE' header lines recording a run's inputs or parameters
+    verbatim; a key or value that such a line cannot hold is refused."""
+    for value in (v for pair in pairs for v in pair):
+        if "\n" in value:
+            raise ValueError(f"manifest value {value!r} holds an LF and cannot be written")
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:  # a lone surrogate, such as a path byte that is not UTF-8
+            raise ValueError(f"manifest value {value!r} is not valid UTF-8 and cannot be written") from None
+    return [f"# {key}: {value}" for key, value in pairs]
 
 
 def _parse_file(path: str, parser):
@@ -99,27 +85,33 @@ def _parse_file(path: str, parser):
         # file offset (utf-8-sig would count from after the BOM).
         text = Path(path).read_bytes().decode("utf-8").removeprefix("\ufeff")
     except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc.strerror or exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     try:
         return parser(text)
     except FormatError as exc:
         location = f"{path}:{exc.line}" if exc.line is not None else path
-        raise CliError(f"{location}: {exc.message}") from exc
+        raise ValueError(f"{location}: {exc.message}") from exc
 
 
-def _write(out_dir: str | None, filename: str, manifest: RunManifest, body: str) -> None:
-    """Manifest header plus body, written atomically into out_dir, or to
+def _write(out_dir: str | None, filename: str, header: list[str], body: str) -> None:
+    """Header lines plus body, written atomically into out_dir, or to
     stdout when out_dir is None."""
-    text = "".join(line + "\n" for line in manifest.header_lines()) + body
+    text = "".join(line + "\n" for line in header) + body
     data = text.encode("utf-8")
     if out_dir is None:
-        if hasattr(sys.stdout, "buffer"):  # UTF-8 whatever the locale, as --out writes
+        try:
+            if hasattr(sys.stdout, "buffer"):  # UTF-8 whatever the locale, as --out writes
+                sys.stdout.flush()
+                sys.stdout.buffer.write(data)
+            else:  # a text-only stream, such as io.StringIO
+                sys.stdout.write(text)
             sys.stdout.flush()
-            sys.stdout.buffer.write(data)
-        else:  # a text-only stream, such as io.StringIO
-            sys.stdout.write(text)
+        except OSError as exc:  # a full disk, a closed pipe
+            with contextlib.suppress(OSError):  # drop what is still buffered, or exit fails on it again
+                sys.stdout.close()
+            raise ValueError(f"cannot write stdout: {exc.strerror or exc}") from exc
         return
     target = Path(out_dir) / filename
     try:
@@ -133,7 +125,16 @@ def _write(out_dir: str | None, filename: str, manifest: RunManifest, body: str)
             os.unlink(tmp_path)
             raise
     except OSError as exc:
-        raise CliError(f"cannot write {target}: {exc.strerror or exc}") from exc
+        raise ValueError(f"cannot write {target}: {exc.strerror or exc}") from exc
+
+
+def _across(args, function, *call_args):
+    """function(*call_args) on both inputs, parsed by then; its ValueError names both files."""
+    first, second = (getattr(args, name) for name, _ in args.inputs)
+    try:
+        return function(*call_args)
+    except ValueError as exc:
+        raise ValueError(f"{first} vs {second}: {exc}") from exc
 
 
 def _lex_parse(args, inputs):
@@ -153,7 +154,7 @@ def _lex_stats(args, inputs):
 
 
 def _merge(args, inputs):
-    merged, report = merge_lexicons(*inputs)
+    merged, report = _across(args, merge_lexicons, *inputs)
     reports = {"merged.lex": serialize_lexicon(merged), "merge_report.tsv": serialize_merge_report(report)}
     return reports, ()
 
@@ -174,12 +175,9 @@ def _eval(args, inputs):
     gold, hyp = inputs
     for path, annotations in ((args.gold, gold), (args.hyp, hyp)):
         if not annotations:
-            raise CliError(f"{path}: no <S> sentence to evaluate")
+            raise ValueError(f"{path}: no <S> sentence to evaluate")
     mode = RelaxationMode(args.mode)
-    try:
-        scores = score_corpus(gold, hyp, mode)
-    except ValueError as exc:  # the sentence ids or token counts differ
-        raise CliError(f"{args.gold} vs {args.hyp}: {exc}") from exc
+    scores = _across(args, score_corpus, gold, hyp, mode)  # the sentence ids or token counts differ
     covered = coverage(hyp)
     rows = [
         ("summary", "sentences", str(covered.total)),
@@ -197,9 +195,9 @@ def _eval(args, inputs):
 
 def _mine(args, inputs):
     if args.top_k < 1:  # rank_suspects refuses it too, but only after the fixed point
-        raise CliError("top_k must be at least 1")
+        raise ValueError("top_k must be at least 1")
     params = MiningParams(epsilon=args.epsilon, max_iterations=args.max_iter)
-    result = compute_suspicion(build_mining_corpus(*inputs), params)
+    result = compute_suspicion(_across(args, build_mining_corpus, *inputs), params)
     ranked = rank_suspects(result.scores, args.top_k)
     if not result.converged:
         print(
@@ -217,7 +215,7 @@ def _mine(args, inputs):
 
 def _freq(args, inputs):
     if args.n < 1:  # rank_lemmas refuses it too, but only after every input is read
-        raise CliError("n must be at least 1")
+        raise ValueError("n must be at least 1")
     counts, unmapped = lemma_counts(FrequencyTable(*inputs))
     top = rank_lemmas(counts, args.n)
     if unmapped:
@@ -279,16 +277,17 @@ def main(argv=None) -> int:
     gc.disable()
     try:
         paths = [(name, getattr(args, name)) for name, _ in args.inputs]
-        manifest = RunManifest(tuple(paths))  # a path it cannot hold fails before any read
+        # a path that its manifest line cannot hold fails before any read
+        header = [f"# valex {__version__}", *_manifest_lines([(f"input {n}", path) for n, path in paths])]
         # Looked up once loaded, so a replaced valex.cli.parse_lexicon, ... is the one called.
         parsers = [globals()[parser] for _, parser in args.inputs]
         parsed = (_parse_file(path, parse) for (_, path), parse in zip(paths, parsers))
         reports, params = args.run(args, parsed)
-        manifest = RunManifest(manifest.inputs, params)
+        header += _manifest_lines(params)
         for filename, body in reports.items():
-            _write(args.out, filename, manifest, body)
+            _write(args.out, filename, header, body)
         return 0
-    except (CliError, ValueError) as exc:
+    except ValueError as exc:
         print(f"valex: error: {exc}", file=sys.stderr)
         return 1
     finally:

@@ -1,3 +1,4 @@
+import errno
 import gc
 import io
 import itertools
@@ -13,7 +14,7 @@ import valex
 from valex import __version__
 from valex.cli import (
     FrequencyTable,
-    RunManifest,
+    _manifest_lines,
     lemma_counts,
     main,
     parse_frequency_table,
@@ -161,37 +162,30 @@ class TestFrequency:
 
 class TestManifest:
     def test_header_lines(self):
-        manifest = RunManifest(
-            inputs=(("gold", "g.xml"), ("hyp", "h.xml")), params=(("mode", "left"),)
-        )
-        assert manifest.header_lines() == [
-            f"# valex {__version__}",
-            "# input gold: g.xml",
-            "# input hyp: h.xml",
-            "# mode: left",
-        ]
+        pairs = [("input gold", "g.xml"), ("input hyp", "h.xml"), ("mode", "left")]
+        assert _manifest_lines(pairs) == ["# input gold: g.xml", "# input hyp: h.xml", "# mode: left"]
 
-    @pytest.mark.parametrize("inputs, params", [
-        ((("lexicon", "x\ny.lex"),), ()),
-        ((("lexicon", "x.lex"),), (("mode", "left\n"),)),
-        ((("lexicon\n", "x.lex"),), ()),
+    @pytest.mark.parametrize("pairs", [
+        [("input lexicon", "x\ny.lex")],
+        [("input lexicon", "x.lex"), ("mode", "left\n")],
+        [("input lexicon\n", "x.lex")],
     ])
-    def test_value_holding_lf_refused(self, inputs, params):
+    def test_value_holding_lf_refused(self, pairs):
         # a "#" line ends at LF, and what followed one would read back as a data line
         with pytest.raises(ValueError, match="holds an LF and cannot be written"):
-            RunManifest(inputs, params)
+            _manifest_lines(pairs)
 
-    @pytest.mark.parametrize("inputs, params", [
-        ((("lexicon", "a\udcff.lex"),), ()),  # the path bytes b"a\xff.lex", decoded by the OS layer
-        ((("lexicon", "x.lex"),), (("mode", "\ud800"),)),
+    @pytest.mark.parametrize("pairs", [
+        [("input lexicon", "a\udcff.lex")],  # the path bytes b"a\xff.lex", decoded by the OS layer
+        [("input lexicon", "x.lex"), ("mode", "\ud800")],
     ])
-    def test_value_utf8_cannot_encode_refused(self, inputs, params):
+    def test_value_utf8_cannot_encode_refused(self, pairs):
         with pytest.raises(ValueError, match="is not valid UTF-8 and cannot be written"):
-            RunManifest(inputs, params)
+            _manifest_lines(pairs)
 
     def test_value_holding_cr_reads_back_as_a_comment(self):
-        manifest = RunManifest(inputs=(("lexicon", "x\ry.lex"),))
-        assert parse_records("".join(line + "\n" for line in manifest.header_lines())) == []
+        lines = _manifest_lines([("input lexicon", "x\ry.lex")])
+        assert parse_records("".join(line + "\n" for line in lines)) == []
 
 
 def _mine_params(max_iterations):
@@ -536,6 +530,31 @@ class TestErrors:
         assert main(["mine", ref, hyp]) == 1
         assert "missing from hypothesis" in capsys.readouterr().err
 
+    def test_merge_conflict_names_both_files(self, tmp_path, capsys):
+        ref = write(tmp_path, "a.lex", "garde\tV\tg__1\tSuj:NP\tACTIVE\tcoded\tl:1\n")
+        other = write(tmp_path, "b.lex", "garde\tN-PRED\tg__1\tSuj:NP\tACTIVE\tcoded\tl:2\n")
+        assert main(["merge", ref, other, "--out", str(tmp_path / "out")]) == 1
+        message = f"valex: error: {ref} vs {other}: mixed lemmas or categories: ['garde']\n"
+        assert capsys.readouterr().err == message
+        # a parse error is one file's alone, and keeps its one prefix
+        bad = write(tmp_path, "bad.lex", "garde\tV\n")
+        assert main(["merge", ref, bad, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(f"valex: error: {bad}:1: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_mine_mismatch_names_both_files(self, tmp_path, capsys):
+        ref = write(tmp_path, "r1.tsv", REF_RECORDS)
+        for text, message in [
+            ("s1\tfailed\ta,b\n", "sentence 's2' missing from hypothesis records"),
+            (HYP_RECORDS.replace("s2\tfailed\ta", "s2\tfailed\tx"), "form mismatch for sentence 's2'"),
+        ]:
+            hyp = write(tmp_path, "r2.tsv", text)
+            assert main(["mine", ref, hyp]) == 1
+            assert capsys.readouterr().err == f"valex: error: {ref} vs {hyp}: {message}\n"
+        bad = write(tmp_path, "bad.tsv", "s1\tmaybe\ta\n")
+        assert main(["mine", ref, bad]) == 1
+        assert capsys.readouterr().err.startswith(f"valex: error: {bad}:1: ")
+
     def test_parse_error_gives_its_line_once(self, tmp_path, capsys):
         bad = write(
             tmp_path, "bad.tsv", "# ok\ndonner\tV\td__1\tSuj:NP\tWEIRD\tcoded\tlefff:1\n"
@@ -620,6 +639,17 @@ class TestErrors:
         message = f"valex: error: manifest value {path!r} is not valid UTF-8 and cannot be written\n"
         assert capsys.readouterr() == ("", message)
         assert list(tmp_path.iterdir()) == []
+
+    def test_stdout_write_error_is_reported(self, tmp_path, capsys, monkeypatch):
+        class FullBuffer(io.BytesIO):
+            def write(self, data):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        stdout = io.TextIOWrapper(FullBuffer(), encoding="utf-8")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["lex", "parse", write(tmp_path, "ok.lex", LEXICON)]) == 1
+        assert capsys.readouterr().err == f"valex: error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
+        assert stdout.closed  # nothing is left buffered for exit to write again
 
     def test_unusable_out_directory(self, tmp_path, capsys):
         lexicon = write(tmp_path, "ok.lex", LEXICON)
@@ -811,14 +841,41 @@ def test_markup_import_loads_neither_the_scorer_nor_fractions():
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
+def _fresh_env(**variables):
+    """The environment of a fresh interpreter importing valex from this tree."""
+    src = str(Path(valex.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, str(BENCH)]), **variables}
+
+
 def _run_fresh(code, cwd=None):
     """stdout of code run in a fresh interpreter importing valex from this tree."""
-    src = str(Path(valex.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, str(BENCH)])}
     result = subprocess.run(
-        [sys.executable, "-c", code], env=env, cwd=cwd, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=_fresh_env(), cwd=cwd, capture_output=True, text=True, check=True
     )
     return result.stdout
+
+
+# An empty PYTHONUNBUFFERED leaves stdout block-buffered, so what could not
+# be written is still buffered when the interpreter flushes stdout at exit.
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_full_stdout_fails_with_one_error_line(tmp_path, unbuffered):
+    argv = [sys.executable, "-m", "valex.cli", "lex", "parse", write(tmp_path, "ok.lex", LEXICON)]
+    env = _fresh_env(PYTHONUNBUFFERED=unbuffered)
+    with open("/dev/full", "wb") as full:
+        result = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, env=env, text=True)
+    message = f"valex: error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
+    assert (result.returncode, result.stderr) == (1, message)
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_closed_stdout_pipe_fails_with_one_error_line(tmp_path, unbuffered):
+    argv = [sys.executable, "-m", "valex.cli", "lex", "parse", write(tmp_path, "ok.lex", LEXICON)]
+    env = _fresh_env(PYTHONUNBUFFERED=unbuffered)
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True) as proc:
+        proc.stdout.close()  # nothing reads the report
+        err = proc.stderr.read()
+    assert (proc.returncode, err) == (1, f"valex: error: cannot write stdout: {os.strerror(errno.EPIPE)}\n")
 
 
 # The valex modules each command loads; valex.errors and valex.relaxation
@@ -870,6 +927,8 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, command):
         argv, expected = [*command.split(), *paths, "--out", "out"], sorted(BASE_MODULES + COMMAND_MODULES[command])
     loaded = _loaded_by_main(argv, tmp_path)
     assert sorted(m for m in loaded if m == "valex" or m.startswith("valex.")) == expected
+    if command is None:  # valex.cli itself needs no dataclass, nor the inspect that dataclasses imports
+        assert not {"dataclasses", "inspect"} & loaded
     # the scorer's rationals and the annotation reader's expat are eval's alone
     eval_only = {"fractions", "xml.parsers.expat"}
     assert eval_only & loaded == (eval_only if command == "eval" else set())
