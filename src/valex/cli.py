@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import gc
 import importlib
 import os
@@ -38,7 +39,7 @@ _EXPORTS = {
     ),
     "markup": ("parse_passage",),
     "passage": ("coverage", "format_percent", "score_corpus"),
-    "freq": ("FrequencyTable", "lemma_counts", "parse_frequency_table", "parse_lemma_map", "rank_lemmas"),
+    "freq": ("lemma_counts", "parse_frequency_table", "rank_lemmas"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
@@ -197,7 +198,7 @@ def _mine(args, inputs):
     if args.top_k < 1:  # rank_suspects refuses it too, but only after the fixed point
         raise ValueError("top_k must be at least 1")
     params = MiningParams(epsilon=args.epsilon, max_iterations=args.max_iter)
-    result = compute_suspicion(_across(args, build_mining_corpus, *inputs), params)
+    result = _across(args, compute_suspicion, _across(args, build_mining_corpus, *inputs), params)
     ranked = rank_suspects(result.scores, args.top_k)
     if not result.converged:
         print(
@@ -216,7 +217,9 @@ def _mine(args, inputs):
 def _freq(args, inputs):
     if args.n < 1:  # rank_lemmas refuses it too, but only after every input is read
         raise ValueError("n must be at least 1")
-    counts, unmapped = lemma_counts(FrequencyTable(*inputs))
+    (table,) = inputs
+    # the map is read through the fold, with the table bound, so no form-to-lemma dict is held
+    counts, unmapped = _parse_file(args.lemma_map, functools.partial(lemma_counts, table))
     top = rank_lemmas(counts, args.n)
     if unmapped:
         print(f"valex: warning: {unmapped} unmapped forms ignored", file=sys.stderr)
@@ -236,7 +239,9 @@ def _build_parser() -> argparse.ArgumentParser:
         inputs as (name, parser name) pairs, whether --out is required, and
         its run function, which takes the arguments and an iterator that
         reads and parses each input as it is drawn, so that flags fail
-        before any read, and returns ({filename: body}, manifest params)."""
+        before any read, and returns ({filename: body}, manifest params).
+        An input whose parser name is None is left to the run function,
+        which reads it with _parse_file."""
         subparser = parent.add_parser(name, help=help)
         for input_name, _ in inputs:
             subparser.add_argument(input_name)
@@ -261,7 +266,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mine.add_argument("--max-iter", type=int, default=200)
     mine.add_argument("--top-k", type=int, default=20)
     freq = command(sub, "freq", "most frequent lemmas from a form frequency table", _freq, ("freq",),
-                   (("freq_table", "parse_frequency_table"), ("lemma_map", "parse_lemma_map")))
+                   (("freq_table", "parse_frequency_table"), ("lemma_map", None)))
     freq.add_argument("--n", type=int, default=100)
     return parser
 
@@ -279,9 +284,8 @@ def main(argv=None) -> int:
         paths = [(name, getattr(args, name)) for name, _ in args.inputs]
         # a path that its manifest line cannot hold fails before any read
         header = [f"# valex {__version__}", *_manifest_lines([(f"input {n}", path) for n, path in paths])]
-        # Looked up once loaded, so a replaced valex.cli.parse_lexicon, ... is the one called.
-        parsers = [globals()[parser] for _, parser in args.inputs]
-        parsed = (_parse_file(path, parse) for (_, path), parse in zip(paths, parsers))
+        # Looked up as drawn, so a replaced valex.cli.parse_lexicon, ... is the one called.
+        parsed = (_parse_file(getattr(args, name), globals()[parser]) for name, parser in args.inputs if parser)
         reports, params = args.run(args, parsed)
         header += _manifest_lines(params)
         for filename, body in reports.items():

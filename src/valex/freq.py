@@ -1,41 +1,49 @@
 """Lemma frequencies from a form frequency table.
 
 Inputs: a frequency table with ``form<TAB>count`` lines and a form-to-lemma
-map with ``form<TAB>lemma`` lines.
+map with ``form<TAB>lemma`` lines.  The table is parsed into one dict over
+its forms; the map is never held: lemma_counts folds its rows, as it reads
+them, into lemma counts over the table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import FormatError, parse_rows
 
 
 @dataclass(frozen=True)
 class FrequencyTable:
-    """Form counts plus a form-to-lemma map."""
+    """Form counts, by form."""
 
-    rows: tuple[tuple[str, int], ...]
-    lemma_map: dict[str, str] = field(default_factory=dict)
+    counts: dict[str, int]
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", tuple((f, c) for f, c in self.rows))
-        for form, count in self.rows:
+        for form, count in self.counts.items():
             if count < 0:
                 raise ValueError(f"negative count for form {form!r}")
 
 
-def lemma_counts(table: FrequencyTable) -> tuple[dict[str, int], int]:
-    """Aggregate counts by mapped lemma; returns (counts, unmapped rows)."""
+def lemma_counts(table: FrequencyTable, map_text: str) -> tuple[dict[str, int], int]:
+    """Aggregate the table's counts by lemma through the form-to-lemma map
+    text, read row by row; returns (counts, table forms the map lacks).
+
+    No form-to-lemma dict is built: a repeated map form is caught against
+    the table's forms not yet mapped, or against the map forms it lacks.
+    """
+    unmapped = dict(table.counts)  # this call's marker: popped as mapped
+    absent: set[str] = set()
     counts: dict[str, int] = {}
-    unmapped = 0
-    for form, count in table.rows:
-        lemma = table.lemma_map.get(form)
-        if lemma is None:
-            unmapped += 1
-            continue
-        counts[lemma] = counts.get(lemma, 0) + count
-    return counts, unmapped
+    for line, (form, lemma) in parse_rows(map_text, _lemma_row):
+        count = unmapped.pop(form, None)
+        if count is not None:
+            counts[lemma] = counts.get(lemma, 0) + count
+        elif form in absent or form in table.counts:
+            raise FormatError(f"duplicate form in lemma map: {form!r}", line)
+        else:
+            absent.add(form)
+    return counts, len(unmapped)
 
 
 def rank_lemmas(counts: dict[str, int], n: int) -> list[str]:
@@ -45,9 +53,9 @@ def rank_lemmas(counts: dict[str, int], n: int) -> list[str]:
     return sorted(counts, key=lambda lemma: (-counts[lemma], lemma))[:n]
 
 
-def top_lemmas(table: FrequencyTable, n: int) -> list[str]:
+def top_lemmas(table: FrequencyTable, map_text: str, n: int) -> list[str]:
     """The n most frequent lemmas, ties broken lexicographically."""
-    return rank_lemmas(lemma_counts(table)[0], n)
+    return rank_lemmas(lemma_counts(table, map_text)[0], n)
 
 
 def _form_pair(second: str, fields: list[str]) -> list[str]:
@@ -77,26 +85,10 @@ def _count_row(fields: list[str]) -> tuple[str, int]:
     return form, count
 
 
-def _unique_forms(text: str, parse_row, what: str) -> dict:
-    mapping: dict = {}
-    for line, (form, value) in parse_rows(text, parse_row):
-        if form in mapping:
-            raise FormatError(f"duplicate form in {what}: {form!r}", line)
-        mapping[form] = value
-    return mapping
-
-
-def parse_frequency_table(text: str) -> tuple[tuple[str, int], ...]:
-    return tuple(_unique_forms(text, _count_row, "frequency table").items())
-
-
-def parse_lemma_map(text: str) -> dict[str, str]:
-    """The form-to-lemma map, holding one string per distinct lemma: each
-    row's copy is dropped as it is read, which keeps the peak small."""
-    lemmas: dict[str, str] = {}
-
-    def row(fields: list[str]) -> tuple[str, str]:
-        form, lemma = _lemma_row(fields)
-        return form, lemmas.setdefault(lemma, lemma)
-
-    return _unique_forms(text, row, "lemma map")
+def parse_frequency_table(text: str) -> FrequencyTable:
+    counts: dict[str, int] = {}
+    for line, (form, count) in parse_rows(text, _count_row):
+        if form in counts:
+            raise FormatError(f"duplicate form in frequency table: {form!r}", line)
+        counts[form] = count
+    return FrequencyTable(counts)

@@ -1,4 +1,5 @@
 import errno
+import functools
 import gc
 import io
 import itertools
@@ -13,16 +14,14 @@ import pytest
 import valex
 from valex import __version__
 from valex.cli import (
-    FrequencyTable,
     _manifest_lines,
     lemma_counts,
     main,
     parse_frequency_table,
-    parse_lemma_map,
 )
 from valex.checker import parse_corpus
 from valex.errors import FormatError
-from valex.freq import top_lemmas
+from valex.freq import FrequencyTable, top_lemmas
 from valex.lexicon import parse_lexicon
 from valex.mining import (
     MiningParams,
@@ -88,49 +87,92 @@ def header_lines(path):
     return [l for l in text.splitlines() if l.startswith("#")]
 
 
+def lemma_map_text(rows):
+    return "".join(f"{form}\t{lemma}\n" for form, lemma in rows)
+
+
+def fold_lemma_map(text):
+    """The lemma map read through the fold, with the FREQ_TABLE table bound."""
+    return lemma_counts(parse_frequency_table(FREQ_TABLE), text)
+
+
 class TestFrequency:
     def table(self):
-        return FrequencyTable(
-            parse_frequency_table(FREQ_TABLE), parse_lemma_map(LEMMA_MAP)
-        )
+        return parse_frequency_table(FREQ_TABLE)
 
     def test_lemma_counts(self):
-        counts, unmapped = lemma_counts(self.table())
+        counts, unmapped = lemma_counts(self.table(), LEMMA_MAP)
         assert counts == {"donner": 8, "aller": 2}
         assert unmapped == 1
 
     def test_top_lemmas(self):
-        assert top_lemmas(self.table(), 1) == ["donner"]
-        assert top_lemmas(self.table(), 10) == ["donner", "aller"]
+        assert top_lemmas(self.table(), LEMMA_MAP, 1) == ["donner"]
+        assert top_lemmas(self.table(), LEMMA_MAP, 10) == ["donner", "aller"]
 
     def test_ties_break_lexicographically(self):
-        table = FrequencyTable(
-            (("x", 5), ("y", 5), ("z", 9)),
-            {"x": "beta", "y": "alpha", "z": "gamma"},
-        )
-        assert top_lemmas(table, 3) == ["gamma", "alpha", "beta"]
+        table = FrequencyTable({"x": 5, "y": 5, "z": 9})
+        mapping = lemma_map_text([("x", "beta"), ("y", "alpha"), ("z", "gamma")])
+        assert top_lemmas(table, mapping, 3) == ["gamma", "alpha", "beta"]
 
     def test_aggregation_oracle(self):
         rng = random.Random(139)
         for _ in range(20):
             forms = [f"f{k}" for k in range(rng.randint(1, 15))]
-            rows = tuple((rng.choice(forms), rng.randint(0, 9)) for _ in range(20))
+            table = {f: rng.randint(0, 9) for f in forms if rng.random() < 0.8}
             mapping = {f: f"l{rng.randint(0, 3)}" for f in forms if rng.random() < 0.8}
             expected = {}
             missing = 0
-            for form, count in rows:
+            for form, count in table.items():
                 if form in mapping:
                     lemma = mapping[form]
                     expected[lemma] = expected.get(lemma, 0) + count
                 else:
                     missing += 1
-            assert lemma_counts(FrequencyTable(rows, mapping)) == (expected, missing)
+            assert lemma_counts(FrequencyTable(table), lemma_map_text(mapping.items())) == (expected, missing)
+
+    def test_fold_oracle(self):
+        # forms only in the table, forms only in the map, and a repeated map
+        # form that the table has or lacks, against a plain-dict reference
+        rng = random.Random(211)
+        repeats = {True: 0, False: 0}  # by whether the table has the repeated form
+        for _ in range(300):
+            forms = [f"f{k}" for k in range(rng.randint(1, 12))]
+            table = {f: rng.randint(0, 99) for f in forms if rng.random() < 0.7}
+            rows = [(f, f"l{rng.randint(0, 3)}") for f in forms if rng.random() < 0.7]
+            if rows and rng.random() < 0.5:
+                rows.insert(rng.randint(1, len(rows)), (rng.choice(rows)[0], "l9"))
+            rng.shuffle(rows)
+            mapping, repeat = {}, None
+            for line, (form, lemma) in enumerate(rows, start=1):
+                if form in mapping:
+                    repeat = (line, form)
+                    break
+                mapping[form] = lemma
+            expected = {}
+            for form, count in table.items():
+                if form in mapping:
+                    expected[mapping[form]] = expected.get(mapping[form], 0) + count
+            reference = (expected, sum(form not in mapping for form in table))
+            frozen = FrequencyTable(dict(table))
+            text = lemma_map_text(rows)
+            if repeat is None:
+                assert lemma_counts(frozen, text) == reference
+            else:
+                line, form = repeat
+                repeats[form in table] += 1
+                with pytest.raises(FormatError) as err:
+                    lemma_counts(frozen, text)
+                assert (err.value.line, err.value.message) == (line, f"duplicate form in lemma map: {form!r}")
+            # a second fold of the same table, after a whole or an aborted one, counts alike
+            assert lemma_counts(frozen, lemma_map_text(mapping.items())) == reference
+            assert frozen.counts == table
+        assert min(repeats.values()) >= 10
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            FrequencyTable((("a", -1),))
+            FrequencyTable({"a": -1})
         with pytest.raises(ValueError):
-            top_lemmas(self.table(), 0)
+            top_lemmas(self.table(), LEMMA_MAP, 0)
 
     @pytest.mark.parametrize(
         "text, fragment",
@@ -150,14 +192,15 @@ class TestFrequency:
         assert fragment in str(err.value)
 
     def test_map_rejects_duplicate_form(self):
-        with pytest.raises(FormatError, match="duplicate form"):
-            parse_lemma_map("a\tx\na\ty\n")
+        for table in ("", "a\t1\n"):  # a form the table lacks, then one it has
+            with pytest.raises(FormatError, match="duplicate form") as err:
+                lemma_counts(parse_frequency_table(table), "a\tx\na\ty\n")
+            assert err.value.line == 2
 
-    def test_map_holds_one_string_per_lemma(self):
-        mapping = parse_lemma_map(LEMMA_MAP + "# c\ndonnait\tdonner\nallez\taller\n")
-        assert mapping == {"donne": "donner", "donnes": "donner", "va": "aller", "donnait": "donner", "allez": "aller"}
-        assert mapping["donne"] is mapping["donnes"] is mapping["donnait"]
-        assert mapping["va"] is mapping["allez"]
+    def test_map_rows_after_a_comment_are_counted(self):
+        table = parse_frequency_table(FREQ_TABLE + "donnait\t4\nallez\t1\n")
+        counts = lemma_counts(table, LEMMA_MAP + "# c\ndonnait\tdonner\nallez\taller\n")
+        assert counts == ({"donner": 12, "aller": 3}, 1)
 
 
 class TestManifest:
@@ -475,7 +518,8 @@ class TestFreqCommand:
         # lines end at LF only, and no field holds a CR, in the library as on the command line
         table_text, map_text = "va\t2\ndo\rnne\t5\n", "do\rnne\tdonner\nva\taller\n"
         message = "field 'do\\rnne' contains a CR that does not end its line"
-        for parse, text, line in ((parse_frequency_table, table_text, 2), (parse_lemma_map, map_text, 1)):
+        fold = functools.partial(lemma_counts, parse_frequency_table("va\t2\n"))
+        for parse, text, line in ((parse_frequency_table, table_text, 2), (fold, map_text, 1)):
             with pytest.raises(FormatError) as err:
                 parse(text)
             assert (err.value.line, err.value.message) == (line, message)
@@ -554,6 +598,19 @@ class TestErrors:
         bad = write(tmp_path, "bad.tsv", "s1\tmaybe\ta\n")
         assert main(["mine", ref, bad]) == 1
         assert capsys.readouterr().err.startswith(f"valex: error: {bad}:1: ")
+
+    def test_mine_empty_corpus_names_both_files(self, tmp_path, capsys):
+        ref, hyp = write(tmp_path, "e1.tsv", ""), write(tmp_path, "e2.tsv", "# no records\n")
+        assert main(["mine", ref, hyp]) == 1
+        assert capsys.readouterr().err == f"valex: error: {ref} vs {hyp}: cannot mine an empty corpus\n"
+
+    def test_mine_with_no_analyzable_reference_sentence_names_both_files(self, tmp_path, capsys):
+        # the reference analyzes none of the sentences, so none is kept
+        ref = write(tmp_path, "r1.tsv", HYP_RECORDS.replace("\tok\t", "\tfailed\t"))
+        hyp = write(tmp_path, "r2.tsv", REF_RECORDS)
+        assert main(["mine", ref, hyp, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"valex: error: {ref} vs {hyp}: cannot mine an empty corpus\n"
+        assert not (tmp_path / "out").exists()
 
     def test_parse_error_gives_its_line_once(self, tmp_path, capsys):
         bad = write(
@@ -758,7 +815,7 @@ def test_crlf_input_gives_the_lf_report(tmp_path, monkeypatch, command):
         (parse_records, REF_RECORDS),
         (parse_mining_corpus, HYP_RECORDS),
         (parse_frequency_table, FREQ_TABLE),
-        (parse_lemma_map, LEMMA_MAP),
+        (fold_lemma_map, LEMMA_MAP),
     ],
 )
 def test_tab_parse_leaves_no_cyclic_garbage(parse, text):
@@ -793,7 +850,7 @@ def test_main_restores_the_callers_gc_setting(tmp_path, monkeypatch, enabled):
 
 @pytest.mark.parametrize(
     "parse",
-    [parse_lexicon, parse_corpus, parse_records, parse_mining_corpus, parse_frequency_table, parse_lemma_map],
+    [parse_lexicon, parse_corpus, parse_records, parse_mining_corpus, parse_frequency_table, fold_lemma_map],
     ids=lambda parse: parse.__name__,
 )
 @pytest.mark.parametrize("char", LINE_BREAK_LOOKALIKES)
