@@ -13,7 +13,7 @@ import argparse
 import contextlib
 import functools
 import gc
-import importlib
+import importlib.util
 import os
 import sys
 import tempfile
@@ -23,45 +23,24 @@ from . import __version__
 from .errors import FormatError, write_rows
 from .relaxation import RelaxationMode
 
-# The domain names valex.cli offers, by home module.  Importing valex.cli
-# loads none of these modules: main loads those its command declares once
-# the flags are parsed, and a first valex.cli.<name> loads that name's home.
-# Either way every name whose home is then loaded is bound here, but only if
-# it is still unbound, so a replaced name (a test's stub, a tracer's wrapper)
-# stays, and the run functions, which look their names up here, call it.
-_EXPORTS = {
-    "lexicon": ("lexicon_stats", "parse_lexicon", "serialize_lexicon"),
-    "merge": ("merge_lexicons", "serialize_merge_report"),
-    "checker": ("FailureReason", "diagnose_corpus", "parse_corpus"),
-    "mining": (
-        "MiningParams", "build_mining_corpus", "compute_suspicion", "format_suspects",
-        "parse_records", "rank_suspects", "serialize_records",
-    ),
-    "markup": ("parse_passage",),
-    "passage": ("coverage", "format_percent", "score_corpus"),
-    "freq": ("lemma_counts", "parse_frequency_table", "rank_lemmas"),
-}
-_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+def _lazy(name: str):
+    """valex.<name>, registered but not run until its first attribute
+    access, so each command runs only the modules it uses."""
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = sys.modules[fullname] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)  # as an import binds valex.<name>
+    return module
 
 
-def _load(*modules: str) -> None:
-    """Import the named domain modules, then bind every unbound name of
-    _EXPORTS whose home is loaded (checker, for one, loads mining)."""
-    for module in modules:
-        importlib.import_module(f"{__package__}.{module}")
-    namespace = globals()
-    for module, names in _EXPORTS.items():
-        if (home := sys.modules.get(f"{__package__}.{module}")) is not None:
-            for name in names:
-                namespace.setdefault(name, getattr(home, name))
-
-
-def __getattr__(name: str):
-    """valex.cli.<name> for a domain name not yet bound (PEP 562)."""
-    if name not in _HOME:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _load(_HOME[name])
-    return globals()[name]
+# Domain functions are called as lexicon.parse_lexicon, ..., looked up at
+# each call, so a function replaced on its home module is the one main calls.
+checker, freq, lexicon, markup, merge, mining, passage = map(
+    _lazy, ("checker", "freq", "lexicon", "markup", "merge", "mining", "passage"))
 
 
 def _manifest_lines(pairs) -> list[str]:
@@ -131,7 +110,7 @@ def _write(out_dir: str | None, filename: str, header: list[str], body: str) -> 
 
 def _across(args, function, *call_args):
     """function(*call_args) on both inputs, parsed by then; its ValueError names both files."""
-    first, second = (getattr(args, name) for name, _ in args.inputs)
+    first, second = (getattr(args, name) for name, *_ in args.inputs)
     try:
         return function(*call_args)
     except ValueError as exc:
@@ -139,11 +118,11 @@ def _across(args, function, *call_args):
 
 
 def _lex_parse(args, inputs):
-    return {"canonical.lex": serialize_lexicon(*inputs)}, ()
+    return {"canonical.lex": lexicon.serialize_lexicon(*inputs)}, ()
 
 
 def _lex_stats(args, inputs):
-    stats = lexicon_stats(*inputs)
+    stats = lexicon.lexicon_stats(*inputs)
     rows = [
         ("lemmas", str(stats.lemma_count)),
         ("entries", str(stats.entry_count)),
@@ -155,21 +134,21 @@ def _lex_stats(args, inputs):
 
 
 def _merge(args, inputs):
-    merged, report = _across(args, merge_lexicons, *inputs)
-    reports = {"merged.lex": serialize_lexicon(merged), "merge_report.tsv": serialize_merge_report(report)}
+    merged, report = _across(args, merge.merge_lexicons, *inputs)
+    reports = {"merged.lex": lexicon.serialize_lexicon(merged), "merge_report.tsv": merge.serialize_merge_report(report)}
     return reports, ()
 
 
 def _check(args, inputs):
-    records, histogram = diagnose_corpus(*inputs)
-    failures = write_rows((reason.value, str(histogram.get(reason, 0))) for reason in FailureReason)
-    return {"records.tsv": serialize_records(records), "failures.tsv": failures}, ()
+    records, histogram = checker.diagnose_corpus(*inputs)
+    failures = write_rows((reason.value, str(histogram.get(reason, 0))) for reason in checker.FailureReason)
+    return {"records.tsv": mining.serialize_records(records), "failures.tsv": failures}, ()
 
 
 def _scores_row(kind: str, label: str, scores) -> tuple[str, ...]:
     counts = (scores.tp, scores.gold_count, scores.hyp_count)
     ratios = (scores.precision, scores.recall, scores.f_measure)
-    return (kind, label, *map(str, counts), *map(format_percent, ratios))
+    return (kind, label, *map(str, counts), *map(passage.format_percent, ratios))
 
 
 def _eval(args, inputs):
@@ -178,14 +157,14 @@ def _eval(args, inputs):
         if not annotations:
             raise ValueError(f"{path}: no <S> sentence to evaluate")
     mode = RelaxationMode(args.mode)
-    scores = _across(args, score_corpus, gold, hyp, mode)  # the sentence ids or token counts differ
-    covered = coverage(hyp)
+    scores = _across(args, passage.score_corpus, gold, hyp, mode)  # the sentence ids or token counts differ
+    covered = passage.coverage(hyp)
     rows = [
         ("summary", "sentences", str(covered.total)),
         ("summary", "coverage_count", str(covered.covered)),
         ("summary", "coverage_pct", covered.percent_display),
-        ("summary", "constituents_f", format_percent(scores.constituents.f_measure)),
-        ("summary", "relations_f", format_percent(scores.relations.f_measure)),
+        ("summary", "constituents_f", passage.format_percent(scores.constituents.f_measure)),
+        ("summary", "relations_f", passage.format_percent(scores.relations.f_measure)),
         _scores_row("constituent", "ALL", scores.constituents),
         *(_scores_row("constituent", t.value, s) for t, s in scores.per_constituent.items()),
         _scores_row("relation", "ALL", scores.relations),
@@ -197,15 +176,15 @@ def _eval(args, inputs):
 def _mine(args, inputs):
     if args.top_k < 1:  # rank_suspects refuses it too, but only after the fixed point
         raise ValueError("top_k must be at least 1")
-    params = MiningParams(epsilon=args.epsilon, max_iterations=args.max_iter)
-    result = _across(args, compute_suspicion, _across(args, build_mining_corpus, *inputs), params)
-    ranked = rank_suspects(result.scores, args.top_k)
+    params = mining.MiningParams(epsilon=args.epsilon, max_iterations=args.max_iter)
+    result = _across(args, mining.compute_suspicion, _across(args, mining.build_mining_corpus, *inputs), params)
+    ranked = mining.rank_suspects(result.scores, args.top_k)
     if not result.converged:
         print(
             f"valex: warning: fixed point not converged after {result.iterations_used} iterations",
             file=sys.stderr,
         )
-    return {"suspects.tsv": format_suspects(ranked)}, (
+    return {"suspects.tsv": mining.format_suspects(ranked)}, (
         ("epsilon", repr(params.epsilon)),
         ("max_iterations", str(params.max_iterations)),
         ("iterations_used", str(result.iterations_used)),
@@ -219,8 +198,8 @@ def _freq(args, inputs):
         raise ValueError("n must be at least 1")
     (table,) = inputs
     # the map is read through the fold, with the table bound, so no form-to-lemma dict is held
-    counts, unmapped = _parse_file(args.lemma_map, functools.partial(lemma_counts, table))
-    top = rank_lemmas(counts, args.n)
+    counts, unmapped = _parse_file(args.lemma_map, functools.partial(freq.lemma_counts, table))
+    top = freq.rank_lemmas(counts, args.n)
     if unmapped:
         print(f"valex: warning: {unmapped} unmapped forms ignored", file=sys.stderr)
     ranked = ((str(rank), lemma, str(counts[lemma])) for rank, lemma in enumerate(top, start=1))
@@ -234,40 +213,40 @@ def _build_parser() -> argparse.ArgumentParser:
     lex = sub.add_parser("lex", help="inspect a lexicon file")
     lex_sub = lex.add_subparsers(dest="lex_command", required=True)
 
-    def command(parent, name, help, run, modules, inputs, out_required=False):
-        """Register a command: the domain modules it runs, its positional
-        inputs as (name, parser name) pairs, whether --out is required, and
-        its run function, which takes the arguments and an iterator that
-        reads and parses each input as it is drawn, so that flags fail
-        before any read, and returns ({filename: body}, manifest params).
-        An input whose parser name is None is left to the run function,
-        which reads it with _parse_file."""
+    def command(parent, name, help, run, inputs, out_required=False):
+        """Register a command: its positional inputs as (name, module,
+        parser name) triples, whether --out is required, and its run
+        function, which takes the arguments and an iterator that reads and
+        parses each input as it is drawn, so that flags fail before any
+        read, and returns ({filename: body}, manifest params).  An input
+        whose parser name is None is left to the run function, which reads
+        it with _parse_file."""
         subparser = parent.add_parser(name, help=help)
-        for input_name, _ in inputs:
+        for input_name, *_ in inputs:
             subparser.add_argument(input_name)
         out_help = "output directory" if out_required else "output directory (default stdout)"
         subparser.add_argument("--out", required=out_required, help=out_help)
-        subparser.set_defaults(run=run, modules=modules, inputs=inputs)
+        subparser.set_defaults(run=run, inputs=inputs)
         return subparser
 
-    lexicon = ("lexicon", "parse_lexicon")
-    command(lex_sub, "parse", "validate and re-emit canonical form", _lex_parse, ("lexicon",), (lexicon,))
-    command(lex_sub, "stats", "lemma/entry counts and ambiguity top list", _lex_stats, ("lexicon",), (lexicon,))
-    command(sub, "merge", "merge two lexicons", _merge, ("lexicon", "merge"),
-            (("ref", "parse_lexicon"), ("other", "parse_lexicon")), out_required=True)
+    lex_input = ("lexicon", lexicon, "parse_lexicon")
+    command(lex_sub, "parse", "validate and re-emit canonical form", _lex_parse, (lex_input,))
+    command(lex_sub, "stats", "lemma/entry counts and ambiguity top list", _lex_stats, (lex_input,))
+    command(sub, "merge", "merge two lexicons", _merge,
+            (("ref", lexicon, "parse_lexicon"), ("other", lexicon, "parse_lexicon")), out_required=True)
     command(sub, "check", "check an observed-frame corpus against a lexicon", _check,
-            ("lexicon", "checker", "mining"), (lexicon, ("corpus", "parse_corpus")), out_required=True)
+            (lex_input, ("corpus", checker, "parse_corpus")), out_required=True)
     evaluate = command(sub, "eval", "score hypothesis annotations against gold", _eval,
-                       ("markup", "passage"), (("gold", "parse_passage"), ("hyp", "parse_passage")))
+                       (("gold", markup, "parse_passage"), ("hyp", markup, "parse_passage")))
     evaluate.add_argument("--mode", choices=[m.value for m in RelaxationMode], default="exact")
-    mine = command(sub, "mine", "mine suspicious forms from two record files", _mine, ("mining",),
-                   (("ref_records", "parse_records"), ("hyp_records", "parse_records")))
+    mine = command(sub, "mine", "mine suspicious forms from two record files", _mine,
+                   (("ref_records", mining, "parse_records"), ("hyp_records", mining, "parse_records")))
     mine.add_argument("--epsilon", type=float, default=1e-9)
     mine.add_argument("--max-iter", type=int, default=200)
     mine.add_argument("--top-k", type=int, default=20)
-    freq = command(sub, "freq", "most frequent lemmas from a form frequency table", _freq, ("freq",),
-                   (("freq_table", "parse_frequency_table"), ("lemma_map", None)))
-    freq.add_argument("--n", type=int, default=100)
+    top = command(sub, "freq", "most frequent lemmas from a form frequency table", _freq,
+                  (("freq_table", freq, "parse_frequency_table"), ("lemma_map", None, None)))
+    top.add_argument("--n", type=int, default=100)
     return parser
 
 
@@ -275,17 +254,16 @@ def main(argv=None) -> int:
     """Parse the command's inputs, run it, and write each report it returns
     under one manifest: the inputs by argument name, then its parameters."""
     args = _build_parser().parse_args(argv)
-    _load(*args.modules)
     # A command builds an acyclic model and exits, so the cyclic collector
     # would only re-scan it; the caller's setting is restored on return.
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        paths = [(name, getattr(args, name)) for name, _ in args.inputs]
+        paths = [(name, getattr(args, name)) for name, *_ in args.inputs]
         # a path that its manifest line cannot hold fails before any read
         header = [f"# valex {__version__}", *_manifest_lines([(f"input {n}", path) for n, path in paths])]
-        # Looked up as drawn, so a replaced valex.cli.parse_lexicon, ... is the one called.
-        parsed = (_parse_file(getattr(args, name), globals()[parser]) for name, parser in args.inputs if parser)
+        # The parser is looked up as its input is drawn, which runs its module.
+        parsed = (_parse_file(getattr(args, name), getattr(module, parser)) for name, module, parser in args.inputs if parser)
         reports, params = args.run(args, parsed)
         header += _manifest_lines(params)
         for filename, body in reports.items():

@@ -180,9 +180,9 @@ def format_fixed(value, places: int = 2) -> str:
     """Decimal string with the given places, rounding half away from zero."""
     q = Fraction(value)
     scale = 10**places
-    sign = "-" if q < 0 else ""
     n, d = abs(q * scale).numerator, abs(q * scale).denominator
     units = (2 * n + d) // (2 * d)
+    sign = "-" if q < 0 and units else ""  # no negative zero
     whole, part = divmod(units, scale)
     return f"{sign}{whole}.{part:0{places}d}" if places else f"{sign}{whole}"
 

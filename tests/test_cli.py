@@ -13,15 +13,10 @@ import pytest
 
 import valex
 from valex import __version__
-from valex.cli import (
-    _manifest_lines,
-    lemma_counts,
-    main,
-    parse_frequency_table,
-)
+from valex.cli import _manifest_lines, main
 from valex.checker import parse_corpus
 from valex.errors import FormatError
-from valex.freq import FrequencyTable, top_lemmas
+from valex.freq import FrequencyTable, lemma_counts, parse_frequency_table, top_lemmas
 from valex.lexicon import parse_lexicon
 from valex.mining import (
     MiningParams,
@@ -466,7 +461,7 @@ class TestMineCommand:
         def refuse(*args, **kwargs):
             raise AssertionError("the fixed point ran")
 
-        monkeypatch.setattr(valex.cli, "compute_suspicion", refuse)
+        monkeypatch.setattr(valex.mining, "compute_suspicion", refuse)
         ref = write(tmp_path, "ref.tsv", REF_RECORDS)
         hyp = write(tmp_path, "hyp.tsv", HYP_RECORDS)
         out = tmp_path / "out"
@@ -835,8 +830,8 @@ def test_tab_parse_leaves_no_cyclic_garbage(parse, text):
 def test_main_restores_the_callers_gc_setting(tmp_path, monkeypatch, enabled):
     lexicon = write(tmp_path, "ok.lex", LEXICON)
     seen = []
-    original = valex.cli.parse_lexicon
-    monkeypatch.setattr(valex.cli, "parse_lexicon", lambda text: seen.append(gc.isenabled()) or original(text))
+    original = valex.lexicon.parse_lexicon
+    monkeypatch.setattr(valex.lexicon, "parse_lexicon", lambda text: seen.append(gc.isenabled()) or original(text))
     was_enabled = gc.isenabled()
     try:
         (gc.enable if enabled else gc.disable)()
@@ -958,21 +953,33 @@ COMMAND_FILES = {
 }
 
 
+# The domain modules importing valex.cli registers; each runs on its first use.
+DOMAIN_MODULES = sorted({m for modules in COMMAND_MODULES.values() for m in modules})
+
+
 def _loaded_by_main(argv, cwd):
-    """The modules main loads in a fresh interpreter, beyond those the
-    interpreter holds at start-up, after it returns status 0."""
+    """The modules whose code ran in a fresh interpreter, beyond those it
+    holds at start-up, after main returns status 0.  A module registered
+    but not yet run is still an importlib.util._LazyModule."""
     code = (
-        "import sys\n"
+        "import sys, types\n"
         "before = set(sys.modules)\n"
+        "def new(ran):\n"
+        "    return sorted(m for m in set(sys.modules) - before if (type(sys.modules[m]) is types.ModuleType) is ran)\n"
         "from valex.cli import main\n"
+        "print(*new(False))\n"
         "try:\n"
         f"    status = main({argv!r})\n"
         "except SystemExit as exc:\n"
         "    status = exc.code\n"
         "assert status == 0, status\n"
-        "print(*sorted(set(sys.modules) - before))\n"
+        "print(*new(True))\n"
     )
-    return set(_run_fresh(code, cwd).split())
+    lines = _run_fresh(code, cwd).splitlines()  # --version prints its own line between
+    registered, loaded = lines[0], lines[-1]
+    # importing valex.cli registers the domain modules and runs none of them
+    assert registered.split() == DOMAIN_MODULES
+    return set(loaded.split())
 
 
 @pytest.mark.parametrize("command", [None, *COMMAND_MODULES], ids=lambda c: c or "--version")
@@ -991,33 +998,35 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, command):
     assert eval_only & loaded == (eval_only if command == "eval" else set())
 
 
-def test_every_traced_layer_function_is_its_home_modules_on_valex_cli():
-    # looked up on valex.cli first, in the tracer's order, as its traced pass
-    # does in a process that has imported only valex.cli
+def test_tracer_finds_every_layer_function_on_its_home_module():
+    # as the traced pass does, in a process that has imported only valex.cli
     code = (
-        "import importlib, valex.cli as cli\n"
-        "from layertrace import LAYER_FUNCTIONS\n"
+        "import importlib, valex.cli\n"
+        "from layertrace import LAYER_FUNCTIONS, Tracer, patched\n"
+        "with patched(Tracer()) as (originals, missing):\n"
+        "    assert missing == [], missing\n"
         "for layer, name, _ in LAYER_FUNCTIONS:\n"
-        "    assert getattr(cli, name) is getattr(importlib.import_module('valex.' + layer), name), name\n"
-        "print(len(LAYER_FUNCTIONS))\n"
+        "    assert originals[name] is getattr(importlib.import_module('valex.' + layer), name), name\n"
+        "print(len(originals))\n"
     )
     assert int(_run_fresh(code)) == 14
 
 
-def test_name_replaced_on_valex_cli_before_main_survives_it(tmp_path):
+def test_function_replaced_on_its_home_module_before_main_is_called(tmp_path):
     lexicon = write(tmp_path, "ok.lex", LEXICON)
     code = (
-        "import valex.cli as cli\n"
-        "from valex.lexicon import parse_lexicon\n"
+        "import sys, types, valex.cli as cli\n"
         "calls = []\n"
         "def stub(text):\n"
         "    calls.append(text)\n"
-        "    return parse_lexicon(text)\n"
+        "    return text\n"
         "def stats(lexicon):\n"
         "    raise ValueError('stubbed')\n"
-        "cli.parse_lexicon, cli.lexicon_stats = stub, stats\n"
+        "cli.lexicon.parse_lexicon, cli.lexicon.lexicon_stats = stub, stats\n"
+        "assert type(sys.modules['valex.lexicon']) is not types.ModuleType  # replaced before its code ran\n"
         f"assert cli.main(['lex', 'stats', {lexicon!r}]) == 1\n"
-        "assert cli.parse_lexicon is stub and cli.lexicon_stats is stats\n"
+        "import valex.lexicon\n"
+        "assert valex.lexicon.parse_lexicon is stub and valex.lexicon.lexicon_stats is stats\n"
         "assert len(calls) == 1\n"
         "print('ok')\n"
     )

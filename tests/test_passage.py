@@ -739,6 +739,10 @@ class TestFormatting:
         assert format_fixed(Fraction(1, 3), 2) == "0.33"
         assert format_fixed(Fraction(7), 0) == "7"
         assert format_fixed(Fraction(8921, 100), 2) == "89.21"
+        # a negative value that rounds to zero carries no sign
+        assert format_fixed(Fraction(-1, 1000), 2) == "0.00"
+        assert format_fixed(Fraction(-2, 5), 0) == "0"
+        assert format_fixed(Fraction(-1, 200), 2) == "-0.01"
 
     def test_percent(self):
         assert format_percent(Fraction(2, 3)) == "66.67"
