@@ -192,16 +192,11 @@ def _parse_pair(pair: str) -> tuple[SyntacticFunction, Realization]:
 
 def parse_corpus(text: str) -> list[tuple[str, list[ObservedFrame]]]:
     """Parse the corpus annotation format, grouping frames by sentence id
-    in first-appearance order.  Each distinct slot pair and (lemma,
-    redistribution, slots) triple of fields is parsed once per call; lines
-    that repeat a triple share its frame."""
+    in first-appearance order.  Each distinct slot pair and frame is parsed
+    once per call: lines whose lemma, redistribution and set of slot tokens
+    agree, in whatever order the slots are listed, share one frame."""
     parse_pair = functools.cache(_parse_pair)
-
-    @functools.cache
-    def parse_frame(lemma: str, redist_tok: str, slots_tok: str) -> ObservedFrame:
-        context = Redistribution.parse(redist_tok, "redistribution")
-        tokens = slots_tok.split(";") if slots_tok else ()
-        return ObservedFrame(lemma, frozenset(parse_pair(token) for token in tokens), context)
+    frames: dict[tuple[str, str, frozenset[str]], ObservedFrame] = {}
 
     def parse_row(fields: list[str]) -> tuple[str, ObservedFrame]:
         if len(fields) != 4:
@@ -209,7 +204,16 @@ def parse_corpus(text: str) -> list[tuple[str, list[ObservedFrame]]]:
         sentence_id, lemma, redist_tok, slots_tok = fields
         if not sentence_id:
             raise FormatError("empty sentence id")
-        return sentence_id, parse_frame(lemma, redist_tok, slots_tok)
+        tokens = slots_tok.split(";") if slots_tok else ()
+        # each token names one slot pair, so the token set is the frame's slot set
+        key = (lemma, redist_tok, frozenset(tokens))
+        frame = frames.get(key)
+        if frame is None:
+            # in line order, so that the first bad token of the line is the one reported
+            context = Redistribution.parse(redist_tok, "redistribution")
+            slots = frozenset([parse_pair(token) for token in tokens])
+            frame = frames[key] = ObservedFrame(lemma, slots, context)
+        return sentence_id, frame
 
     grouped: dict[str, list[ObservedFrame]] = {}
     for _, (sentence_id, frame) in parse_rows(text, parse_row):

@@ -16,7 +16,6 @@ import gc
 import importlib.util
 import os
 import sys
-import tempfile
 from pathlib import Path
 
 from . import __version__
@@ -96,7 +95,10 @@ def _write(out_dir: str | None, filename: str, header: list[str], body: str) -> 
     target = Path(out_dir) / filename
     try:
         target.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_path = tempfile.mkstemp(prefix=filename + ".", dir=target.parent)
+        # created 0o666 less the umask, as a shell redirection creates a file
+        # (mkstemp would give 0o600); O_EXCL refuses a name another run holds
+        tmp_path = target.with_name(f"{filename}.{os.urandom(6).hex()}")
+        fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "wb") as handle:
                 handle.write(data)

@@ -496,6 +496,28 @@ class TestCorpusFormat:
         assert corpus[0][1][1] == obs("dormir", {(F.SUJ, NP)})
         assert parse_corpus(serialize_corpus(corpus)) == corpus
 
+    def test_one_frame_per_frame_value_whatever_the_slot_order(self):
+        text = (
+            "s1\tdonner\tACTIVE\tSuj:NP;Obj:NP;Obja:PP(à)\n"
+            "s2\tdonner\tACTIVE\tObja:PP(à);Obj:NP;Suj:NP\n"
+            "s3\tdonner\tACTIVE\tObj:NP;Suj:NP;Obja:PP(à)\n"
+            "s4\tdonner\tPASSIVE\tObj:NP;Suj:NP;Obja:PP(à)\n"
+        )
+        frames = [frames[0] for _, frames in parse_corpus(text)]
+        assert frames[0] is frames[1] is frames[2]
+        assert frames[3] is not frames[0]
+        assert frames[3] == obs("donner", frames[0].slots, R.PASSIVE)
+
+    @pytest.mark.parametrize(
+        "slots, fragment",
+        [("Zzz:NP;Suj:XX", "unknown function token: 'Zzz'"), ("Suj:XX;Zzz:NP", "unknown realization token: 'XX'")],
+    )
+    def test_first_bad_slot_token_of_a_line_is_reported(self, slots, fragment):
+        # both lines hold the same set of slot tokens
+        with pytest.raises(FormatError) as err:
+            parse_corpus(f"s0\tdonner\tACTIVE\tSuj:NP\ns1\tdonner\tACTIVE\t{slots}\n")
+        assert (err.value.line, err.value.message) == (2, fragment)
+
     def test_duplicate_function_across_lines_is_fine(self):
         # duplicates only matter inside one frame
         text = "s1\tdonner\tACTIVE\tSuj:NP\ns1\tdonner\tACTIVE\tSuj:CLITIC\n"

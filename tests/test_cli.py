@@ -316,6 +316,18 @@ class TestLexCommands:
         assert main(["lex", "parse", lex_path]) == 0
         assert text_only.getvalue() == report.decode("utf-8")
 
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+    def test_out_report_mode_follows_the_umask(self, tmp_path, umask, mode):
+        # as a shell redirection creates a file: 0o666 less the umask
+        lex_path = write(tmp_path, "toy.lex", LEXICON)
+        out = tmp_path / "out"
+        caller_umask = os.umask(umask)
+        try:
+            assert main(["lex", "parse", lex_path, "--out", str(out)]) == 0
+        finally:
+            os.umask(caller_umask)
+        assert [(p.name, p.stat().st_mode & 0o777) for p in out.iterdir()] == [("canonical.lex", mode)]
+
     def test_stats(self, tmp_path):
         lex_path = write(tmp_path, "toy.lex", LEXICON)
         out = tmp_path / "out"
@@ -419,6 +431,47 @@ class TestEvalCommand:
         left = capsys.readouterr().out
         assert "summary\tconstituents_f\t100.00" in left
         assert "# mode: left" in left
+
+    @pytest.mark.parametrize("token", ["le", "l'", "&amp;"])
+    @pytest.mark.parametrize(
+        "mode, counts, percent",
+        [("exact", "1\t2\t2", "50.00"), ("left", "1\t2\t2", "50.00"), ("overlap", "2\t2\t2", "100.00")],
+        ids=["exact", "left", "overlap"],
+    )
+    def test_report_is_the_same_in_every_layout(self, tmp_path, monkeypatch, token, mode, counts, percent):
+        # The serializer's layout is read by the line matcher, up to a token
+        # written "&amp;", and the others by the XML reader; the hypothesis
+        # shifts the second span, which only overlap mode still matches.
+        def sentence(sentence_id, first, start):
+            return [
+                f'<S id="{sentence_id}" full="yes">',
+                f'  <W ix="0">{first}</W>', '  <W ix="1">chat</W>', '  <W ix="2">dort</W>',
+                f'  <G type="GN" start="{start}" end="2"/>', '  <R type="SUJ-V" src="1" tgt="2"/>',
+                "</S>",
+            ]
+
+        def lines(doc, end="\n"):
+            return "".join(line + end for s in doc for line in s)
+
+        layouts = {
+            "serializer": lines,
+            "crlf": lambda doc: lines(doc, "\r\n"),
+            "one line": lambda doc: "".join(line.strip() for s in doc for line in s) + "\n",
+            "words on the <S> line": lambda doc: lines(
+                [["".join(line.strip() for line in s[:4]), *map(str.strip, s[4:])] for s in doc]),
+            "<G> and <R> before <W>": lambda doc: lines([[s[0], *s[4:6], *s[1:4], s[6]] for s in doc]),
+        }
+        reports = {}
+        for name, layout in layouts.items():
+            run_dir = tmp_path / str(len(reports))
+            run_dir.mkdir()
+            for doc, start in (("gold.xml", 0), ("hyp.xml", 1)):
+                (run_dir / doc).write_bytes(layout([sentence("a", "le", 0), sentence("b", token, start)]).encode())
+            monkeypatch.chdir(run_dir)
+            assert main(["eval", "gold.xml", "hyp.xml", "--mode", mode, "--out", "out"]) == 0
+            reports[name] = (run_dir / "out" / "eval_report.tsv").read_text(encoding="utf-8")
+        assert len(set(reports.values())) == 1, reports
+        assert f"constituent\tALL\t{counts}" + f"\t{percent}" * 3 in reports["serializer"].splitlines()
 
 
 class TestMineCommand:
@@ -623,6 +676,7 @@ class TestErrors:
             ('<G type="GN" start="-1" end="1"/>', "invalid span [-1, 1)"),
             ('<R type="COORD" src="1" tgt="1"/>', "COORD relation with source == target"),
             ('<R type="COORD" src="-1" tgt="1"/>', "negative token index"),
+            ('<R type="X" src="0" tgt="1"/>', "unknown relation type: 'X'"),
         ],
     )
     def test_eval_bad_span_or_relation_names_file_and_line(self, tmp_path, capsys, bad, message):
@@ -742,6 +796,7 @@ LONE_CR = "contains a CR that does not end its line"
          "coded entry d__3 must license ACTIVE"),
         ("lex parse", 0, "voir\tV\tv__2\tSuj:NP;Zzz:NP\tACTIVE\tcoded\tlefff:3",
          "unknown function token: 'Zzz'"),
+        ("lex parse", 0, "voir\tX\tv__2\tSuj:NP\tACTIVE\tcoded\tlefff:3", "unknown category: 'X'"),
         ("lex parse", 0, "voir\tV\tv__1\tSuj:NP\tACTIVE\tcoded\tlefff:3",
          "duplicate entry_id 'v__1' (first seen on line 2)"),
         ("lex parse", 0, "voir\tV\tv__2\tSuj:NP;Obj:PP(a)b)\tACTIVE\tcoded\tlefff:3",
@@ -918,6 +973,15 @@ def test_full_stdout_fails_with_one_error_line(tmp_path, unbuffered):
         result = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, env=env, text=True)
     message = f"valex: error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
     assert (result.returncode, result.stderr) == (1, message)
+
+
+def test_stdout_report_is_utf8_under_a_latin1_stdout_encoding(tmp_path):
+    lex_path = write(tmp_path, "toy.lex", LEXICON.replace("lefff:10\n", "lefff:10\tà 日本\n"))
+    assert main(["lex", "parse", lex_path, "--out", str(tmp_path / "out")]) == 0
+    argv = [sys.executable, "-m", "valex.cli", "lex", "parse", lex_path]
+    result = subprocess.run(argv, capture_output=True, env=_fresh_env(PYTHONIOENCODING="latin-1"))
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert result.stdout == (tmp_path / "out" / "canonical.lex").read_bytes()
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
