@@ -182,6 +182,12 @@ def diagnose_corpus(lexicon: Lexicon, corpus) -> tuple[list[SentenceRecord], Cou
     return records, histogram
 
 
+def serialize_failures(histogram: Counter) -> str:
+    """Report rows: reason, failed frames; one row per FailureReason, in
+    declaration order, zeros included."""
+    return write_rows((reason.value, str(histogram.get(reason, 0))) for reason in FailureReason)
+
+
 def _parse_pair(pair: str) -> tuple[SyntacticFunction, Realization]:
     function_tok, sep, realization_tok = pair.partition(":")
     if not sep:

@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: ``lex parse``, ``lex stats``, ``merge``, ``check``, ``eval``,
-``mine``, ``freq``.  Every report is tab-separated UTF-8 with ``#``
-header lines recording the run manifest (tool version, input paths and
-parameters).  Reports go to stdout, or into the directory given with
-``--out`` as whole files written atomically (write then rename).
+``mine``, ``freq``.  Every report is tab-separated UTF-8: a body written
+by one function of the domain module it reports, under ``#`` header lines
+recording the run manifest (tool version, input paths and parameters).
+Reports go to stdout, or into the directory given with ``--out`` as whole
+files written atomically (write then rename).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .errors import FormatError, write_rows
+from .errors import FormatError
 from .relaxation import RelaxationMode
 
 def _lazy(name: str):
@@ -124,15 +125,7 @@ def _lex_parse(args, inputs):
 
 
 def _lex_stats(args, inputs):
-    stats = lexicon.lexicon_stats(*inputs)
-    rows = [
-        ("lemmas", str(stats.lemma_count)),
-        ("entries", str(stats.entry_count)),
-        ("max_entries_per_lemma", str(stats.max_entries)),
-        *(("top", str(rank), lemma, str(count))
-          for rank, (lemma, count) in enumerate(stats.top, start=1)),
-    ]
-    return {"stats.tsv": write_rows(rows)}, ()
+    return {"stats.tsv": lexicon.serialize_stats(lexicon.lexicon_stats(*inputs))}, ()
 
 
 def _merge(args, inputs):
@@ -143,14 +136,8 @@ def _merge(args, inputs):
 
 def _check(args, inputs):
     records, histogram = checker.diagnose_corpus(*inputs)
-    failures = write_rows((reason.value, str(histogram.get(reason, 0))) for reason in checker.FailureReason)
-    return {"records.tsv": mining.serialize_records(records), "failures.tsv": failures}, ()
-
-
-def _scores_row(kind: str, label: str, scores) -> tuple[str, ...]:
-    counts = (scores.tp, scores.gold_count, scores.hyp_count)
-    ratios = (scores.precision, scores.recall, scores.f_measure)
-    return (kind, label, *map(str, counts), *map(passage.format_percent, ratios))
+    reports = {"records.tsv": mining.serialize_records(records), "failures.tsv": checker.serialize_failures(histogram)}
+    return reports, ()
 
 
 def _eval(args, inputs):
@@ -160,19 +147,7 @@ def _eval(args, inputs):
             raise ValueError(f"{path}: no <S> sentence to evaluate")
     mode = RelaxationMode(args.mode)
     scores = _across(args, passage.score_corpus, gold, hyp, mode)  # the sentence ids or token counts differ
-    covered = passage.coverage(hyp)
-    rows = [
-        ("summary", "sentences", str(covered.total)),
-        ("summary", "coverage_count", str(covered.covered)),
-        ("summary", "coverage_pct", covered.percent_display),
-        ("summary", "constituents_f", passage.format_percent(scores.constituents.f_measure)),
-        ("summary", "relations_f", passage.format_percent(scores.relations.f_measure)),
-        _scores_row("constituent", "ALL", scores.constituents),
-        *(_scores_row("constituent", t.value, s) for t, s in scores.per_constituent.items()),
-        _scores_row("relation", "ALL", scores.relations),
-        *(_scores_row("relation", t.value, s) for t, s in scores.per_relation.items()),
-    ]
-    return {"eval_report.tsv": write_rows(rows)}, (("mode", mode.value),)
+    return {"eval_report.tsv": passage.serialize_eval_report(scores, passage.coverage(hyp))}, (("mode", mode.value),)
 
 
 def _mine(args, inputs):
@@ -201,11 +176,10 @@ def _freq(args, inputs):
     (table,) = inputs
     # the map is read through the fold, with the table bound, so no form-to-lemma dict is held
     counts, unmapped = _parse_file(args.lemma_map, functools.partial(freq.lemma_counts, table))
-    top = freq.rank_lemmas(counts, args.n)
+    report = freq.serialize_top_lemmas(counts, args.n)
     if unmapped:
         print(f"valex: warning: {unmapped} unmapped forms ignored", file=sys.stderr)
-    ranked = ((str(rank), lemma, str(counts[lemma])) for rank, lemma in enumerate(top, start=1))
-    return {"top_lemmas.tsv": write_rows(ranked)}, (("n", str(args.n)),)
+    return {"top_lemmas.tsv": report}, (("n", str(args.n)),)
 
 
 def _build_parser() -> argparse.ArgumentParser:

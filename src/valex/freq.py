@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import FormatError, parse_rows
+from .errors import FormatError, parse_rows, write_rows
 
 
 @dataclass(frozen=True)
@@ -51,6 +51,12 @@ def rank_lemmas(counts: dict[str, int], n: int) -> list[str]:
     if n < 1:
         raise ValueError("n must be at least 1")
     return sorted(counts, key=lambda lemma: (-counts[lemma], lemma))[:n]
+
+
+def serialize_top_lemmas(counts: dict[str, int], n: int) -> str:
+    """Report rows: rank, lemma, count, for the n lemmas rank_lemmas ranks."""
+    ranked = rank_lemmas(counts, n)
+    return write_rows((str(rank), lemma, str(counts[lemma])) for rank, lemma in enumerate(ranked, start=1))
 
 
 def top_lemmas(table: FrequencyTable, map_text: str, n: int) -> list[str]:

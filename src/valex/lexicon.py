@@ -393,3 +393,14 @@ def lexicon_stats(lexicon: Lexicon, top_k: int = 10) -> StatsReport:
         max_entries=max(counts.values(), default=0),
         top=tuple(top),
     )
+
+
+def serialize_stats(stats: StatsReport) -> str:
+    """Report rows: the lemma, entry and most-entries-per-lemma counts, then
+    one 'top' row per listed lemma: rank, lemma, entry count."""
+    return write_rows([
+        ("lemmas", str(stats.lemma_count)),
+        ("entries", str(stats.entry_count)),
+        ("max_entries_per_lemma", str(stats.max_entries)),
+        *(("top", str(rank), lemma, str(count)) for rank, (lemma, count) in enumerate(stats.top, start=1)),
+    ])

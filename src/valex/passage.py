@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .errors import write_rows
 from .markup import (  # the model; Constituent, Relation, the reader and the writer are re-exported
     Constituent, ConstituentType, Relation, RelationType, SentenceAnnotation, parse_passage, serialize_passage,
 )
@@ -190,3 +191,27 @@ def format_fixed(value, places: int = 2) -> str:
 def format_percent(ratio) -> str:
     """Ratio in [0, 1] rendered as a percentage with two decimals."""
     return format_fixed(Fraction(ratio) * 100, 2)
+
+
+def _scores_row(kind: str, label: str, scores: Scores) -> tuple[str, ...]:
+    counts = (scores.tp, scores.gold_count, scores.hyp_count)
+    ratios = (scores.precision, scores.recall, scores.f_measure)
+    return (kind, label, *map(str, counts), *map(format_percent, ratios))
+
+
+def serialize_eval_report(scores: EvalScores, covered: CoverageResult) -> str:
+    """Report rows: five summary rows (sentences, coverage count and percent,
+    constituent and relation f-measure), then for constituents and then
+    relations an ALL row and one row per type in type order: kind, label,
+    tp, gold and hypothesis counts, precision, recall and f-measure."""
+    return write_rows([
+        ("summary", "sentences", str(covered.total)),
+        ("summary", "coverage_count", str(covered.covered)),
+        ("summary", "coverage_pct", covered.percent_display),
+        ("summary", "constituents_f", format_percent(scores.constituents.f_measure)),
+        ("summary", "relations_f", format_percent(scores.relations.f_measure)),
+        _scores_row("constituent", "ALL", scores.constituents),
+        *(_scores_row("constituent", t.value, s) for t, s in scores.per_constituent.items()),
+        _scores_row("relation", "ALL", scores.relations),
+        *(_scores_row("relation", t.value, s) for t, s in scores.per_relation.items()),
+    ])

@@ -246,6 +246,8 @@ class TestCheckSentence:
             AnalyzabilityVerdict(True, (), None)
         with pytest.raises(ValueError):
             AnalyzabilityVerdict(False, ("e",), FailureReason.MISSING_LEMMA)
+        with pytest.raises(ValueError, match="exactly one of witness or failure_reason applies"):
+            AnalyzabilityVerdict(False, (), None)
 
 
 class TestProperties:

@@ -14,6 +14,8 @@ from valex.lexicon import (
     FunctionSlot,
     LexicalEntry,
     Lexicon,
+    Marker,
+    Realization,
     Redistribution,
     SyntacticFunction,
     base_signature,
@@ -191,6 +193,8 @@ class TestModelInvariants:
             pp("")
         with pytest.raises(ValueError):
             pp("À")
+        with pytest.raises(ValueError, match="NP realization takes no preposition"):
+            Realization(Marker.NP, "x")  # and only a PP takes one
 
     @pytest.mark.parametrize("prep", ["x;y", "x)y", "x|y"])
     def test_unwritable_preposition_rejected(self, prep):
@@ -387,6 +391,10 @@ class TestStats:
             [entry(lemma="b", entry_id="b1"), entry(lemma="a", entry_id="a1")]
         )
         assert lexicon_stats(lex, top_k=2).top == (("a", 1), ("b", 1))
+
+    def test_negative_top_k_rejected(self):
+        with pytest.raises(ValueError, match="top_k must be non-negative"):
+            lexicon_stats(Lexicon.from_entries([entry()]), top_k=-1)
 
     def test_recount_oracle(self):
         rng = random.Random(23)

@@ -244,6 +244,8 @@ class TestMergeLemma:
         with pytest.raises(ValueError):
             MergedLemmaResult("x", (), needs_validation=False, ref_count=1,
                               other_count=1, merged_count=3)
+        with pytest.raises(ValueError, match="validation flag inconsistent for a"):
+            MergedLemmaResult("a", (), True, 1, 1, 1)  # flagged, but no count exceeds the larger side
 
 
 class TestMergeLexicons:
