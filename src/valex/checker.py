@@ -84,16 +84,21 @@ class AnalyzabilityVerdict:
 
 
 class _Entry:
-    """A lexical entry compiled for _clauses."""
+    """A lexical entry compiled for _clauses.  Entries compiled with one
+    shared dict, which maps each value to itself, hold one object per
+    distinct (function, realization) pair, pair set and obligatory pair."""
 
     __slots__ = ("entry_id", "pairs", "obligatory", "redistributions", "coded")
 
-    def __init__(self, entry: LexicalEntry):
+    def __init__(self, entry: LexicalEntry, shared: dict):
+        def share(value):
+            return shared.setdefault(value, value)
+
         # every slot is obligatory in an uncoded entry, which has no optional slots
         obligatory = frozenset(slot.function for slot in entry.frame if not slot.optional)
         self.entry_id = entry.entry_id
-        self.pairs = frozenset((slot.function, r) for slot in entry.frame for r in slot.realizations)
-        self.obligatory = (obligatory, obligatory - {SyntacticFunction.SUJ})  # as is, and Suj exempt
+        self.pairs = share(frozenset(share((slot.function, r)) for slot in entry.frame for r in slot.realizations))
+        self.obligatory = share((obligatory, obligatory - {SyntacticFunction.SUJ}))  # as is, and Suj exempt
         self.redistributions = entry.redistributions
         self.coded = entry.coded
 
@@ -118,7 +123,7 @@ def entry_accepts(entry: LexicalEntry, obs: ObservedFrame) -> bool:
     """Whether the entry licenses the observation."""
     if entry.lemma != obs.lemma:
         raise ValueError(f"lemma mismatch: entry {entry.lemma!r} vs observation {obs.lemma!r}")
-    return all(_clauses(_Entry(entry), obs))
+    return all(_clauses(_Entry(entry, {}), obs))
 
 
 def _verdict(entries: tuple[_Entry, ...], obs: ObservedFrame) -> AnalyzabilityVerdict:
@@ -147,7 +152,7 @@ def check_sentence(lexicon: Lexicon, obs: ObservedFrame) -> AnalyzabilityVerdict
     MISSING-REDISTRIBUTION over MISSING-OBLIGATORY-COMPLEMENT for
     near-miss entries, else UNKNOWN-CONSTRUCTION.
     """
-    return _verdict(tuple(map(_Entry, lexicon.entries.get(obs.lemma, ()))), obs)
+    return _verdict(tuple(_Entry(entry, {}) for entry in lexicon.entries.get(obs.lemma, ())), obs)
 
 
 def diagnose_corpus(lexicon: Lexicon, corpus) -> tuple[list[SentenceRecord], Counter]:
@@ -155,11 +160,14 @@ def diagnose_corpus(lexicon: Lexicon, corpus) -> tuple[list[SentenceRecord], Cou
 
     corpus: iterable of (sentence_id, list of ObservedFrame).  A sentence
     is analyzable only if all its frames are; the histogram counts one
-    failure reason per failed frame.  Each entry is compiled once, and
-    each distinct frame is checked once, as check_sentence would.
+    failure reason per failed frame.  Each entry is compiled once, onto
+    values shared by the whole call, and each distinct frame is checked
+    once, as check_sentence would; only its failure reason is kept.
     """
     compiled: dict[str, tuple[_Entry, ...]] = {}
-    verdicts: dict[ObservedFrame, AnalyzabilityVerdict] = {}
+    shared: dict = {}
+    reasons: dict[ObservedFrame, FailureReason | None] = {}  # None: analyzable
+    unchecked = object()
     records = []
     histogram: Counter = Counter()
     for sentence_id, frames in corpus:
@@ -168,16 +176,16 @@ def diagnose_corpus(lexicon: Lexicon, corpus) -> tuple[list[SentenceRecord], Cou
             raise ValueError(f"sentence {sentence_id!r} has no observed frames")
         analyzable = True
         for obs in frames:
-            verdict = verdicts.get(obs)
-            if verdict is None:
+            reason = reasons.get(obs, unchecked)
+            if reason is unchecked:
                 entries = compiled.get(obs.lemma)
                 if entries is None:
-                    entries = tuple(map(_Entry, lexicon.entries.get(obs.lemma, ())))
+                    entries = tuple(_Entry(entry, shared) for entry in lexicon.entries.get(obs.lemma, ()))
                     compiled[obs.lemma] = entries
-                verdict = verdicts[obs] = _verdict(entries, obs)
-            if not verdict.analyzable:
+                reason = reasons[obs] = _verdict(entries, obs).failure_reason
+            if reason is not None:
                 analyzable = False
-                histogram[verdict.failure_reason] += 1
+                histogram[reason] += 1
         records.append(SentenceRecord(sentence_id, tuple(o.lemma for o in frames), analyzable))
     return records, histogram
 
@@ -199,10 +207,10 @@ def _parse_pair(pair: str) -> tuple[SyntacticFunction, Realization]:
 def parse_corpus(text: str) -> list[tuple[str, list[ObservedFrame]]]:
     """Parse the corpus annotation format, grouping frames by sentence id
     in first-appearance order.  Each distinct slot pair and frame is parsed
-    once per call: lines whose lemma, redistribution and set of slot tokens
-    agree, in whatever order the slots are listed, share one frame."""
+    once per call: lines whose lemma, redistribution and slot tokens agree,
+    in whatever order the slots are listed, share one frame."""
     parse_pair = functools.cache(_parse_pair)
-    frames: dict[tuple[str, str, frozenset[str]], ObservedFrame] = {}
+    frames: dict[str, ObservedFrame] = {}
 
     def parse_row(fields: list[str]) -> tuple[str, ObservedFrame]:
         if len(fields) != 4:
@@ -211,14 +219,16 @@ def parse_corpus(text: str) -> list[tuple[str, list[ObservedFrame]]]:
         if not sentence_id:
             raise FormatError("empty sentence id")
         tokens = slots_tok.split(";") if slots_tok else ()
-        # each token names one slot pair, so the token set is the frame's slot set
-        key = (lemma, redist_tok, frozenset(tokens))
+        # one string: key tuples of many lengths would outlive the memo in tuple free lists
+        key = f"{lemma}\t{redist_tok}\t{';'.join(sorted(tokens))}"
         frame = frames.get(key)
         if frame is None:
             # in line order, so that the first bad token of the line is the one reported
             context = Redistribution.parse(redist_tok, "redistribution")
-            slots = frozenset([parse_pair(token) for token in tokens])
-            frame = frames[key] = ObservedFrame(lemma, slots, context)
+            frame = ObservedFrame(lemma, frozenset([parse_pair(token) for token in tokens]), context)
+            if len(frame.slots) < len(tokens):  # a repeated token, which the set would hide
+                raise FormatError(f"duplicate function in observed frame for {lemma!r}")
+            frames[key] = frame
         return sentence_id, frame
 
     grouped: dict[str, list[ObservedFrame]] = {}

@@ -15,12 +15,13 @@ import contextlib
 import functools
 import gc
 import importlib.util
+import itertools
 import os
 import sys
 from pathlib import Path
 
 from . import __version__
-from .errors import FormatError
+from .errors import BLOCK, FormatError
 from .relaxation import RelaxationMode
 
 def _lazy(name: str):
@@ -77,16 +78,20 @@ def _parse_file(path: str, parser):
 
 def _write(out_dir: str | None, filename: str, header: list[str], body: str) -> None:
     """Header lines plus body, written atomically into out_dir, or to
-    stdout when out_dir is None."""
-    text = "".join(line + "\n" for line in header) + body
-    data = text.encode("utf-8")
+    stdout when out_dir is None.  The body goes BLOCK characters at a time:
+    no copy of the whole report is made, as text or as bytes."""
+    blocks = (body[start:start + BLOCK] for start in range(0, len(body), BLOCK))
+    text = itertools.chain(["".join(line + "\n" for line in header)], blocks)
+    data = (block.encode("utf-8") for block in text)
     if out_dir is None:
         try:
             if hasattr(sys.stdout, "buffer"):  # UTF-8 whatever the locale, as --out writes
                 sys.stdout.flush()
-                sys.stdout.buffer.write(data)
+                for block in data:
+                    sys.stdout.buffer.write(block)
             else:  # a text-only stream, such as io.StringIO
-                sys.stdout.write(text)
+                for block in text:
+                    sys.stdout.write(block)
             sys.stdout.flush()
         except OSError as exc:  # a full disk, a closed pipe
             with contextlib.suppress(OSError):  # drop what is still buffered, or exit fails on it again
@@ -102,7 +107,8 @@ def _write(out_dir: str | None, filename: str, header: list[str], body: str) -> 
         fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
+                for block in data:
+                    handle.write(block)
             os.replace(tmp_path, target)
         except BaseException:
             os.unlink(tmp_path)

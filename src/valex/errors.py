@@ -8,6 +8,7 @@ gives a row's parse error its line; see "File formats" in the README.
 from __future__ import annotations
 
 from enum import Enum
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -26,16 +27,33 @@ class FormatError(ValueError):
         super().__init__(message if line is None else f"line {line}: {message}")
 
 
+BLOCK = 1 << 16  # characters split or written at a time, so that no copy of a whole text is held
+
+
+def _lines(text: str) -> Iterator[list[str]]:
+    """The lines of text, split at every LF, one list per block of about
+    BLOCK characters: a block ends at the first LF from its start plus
+    BLOCK, or at the end of the text."""
+    start = 0
+    while start <= len(text):
+        stop = text.find("\n", start + BLOCK)
+        if stop < 0:
+            stop = len(text)
+        yield text[start:stop].split("\n")
+        start = stop + 1
+
+
 def parse_rows(text: str, parse_row: Callable[[list[str]], T]) -> Iterator[tuple[int, T]]:
     """Yield (line number, parse_row(tab-separated fields)) for every data line.
 
     Lines end at LF only and one trailing CR is dropped, so CRLF reads as LF;
     any other CR in a data line is a FormatError, as no field holds one.
     Blank lines and lines starting with ``#`` are skipped.  A ValueError
-    from parse_row becomes a FormatError at the row's line.
+    from parse_row becomes a FormatError at the row's line.  No list of all
+    the lines is held: they are split a block at a time.
     """
     has_cr = "\r" in text  # one test of the whole text spares a CR-free one both line tests
-    for line, raw in enumerate(text.split("\n"), start=1):
+    for line, raw in enumerate(chain.from_iterable(_lines(text)), start=1):
         if has_cr and raw.endswith("\r"):
             raw = raw[:-1]
         if not raw.strip(" \t") or raw.startswith("#"):

@@ -426,6 +426,7 @@ class TestCorpusFormat:
             ("s1\tdonner\tACTIVE\tSuj:XX", "unknown realization"),
             ("s1\tdonner\tACTIVE\tSuj", "malformed observed slot"),
             ("s1\tdonner\tACTIVE\tSuj:NP;Suj:CLITIC", "duplicate function"),
+            ("s1\tdonner\tACTIVE\tSuj:NP;Suj:NP", "duplicate function in observed frame for 'donner'"),
             ("\tdonner\tACTIVE\tSuj:NP", "empty sentence id"),
         ],
     )
@@ -478,6 +479,8 @@ class TestCorpusFormat:
             ("s\tdonner\tACTIVE\tSuj:NP;Obj", "malformed observed slot"),
             ("s\tdonner\tWEIRD\tSuj:NP", "unknown redistribution"),
             ("s\tdonner\tACTIVE\tSuj:NP;Suj:CLITIC", "duplicate function"),
+            # the frame of line 1 with its token repeated
+            ("s\tdonner\tACTIVE\tSuj:NP;Suj:NP", "duplicate function in observed frame for 'donner'"),
             ("s\tDonner\tACTIVE\tSuj:NP", "lowercase"),
         ],
     )

@@ -824,6 +824,8 @@ LONE_CR = "contains a CR that does not end its line"
         ("check", 1, "\tdonner\tACTIVE\tSuj:NP;Obj:NP", "empty sentence id"),
         ("check", 1, "s3\tdonner\tACTIVE\tSuj:NP;Obj:NP;Suj:CLITIC",
          "duplicate function in observed frame for 'donner'"),
+        ("check", 1, "s3\tdonner\tACTIVE\tSuj:NP;Obj:NP;Suj:NP",
+         "duplicate function in observed frame for 'donner'"),
         ("check", 1, "s3\tdonner\tWEIRD\tSuj:NP", "unknown redistribution: 'WEIRD'"),
         ("check", 1, "s3\t\tACTIVE\tSuj:NP;Obj:NP", "empty lemma"),
         ("check", 1, "s3\tdor,mir\tACTIVE\tSuj:NP", "lemma 'dor,mir' cannot be serialized"),
