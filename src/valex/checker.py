@@ -119,13 +119,6 @@ def _clauses(entry: _Entry, obs: ObservedFrame) -> tuple[bool, bool, bool]:
     )
 
 
-def entry_accepts(entry: LexicalEntry, obs: ObservedFrame) -> bool:
-    """Whether the entry licenses the observation."""
-    if entry.lemma != obs.lemma:
-        raise ValueError(f"lemma mismatch: entry {entry.lemma!r} vs observation {obs.lemma!r}")
-    return all(_clauses(_Entry(entry, {}), obs))
-
-
 def _verdict(entries: tuple[_Entry, ...], obs: ObservedFrame) -> AnalyzabilityVerdict:
     if not entries:
         return AnalyzabilityVerdict(False, (), FailureReason.MISSING_LEMMA)

@@ -59,11 +59,6 @@ def serialize_top_lemmas(counts: dict[str, int], n: int) -> str:
     return write_rows((str(rank), lemma, str(counts[lemma])) for rank, lemma in enumerate(ranked, start=1))
 
 
-def top_lemmas(table: FrequencyTable, map_text: str, n: int) -> list[str]:
-    """The n most frequent lemmas, ties broken lexicographically."""
-    return rank_lemmas(lemma_counts(table, map_text)[0], n)
-
-
 def _form_pair(second: str, fields: list[str]) -> list[str]:
     if len(fields) != 2:
         got = "\t".join(fields)

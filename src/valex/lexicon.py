@@ -160,8 +160,8 @@ class LexicalEntry:
     absent: its frame is the bare base construction and every slot is
     obligatory.  Coded entries always license at least ACTIVE.
 
-    base_mask and oblique_mask encode base_signature and oblique_signature
-    as bitmasks; they are derived from the frame on construction.
+    base_mask and oblique_mask are the sets of the frame's base and oblique
+    functions, as bitmasks; they are derived from the frame on construction.
     """
 
     lemma: str
@@ -205,16 +205,6 @@ class LexicalEntry:
             raise ValueError(f"coded entry {self.entry_id} must license ACTIVE")
         if not self.coded and any(slot.optional for slot in self.frame):
             raise ValueError(f"uncoded entry {self.entry_id} cannot have optional slots")
-
-
-def base_signature(entry: LexicalEntry) -> frozenset[SyntacticFunction]:
-    """Set of base functions subcategorized by the entry."""
-    return frozenset(s.function for s in entry.frame if s.function in BASE_FUNCTIONS)
-
-
-def oblique_signature(entry: LexicalEntry) -> frozenset[SyntacticFunction]:
-    """Set of oblique functions subcategorized by the entry."""
-    return frozenset(s.function for s in entry.frame if s.function not in BASE_FUNCTIONS)
 
 
 @dataclass
@@ -377,16 +367,17 @@ def serialize_lexicon(lexicon: Lexicon) -> str:
     return write_rows(_entry_fields(entry, slot_token) for entry in lexicon.all_entries())
 
 
-def lexicon_stats(lexicon: Lexicon, top_k: int = 10) -> StatsReport:
+_TOP_K = 10  # lemmas in lexicon_stats's top list
+
+
+def lexicon_stats(lexicon: Lexicon) -> StatsReport:
     """Count lemmas and entries and list the most ambiguous lemmas.
 
-    The top list holds up to top_k (lemma, entry count) pairs sorted by
+    The top list holds up to _TOP_K (lemma, entry count) pairs sorted by
     entry count descending, ties broken lexicographically.
     """
-    if top_k < 0:
-        raise ValueError("top_k must be non-negative")
     counts = {lemma: len(group) for lemma, group in lexicon.entries.items()}
-    top = sorted(counts.items(), key=lambda item: (-item[1], item[0]))[:top_k]
+    top = sorted(counts.items(), key=lambda item: (-item[1], item[0]))[:_TOP_K]
     return StatsReport(
         lemma_count=len(counts),
         entry_count=sum(counts.values()),

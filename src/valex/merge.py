@@ -3,8 +3,9 @@
 Entries of a shared lemma are matched on their function signatures: a
 reference entry matches another entry when both subcategorize exactly the
 same base functions and the reference's oblique functions are included in
-the other's.  Matching is directional; the reference side is the one being
-enriched.
+the other's.  That one predicate, on the entries' base and oblique masks,
+is inline in merge_lemma.  Matching is directional; the reference side is
+the one being enriched.
 
 Per lemma, the merge walks reference entries in order and fuses each with
 every not-yet-consumed matching entry from the other side; leftovers on
@@ -16,30 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .errors import Vocabulary, write_rows
+from .errors import write_rows
 from .lexicon import FunctionSlot, LexicalEntry, Lexicon
-
-
-class MatchReason(Vocabulary):
-    BASE_MISMATCH = "BASE-MISMATCH"
-    OBLIQUE_NOT_INCLUDED = "OBLIQUE-NOT-INCLUDED"
-    MATCHED = "MATCHED"
-
-
-# As plain globals, since merge_lemma tests every pair: Enum member lookup is slow.
-_BASE_MISMATCH, _OBLIQUE_NOT_INCLUDED, _MATCHED = MatchReason
-
-
-@dataclass(frozen=True)
-class MatchDecision:
-    ref_entry_id: str
-    other_entry_id: str
-    matched: bool
-    reason: MatchReason
-
-    def __post_init__(self):
-        if self.matched != (self.reason is MatchReason.MATCHED):
-            raise ValueError("matched flag must agree with reason")
 
 
 @dataclass(frozen=True)
@@ -88,33 +67,6 @@ class MergeReport:
     @property
     def flagged_entries(self) -> int:
         return sum(r.merged_count for r in self.results if r.needs_validation)
-
-
-def _match_reason(rbase: int, robl: int, other: LexicalEntry) -> MatchReason:
-    """The match rule, on a reference entry's base and oblique masks."""
-    if rbase != other.base_mask:
-        return _BASE_MISMATCH
-    if robl & ~other.oblique_mask:
-        return _OBLIQUE_NOT_INCLUDED
-    return _MATCHED
-
-
-def entry_matches(ref: LexicalEntry, other: LexicalEntry) -> MatchDecision:
-    """Directional match test between two entries of the same lemma.
-
-    Matches when base signatures are identical and the reference's oblique
-    signature is included in the other's.  When the bases differ that is
-    the reported reason, whatever the obliques do.  The rule is the one
-    merge_lemma applies.
-    """
-    if ref.lemma != other.lemma:
-        raise ValueError(f"lemma mismatch: {ref.lemma!r} vs {other.lemma!r}")
-    if ref.category != other.category:
-        raise ValueError(
-            f"category mismatch for {ref.lemma!r}: {ref.category.value} vs {other.category.value}"
-        )
-    reason = _match_reason(ref.base_mask, ref.oblique_mask, other)
-    return MatchDecision(ref.entry_id, other.entry_id, reason is MatchReason.MATCHED, reason)
 
 
 def _fuse(ref: LexicalEntry, absorbed: list[LexicalEntry]) -> LexicalEntry:
@@ -180,7 +132,7 @@ def merge_lemma(ref_entries, other_entries) -> MergedLemmaResult:
         rbase, robl = ref.base_mask, ref.oblique_mask
         absorbed, kept = [], []
         for other in unconsumed:
-            if _match_reason(rbase, robl, other) is _MATCHED:
+            if other.base_mask == rbase and not robl & ~other.oblique_mask:
                 absorbed.append(other)
             else:
                 kept.append(other)
@@ -224,13 +176,6 @@ def merge_lexicons(ref: Lexicon, other: Lexicon) -> tuple[Lexicon, MergeReport]:
         results.append(replace(result, entries=tuple(entries)))
     merged = Lexicon.from_entries(e for r in results for e in r.entries)
     return merged, MergeReport(tuple(results))
-
-
-def validation_queue(report: MergeReport) -> list[str]:
-    """Flagged lemmas, most entries first, ties lexicographic."""
-    flagged = [r for r in report.results if r.needs_validation]
-    flagged.sort(key=lambda r: (-r.merged_count, r.lemma))
-    return [r.lemma for r in flagged]
 
 
 def serialize_merge_report(report: MergeReport) -> str:

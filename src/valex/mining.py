@@ -8,14 +8,11 @@ suspicion is the average, over its occurrences, of the share of blame it
 takes inside each failed sentence, where shares are proportional to the
 current suspicions and renormalized per sentence.
 
-File formats, one sentence per line, following the shared line rule of
-``valex.errors`` (see "File formats" in the README):
+Record files, written by the checker, hold one sentence per line,
+following the shared line rule of ``valex.errors`` (see "File formats" in
+the README); ``ok`` means analyzable:
 
     sentence_id<TAB>failed|ok<TAB>form1,form2,...
-
-The same syntax serves two purposes: record files written by the checker
-(``ok`` means analyzable) and mining-corpus files (``failed`` means lost
-by the hypothesis while fine for the reference).
 """
 
 from __future__ import annotations
@@ -255,11 +252,11 @@ def format_suspects(ranked: Sequence[SuspicionScore]) -> str:
     )
 
 
-def _parse_lines(text: str, make: Callable[[str, tuple[str, ...], bool], object]) -> list:
-    """make(sentence_id, forms, failed) for each line."""
+def parse_records(text: str) -> list[SentenceRecord]:
+    """Read a record file: ``ok`` marks a sentence as analyzable."""
     seen: set[str] = set()
 
-    def parse_row(fields: list[str]):
+    def parse_row(fields: list[str]) -> SentenceRecord:
         if len(fields) != 3:
             raise FormatError(f"expected 3 tab-separated fields, got {len(fields)}")
         sentence_id, tag, forms_tok = fields
@@ -268,30 +265,13 @@ def _parse_lines(text: str, make: Callable[[str, tuple[str, ...], bool], object]
         if sentence_id in seen:
             raise FormatError(f"duplicate sentence id: {sentence_id!r}")
         seen.add(sentence_id)
-        return make(sentence_id, tuple(forms_tok.split(",")), tag == "failed")
+        return SentenceRecord(sentence_id, tuple(forms_tok.split(",")), analyzable=tag == "ok")
 
     return [row for _, row in parse_rows(text, parse_row)]
-
-
-def _row(sentence_id: str, failed: bool, forms: tuple[str, ...]) -> tuple[str, str, str]:
-    return sentence_id, "failed" if failed else "ok", ",".join(forms)
-
-
-def parse_mining_corpus(text: str) -> MiningCorpus:
-    return MiningCorpus(tuple(_parse_lines(text, MiningSentence)))
-
-
-def serialize_mining_corpus(corpus: MiningCorpus) -> str:
-    return write_rows(_row(s.sentence_id, s.failed, s.forms) for s in corpus.sentences)
-
-
-def parse_records(text: str) -> list[SentenceRecord]:
-    """Read a record file: ``ok`` marks a sentence as analyzable."""
-    return _parse_lines(text, lambda i, forms, failed: SentenceRecord(i, forms, analyzable=not failed))
 
 
 def serialize_records(records: Sequence[SentenceRecord]) -> str:
     """Inverse of parse_records; raises ValueError for a repeated sentence id."""
     if len({r.sentence_id for r in records}) < len(records):
         raise ValueError("duplicate sentence id")
-    return write_rows(_row(r.sentence_id, not r.analyzable, r.forms) for r in records)
+    return write_rows((r.sentence_id, "ok" if r.analyzable else "failed", ",".join(r.forms)) for r in records)

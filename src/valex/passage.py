@@ -43,19 +43,6 @@ def _overlap_tp(gold: SentenceAnnotation, hyp: SentenceAnnotation) -> Counter:
     return tp
 
 
-def match_constituents(gold: SentenceAnnotation, hyp: SentenceAnnotation,
-                       mode: RelaxationMode) -> Counter:
-    """True positives per constituent type in one sentence, as score_corpus counts them."""
-    scores = score_corpus((gold,), (hyp,), mode).per_constituent
-    return Counter({t: s.tp for t, s in scores.items() if s.tp})
-
-
-def match_relations(gold: SentenceAnnotation, hyp: SentenceAnnotation) -> Counter:
-    """True positives per relation type in one sentence, as score_corpus counts them."""
-    scores = score_corpus((gold,), (hyp,)).per_relation
-    return Counter({t: s.tp for t, s in scores.items() if s.tp})
-
-
 @dataclass(frozen=True)
 class Scores:
     """tp/gold/hyp counts with exact rational precision, recall, f."""
@@ -166,15 +153,11 @@ class CoverageResult:
         return format_percent(self.ratio)
 
 
-def coverage(records: Sequence) -> CoverageResult:
-    """Coverage over SentenceRecord.analyzable or
-    SentenceAnnotation.full_parse flags."""
+def coverage(records: Sequence[SentenceAnnotation]) -> CoverageResult:
+    """Coverage over SentenceAnnotation.full_parse flags."""
     if not records:
         raise ValueError("coverage of an empty record list is undefined")
-    covered = sum(
-        r.full_parse if isinstance(r, SentenceAnnotation) else r.analyzable for r in records
-    )
-    return CoverageResult(covered, len(records))
+    return CoverageResult(sum(r.full_parse for r in records), len(records))
 
 
 def format_fixed(value, places: int = 2) -> str:

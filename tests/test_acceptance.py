@@ -24,12 +24,7 @@ from valex.lexicon import (
     serialize_lexicon,
 )
 from valex.merge import merge_lemma
-from valex.mining import (
-    compute_suspicion,
-    parse_mining_corpus,
-    parse_records,
-    serialize_mining_corpus,
-)
+from valex.mining import compute_suspicion, parse_records, serialize_records
 from valex.passage import (
     Constituent,
     ConstituentType,
@@ -39,7 +34,6 @@ from valex.passage import (
     SentenceAnnotation,
     Scores,
     format_percent,
-    match_constituents,
     parse_passage,
     score_corpus,
     serialize_passage,
@@ -51,9 +45,10 @@ from gen import (
     rand_lexicon,
     rand_mining_corpus,
     rand_observed_frame,
+    rand_records,
 )
 from test_mining import THREE_SENTENCES, brute_force
-from test_passage import optimal_tp
+from test_passage import constituent_tp, optimal_tp
 
 F = SyntacticFunction
 BASE = [F.SUJ, F.OBJ, F.OBJA, F.OBJDE]
@@ -206,7 +201,7 @@ def test_criterion_3_metric_algebra():
     for _ in range(1000):
         gold, hyp = _random_pair(rng)
         tps = {
-            mode: sum(match_constituents(gold, hyp, mode).values())
+            mode: sum(constituent_tp(gold, hyp, mode).values())
             for mode in RelaxationMode
         }
         assert tps[RelaxationMode.EXACT] <= tps[RelaxationMode.LEFT]
@@ -242,7 +237,7 @@ def test_criterion_4_matching_optimality():
     for _ in range(600):
         gold, hyp = _random_pair(rng)
         for mode in RelaxationMode:
-            greedy = sum(match_constituents(gold, hyp, mode).values())
+            greedy = sum(constituent_tp(gold, hyp, mode).values())
             optimal = optimal_tp(gold, hyp, mode)
             if mode is RelaxationMode.EXACT:
                 assert greedy == optimal
@@ -260,7 +255,7 @@ def test_criterion_4_matching_optimality():
     hyp = SentenceAnnotation(
         "t", tokens, (Constituent(ConstituentType.GN, 0, 3),
                       Constituent(ConstituentType.GN, 1, 2)))
-    greedy = sum(match_constituents(gold, hyp, RelaxationMode.OVERLAP).values())
+    greedy = sum(constituent_tp(gold, hyp, RelaxationMode.OVERLAP).values())
     assert greedy == 1
     assert optimal_tp(gold, hyp, RelaxationMode.OVERLAP) == 2
     print(
@@ -443,8 +438,8 @@ def test_criterion_7_round_trips():
             corpus.append((f"s{k:02d}", frames))
         assert parse_corpus(serialize_corpus(corpus)) == corpus
     for _ in range(100):
-        mining = rand_mining_corpus(rng)
-        assert parse_mining_corpus(serialize_mining_corpus(mining)) == mining
+        records = rand_records(rng)
+        assert parse_records(serialize_records(records)) == records
     print("CRITERION 7: PASS (4 formats x 100 instances, parse(serialize(x)) == x)")
 
 

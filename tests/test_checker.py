@@ -10,7 +10,6 @@ from valex.checker import (
     SentenceRecord,
     check_sentence,
     diagnose_corpus,
-    entry_accepts,
     parse_corpus,
     serialize_corpus,
 )
@@ -51,6 +50,11 @@ def obs(lemma="kidnapper", slots=(), context=R.ACTIVE):
     return ObservedFrame(lemma, frozenset(slots), context)
 
 
+def accepts(e, observation):
+    """Whether the entry, alone in a lexicon, licenses the observation."""
+    return check_sentence(Lexicon.from_entries([e]), observation).analyzable
+
+
 TRANSITIVE = entry(
     slots=((F.SUJ, (NP,), False), (F.OBJ, (NP,), False)),
     redistributions=(R.ACTIVE, R.PASSIVE),
@@ -59,18 +63,18 @@ TRANSITIVE = entry(
 
 class TestEntryAccepts:
     def test_exact_match(self):
-        assert entry_accepts(TRANSITIVE, obs(slots={(F.SUJ, NP), (F.OBJ, NP)}))
+        assert accepts(TRANSITIVE, obs(slots={(F.SUJ, NP), (F.OBJ, NP)}))
 
     def test_missing_obligatory_complement(self):
         # three-slot entry, second complement obligatory, clause (b) fails
         three = entry(
             slots=((F.SUJ, (NP,), False), (F.OBJ, (NP,), False), (F.OBJA, (pp("à"),), False)),
         )
-        assert not entry_accepts(three, obs(slots={(F.SUJ, NP), (F.OBJ, NP)}))
+        assert not accepts(three, obs(slots={(F.SUJ, NP), (F.OBJ, NP)}))
 
     def test_missing_redistribution(self):
         active_only = entry(slots=((F.SUJ, (NP,), False), (F.OBJ, (NP,), False)))
-        assert not entry_accepts(
+        assert not accepts(
             active_only, obs(slots={(F.OBJ, NP)}, context=R.PASSIVE)
         )
 
@@ -78,37 +82,37 @@ class TestEntryAccepts:
         with_optional = entry(
             slots=((F.SUJ, (NP,), False), (F.OBJA, (pp("à"), CLITIC), True)),
         )
-        assert entry_accepts(with_optional, obs(slots={(F.SUJ, NP)}))
-        assert entry_accepts(with_optional, obs(slots={(F.SUJ, NP), (F.OBJA, CLITIC)}))
+        assert accepts(with_optional, obs(slots={(F.SUJ, NP)}))
+        assert accepts(with_optional, obs(slots={(F.SUJ, NP), (F.OBJA, CLITIC)}))
 
     def test_unknown_function_fails_clause_a(self):
-        assert not entry_accepts(TRANSITIVE, obs(slots={(F.SUJ, NP), (F.LOC, pp("sur"))}))
+        assert not accepts(TRANSITIVE, obs(slots={(F.SUJ, NP), (F.LOC, pp("sur"))}))
 
     def test_realization_must_be_listed(self):
-        assert not entry_accepts(TRANSITIVE, obs(slots={(F.SUJ, CLITIC), (F.OBJ, NP)}))
+        assert not accepts(TRANSITIVE, obs(slots={(F.SUJ, CLITIC), (F.OBJ, NP)}))
 
     def test_pp_preposition_exact_match(self):
         with_pp = entry(slots=((F.SUJ, (NP,), False), (F.OBJA, (pp("à"),), False)))
-        assert entry_accepts(with_pp, obs(slots={(F.SUJ, NP), (F.OBJA, pp("à"))}))
-        assert not entry_accepts(with_pp, obs(slots={(F.SUJ, NP), (F.OBJA, pp("de"))}))
+        assert accepts(with_pp, obs(slots={(F.SUJ, NP), (F.OBJA, pp("à"))}))
+        assert not accepts(with_pp, obs(slots={(F.SUJ, NP), (F.OBJA, pp("de"))}))
 
     def test_subject_exempt_under_passive_and_impersonal(self):
-        assert entry_accepts(TRANSITIVE, obs(slots={(F.OBJ, NP)}, context=R.PASSIVE))
+        assert accepts(TRANSITIVE, obs(slots={(F.OBJ, NP)}, context=R.PASSIVE))
         impersonal = entry(
             slots=((F.SUJ, (NP,), False), (F.OBJ, (NP,), False)),
             redistributions=(R.ACTIVE, R.IMPERSONAL),
         )
-        assert entry_accepts(impersonal, obs(slots={(F.OBJ, NP)}, context=R.IMPERSONAL))
+        assert accepts(impersonal, obs(slots={(F.OBJ, NP)}, context=R.IMPERSONAL))
         # no exemption under ACTIVE
-        assert not entry_accepts(TRANSITIVE, obs(slots={(F.OBJ, NP)}))
+        assert not accepts(TRANSITIVE, obs(slots={(F.OBJ, NP)}))
 
     def test_uncoded_entry_has_no_optional_omissions(self):
         uncoded = entry(
             slots=((F.SUJ, (NP,), False), (F.OBJ, (NP,), False)),
             coded=False,
         )
-        assert entry_accepts(uncoded, obs(slots={(F.SUJ, NP), (F.OBJ, NP)}))
-        assert not entry_accepts(uncoded, obs(slots={(F.SUJ, NP)}))
+        assert accepts(uncoded, obs(slots={(F.SUJ, NP), (F.OBJ, NP)}))
+        assert not accepts(uncoded, obs(slots={(F.SUJ, NP)}))
 
     def test_cliticized_object_needs_clitic_realization(self):
         clitic_ok = entry(
@@ -116,16 +120,12 @@ class TestEntryAccepts:
             redistributions=(R.ACTIVE, R.OBJ_CLITICIZATION),
         )
         observation = obs(slots={(F.SUJ, NP), (F.OBJ, CLITIC)}, context=R.OBJ_CLITICIZATION)
-        assert entry_accepts(clitic_ok, observation)
+        assert accepts(clitic_ok, observation)
         np_only = entry(
             slots=((F.SUJ, (NP,), False), (F.OBJ, (NP,), False)),
             redistributions=(R.ACTIVE, R.OBJ_CLITICIZATION),
         )
-        assert not entry_accepts(np_only, observation)
-
-    def test_lemma_mismatch_is_error(self):
-        with pytest.raises(ValueError):
-            entry_accepts(TRANSITIVE, obs(lemma="autre"))
+        assert not accepts(np_only, observation)
 
     def test_own_frame_always_accepted(self):
         rng = random.Random(13)
@@ -139,7 +139,7 @@ class TestEntryAccepts:
                 ),
                 R.ACTIVE,
             )
-            assert entry_accepts(e, full)
+            assert accepts(e, full)
 
 
 class TestCheckSentence:
@@ -293,8 +293,8 @@ class TestProperties:
             for _ in range(25):
                 probe_source = rand_entry(rng, "tester", "probe")
                 probe = rand_observed_frame(rng, probe_source, rng.choice(list(R)))
-                if entry_accepts(e, probe):
-                    assert entry_accepts(loosened, probe)
+                if accepts(e, probe):
+                    assert accepts(loosened, probe)
 
 
 class TestDiagnose:

@@ -16,13 +16,12 @@ from valex import __version__
 from valex.cli import _manifest_lines, main
 from valex.checker import parse_corpus
 from valex.errors import FormatError
-from valex.freq import FrequencyTable, lemma_counts, parse_frequency_table, top_lemmas
+from valex.freq import FrequencyTable, lemma_counts, parse_frequency_table, rank_lemmas
 from valex.lexicon import parse_lexicon
 from valex.mining import (
     MiningParams,
     build_mining_corpus,
     compute_suspicion,
-    parse_mining_corpus,
     parse_records,
 )
 from valex.passage import RelaxationMode
@@ -101,13 +100,13 @@ class TestFrequency:
         assert unmapped == 1
 
     def test_top_lemmas(self):
-        assert top_lemmas(self.table(), LEMMA_MAP, 1) == ["donner"]
-        assert top_lemmas(self.table(), LEMMA_MAP, 10) == ["donner", "aller"]
+        assert rank_lemmas(lemma_counts(self.table(), LEMMA_MAP)[0], 1) == ["donner"]
+        assert rank_lemmas(lemma_counts(self.table(), LEMMA_MAP)[0], 10) == ["donner", "aller"]
 
     def test_ties_break_lexicographically(self):
         table = FrequencyTable({"x": 5, "y": 5, "z": 9})
         mapping = lemma_map_text([("x", "beta"), ("y", "alpha"), ("z", "gamma")])
-        assert top_lemmas(table, mapping, 3) == ["gamma", "alpha", "beta"]
+        assert rank_lemmas(lemma_counts(table, mapping)[0], 3) == ["gamma", "alpha", "beta"]
 
     def test_aggregation_oracle(self):
         rng = random.Random(139)
@@ -167,7 +166,7 @@ class TestFrequency:
         with pytest.raises(ValueError):
             FrequencyTable({"a": -1})
         with pytest.raises(ValueError):
-            top_lemmas(self.table(), LEMMA_MAP, 0)
+            rank_lemmas(lemma_counts(self.table(), LEMMA_MAP)[0], 0)
 
     @pytest.mark.parametrize(
         "text, fragment",
@@ -881,7 +880,6 @@ def test_crlf_input_gives_the_lf_report(tmp_path, monkeypatch, command):
         (parse_lexicon, GOOD_ROWS["lexicon"]),
         (parse_corpus, GOOD_ROWS["corpus"] + CORPUS),
         (parse_records, REF_RECORDS),
-        (parse_mining_corpus, HYP_RECORDS),
         (parse_frequency_table, FREQ_TABLE),
         (fold_lemma_map, LEMMA_MAP),
     ],
@@ -918,7 +916,7 @@ def test_main_restores_the_callers_gc_setting(tmp_path, monkeypatch, enabled):
 
 @pytest.mark.parametrize(
     "parse",
-    [parse_lexicon, parse_corpus, parse_records, parse_mining_corpus, parse_frequency_table, fold_lemma_map],
+    [parse_lexicon, parse_corpus, parse_records, parse_frequency_table, fold_lemma_map],
     ids=lambda parse: parse.__name__,
 )
 @pytest.mark.parametrize("char", LINE_BREAK_LOOKALIKES)

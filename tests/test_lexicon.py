@@ -18,9 +18,7 @@ from valex.lexicon import (
     Realization,
     Redistribution,
     SyntacticFunction,
-    base_signature,
     lexicon_stats,
-    oblique_signature,
     parse_lexicon,
     pp,
     serialize_lexicon,
@@ -50,6 +48,16 @@ def entry(lemma="donner", entry_id="e1", frame=(), coded=True, **kwargs):
 
 def slot(function, realizations=(NP,), optional=False):
     return FunctionSlot(function, frozenset(realizations), optional)
+
+
+def base_set(e):
+    """Set of base functions subcategorized by the entry."""
+    return frozenset(s.function for s in e.frame if s.function in BASE_FUNCTIONS)
+
+
+def oblique_set(e):
+    """Set of oblique functions subcategorized by the entry."""
+    return frozenset(s.function for s in e.frame if s.function not in BASE_FUNCTIONS)
 
 
 class TestParse:
@@ -249,20 +257,20 @@ class TestSignatures:
                 slot(SyntacticFunction.OBJA, optional=True),
             )
         )
-        assert base_signature(e) == frozenset(
+        assert base_set(e) == frozenset(
             {SyntacticFunction.SUJ, SyntacticFunction.OBJ, SyntacticFunction.OBJA}
         )
-        assert oblique_signature(e) == frozenset()
+        assert oblique_set(e) == frozenset()
 
     def test_oblique_signature(self):
         e = entry(frame=(slot(SyntacticFunction.SUJ), slot(SyntacticFunction.LOC)))
-        assert base_signature(e) == frozenset({SyntacticFunction.SUJ})
-        assert oblique_signature(e) == frozenset({SyntacticFunction.LOC})
+        assert base_set(e) == frozenset({SyntacticFunction.SUJ})
+        assert oblique_set(e) == frozenset({SyntacticFunction.LOC})
 
     def test_empty_frame(self):
         e = entry(frame=())
-        assert base_signature(e) == frozenset()
-        assert oblique_signature(e) == frozenset()
+        assert base_set(e) == frozenset()
+        assert oblique_set(e) == frozenset()
 
     def test_partition_is_total_and_disjoint(self):
         assert BASE_FUNCTIONS | OBLIQUE_FUNCTIONS == frozenset(SyntacticFunction)
@@ -274,8 +282,8 @@ class TestSignatures:
             lex = rand_lexicon(rng, 2)
             for e in lex.all_entries():
                 functions = frozenset(s.function for s in e.frame)
-                assert base_signature(e) | oblique_signature(e) == functions
-                assert not base_signature(e) & oblique_signature(e)
+                assert base_set(e) | oblique_set(e) == functions
+                assert not base_set(e) & oblique_set(e)
 
     @staticmethod
     def assert_masks_agree(entries):
@@ -291,8 +299,8 @@ class TestSignatures:
         for cls in (BASE_FUNCTIONS, OBLIQUE_FUNCTIONS):
             assert len({bits[f] for f in cls}) == len(cls)
         for e in entries:
-            assert e.base_mask == sum(bits[f] for f in base_signature(e))
-            assert e.oblique_mask == sum(bits[f] for f in oblique_signature(e))
+            assert e.base_mask == sum(bits[f] for f in base_set(e))
+            assert e.oblique_mask == sum(bits[f] for f in oblique_set(e))
 
     def test_cached_masks_agree_with_signatures(self):
         rng = random.Random(11)
@@ -387,14 +395,16 @@ class TestStats:
         assert stats.top == ()
 
     def test_tie_break_lexicographic(self):
+        # 13 lemmas: the two-entry lemma leads, then nine of the twelve
+        # one-entry lemmas in lemma order, whatever order they came in
+        lemmas = [f"l{k:02d}" for k in reversed(range(12))]
         lex = Lexicon.from_entries(
-            [entry(lemma="b", entry_id="b1"), entry(lemma="a", entry_id="a1")]
+            [entry(lemma=lemma, entry_id=lemma) for lemma in lemmas]
+            + [entry(lemma="z", entry_id="z1"), entry(lemma="z", entry_id="z2")]
         )
-        assert lexicon_stats(lex, top_k=2).top == (("a", 1), ("b", 1))
-
-    def test_negative_top_k_rejected(self):
-        with pytest.raises(ValueError, match="top_k must be non-negative"):
-            lexicon_stats(Lexicon.from_entries([entry()]), top_k=-1)
+        stats = lexicon_stats(lex)
+        assert stats.lemma_count == 13
+        assert stats.top == (("z", 2), *((f"l{k:02d}", 1) for k in range(9)))
 
     def test_recount_oracle(self):
         rng = random.Random(23)
@@ -404,9 +414,9 @@ class TestStats:
             counts = {}
             for e in lex.all_entries():
                 counts[e.lemma] = counts.get(e.lemma, 0) + 1
-            stats = lexicon_stats(lex, top_k=5)
+            stats = lexicon_stats(lex)
             assert stats.lemma_count == len(counts)
             assert stats.entry_count == sum(counts.values())
             assert stats.max_entries == max(counts.values())
-            expected_top = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:5]
+            expected_top = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:10]
             assert list(stats.top) == expected_top

@@ -14,15 +14,10 @@ from valex.lexicon import (
     pp,
 )
 from valex.merge import (
-    MatchDecision,
-    MatchReason,
     MergedLemmaResult,
-    MergeReport,
-    entry_matches,
     merge_lemma,
     merge_lexicons,
     serialize_merge_report,
-    validation_queue,
 )
 
 from gen import rand_entry, rand_lexicon
@@ -76,59 +71,50 @@ def oracle_merged_count(ref_entries, other_entries):
     return len(ref_entries) + consumed.count(False)
 
 
+def fuses(ref, other):
+    """Whether merge_lemma fuses the two entries into one."""
+    return merge_lemma([ref], [other]).merged_count == 1
+
+
 class TestEntryMatches:
     def test_equal_bases_and_included_obliques(self):
         ref = entry(entry_id="r", functions=(F.SUJ, F.OBJ))
         other = entry(entry_id="o", functions=(F.SUJ, F.OBJ, F.LOC))
-        decision = entry_matches(ref, other)
-        assert decision == MatchDecision("r", "o", True, MatchReason.MATCHED)
+        assert fuses(ref, other)
 
     def test_base_mismatch(self):
         ref = entry(entry_id="r", functions=(F.SUJ, F.OBJ))
         other = entry(entry_id="o", functions=(F.SUJ, F.OBJA))
-        assert entry_matches(ref, other).reason is MatchReason.BASE_MISMATCH
+        assert not fuses(ref, other)
 
     def test_oblique_not_included(self):
         ref = entry(entry_id="r", functions=(F.SUJ, F.OBJ, F.LOC))
         other = entry(entry_id="o", functions=(F.SUJ, F.OBJ, F.DLOC))
-        assert entry_matches(ref, other).reason is MatchReason.OBLIQUE_NOT_INCLUDED
+        assert not fuses(ref, other)
 
-    def test_base_mismatch_takes_precedence(self):
+    def test_base_mismatch_with_obliques_not_included(self):
         ref = entry(entry_id="r", functions=(F.SUJ, F.LOC))
         other = entry(entry_id="o", functions=(F.SUJ, F.OBJ, F.DLOC))
-        assert entry_matches(ref, other).reason is MatchReason.BASE_MISMATCH
+        assert not fuses(ref, other)
 
     def test_directional_on_strict_inclusion(self):
         narrow = entry(entry_id="n", functions=(F.SUJ, F.LOC))
         wide = entry(entry_id="w", functions=(F.SUJ, F.LOC, F.DLOC))
-        assert entry_matches(narrow, wide).matched
-        assert entry_matches(wide, narrow).reason is MatchReason.OBLIQUE_NOT_INCLUDED
+        assert fuses(narrow, wide)
+        assert not fuses(wide, narrow)
 
     def test_realizations_and_optionality_ignored(self):
         ref = entry(entry_id="r", functions=(F.SUJ, F.OBJ), optional=(F.OBJ,),
                     realizations={F.OBJ: (CLITIC,)})
         other = entry(entry_id="o", functions=(F.SUJ, F.OBJ), realizations={F.OBJ: (pp("à"),)})
-        assert entry_matches(ref, other).matched
-
-    def test_lemma_mismatch_is_error(self):
-        with pytest.raises(ValueError):
-            entry_matches(entry(lemma="voir"), entry(lemma="dire", entry_id="e2"))
-
-    def test_category_mismatch_is_error(self):
-        with pytest.raises(ValueError):
-            entry_matches(entry(), entry(entry_id="e2", category=Category.N_PRED))
-
-    def test_matched_flag_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            MatchDecision("a", "b", True, MatchReason.BASE_MISMATCH)
+        assert fuses(ref, other)
 
     def test_agreement_with_oracle(self):
         rng = random.Random(3)
         for k in range(500):
             ref = rand_entry(rng, "tester", f"r{k}")
             other = rand_entry(rng, "tester", f"o{k}")
-            assert entry_matches(ref, other).matched == oracle_matches(ref, other)
-            assert entry_matches(ref, other).matched == (merge_lemma([ref], [other]).merged_count == 1)
+            assert fuses(ref, other) == oracle_matches(ref, other)
 
 
 class TestMergeLemma:
@@ -348,19 +334,6 @@ class TestReport:
              entry(lemma="noter", entry_id="n2", functions=(F.SUJ,))]
         )
         return merge_lexicons(a, b)[1]
-
-    def test_validation_queue_order(self):
-        results = (
-            MergedLemmaResult("beta", (entry(lemma="beta"),), True, 1, 1, 2),
-            MergedLemmaResult("alpha", (entry(lemma="alpha", entry_id="e2"),), True, 1, 1, 2),
-            MergedLemmaResult(
-                "gamma",
-                (entry(lemma="gamma", entry_id="e3"),),
-                True, 2, 1, 3,
-            ),
-            MergedLemmaResult("delta", (entry(lemma="delta", entry_id="e4"),), False, 1, 0, 1),
-        )
-        assert validation_queue(MergeReport(results)) == ["gamma", "alpha", "beta"]
 
     def test_serialized_rows_and_totals(self):
         report = self.make_report()

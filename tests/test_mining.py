@@ -15,10 +15,8 @@ from valex.mining import (
     build_mining_corpus,
     compute_suspicion,
     format_suspects,
-    parse_mining_corpus,
     parse_records,
     rank_suspects,
-    serialize_mining_corpus,
     serialize_records,
 )
 
@@ -414,8 +412,8 @@ class TestFormat:
         )
 
 
-MINING_FILE = (
-    "# comparative corpus\n"
+RECORDS_FILE = (
+    "# records\n"
     "\n"
     "s1\tfailed\ta,b\n"
     "s2\tok\tb\n"
@@ -423,15 +421,11 @@ MINING_FILE = (
 
 
 class TestFiles:
-    def test_parse_mining_corpus(self):
-        built = parse_mining_corpus(MINING_FILE)
-        assert built == corpus(("s1", ("a", "b"), True), ("s2", ("b",), False))
-
-    def test_mining_round_trip(self):
-        rng = random.Random(131)
-        for _ in range(25):
-            sample = rand_mining_corpus(rng)
-            assert parse_mining_corpus(serialize_mining_corpus(sample)) == sample
+    def test_parse_records(self):
+        assert parse_records(RECORDS_FILE) == [
+            SentenceRecord("s1", ("a", "b"), False),
+            SentenceRecord("s2", ("b",), True),
+        ]
 
     def test_records_round_trip(self):
         rng = random.Random(137)
@@ -459,31 +453,26 @@ class TestFiles:
     )
     def test_parse_errors(self, line, fragment):
         with pytest.raises(FormatError) as err:
-            parse_mining_corpus("# head\n" + line + "\n")
+            parse_records("# head\n" + line + "\n")
         assert "line 2" in str(err.value)
         assert fragment in str(err.value)
 
     def test_duplicate_id_rejected(self):
         with pytest.raises(FormatError, match="duplicate"):
-            parse_mining_corpus("s1\tok\ta\ns1\tok\ta\n")
+            parse_records("s1\tok\ta\ns1\tok\ta\n")
 
     @pytest.mark.parametrize("char", LINE_BREAK_LOOKALIKES)
     def test_id_with_line_break_lookalike_round_trips(self, char):
-        mining = corpus((f"s{char}1", ("a",), True), (char, ("b",), False))
-        assert parse_mining_corpus(serialize_mining_corpus(mining)) == mining
         records = [SentenceRecord(f"s{char}1", ("a",), True), SentenceRecord(char, ("b",), False)]
         assert parse_records(serialize_records(records)) == records
 
     def test_crlf_document_parses_like_lf(self):
-        assert parse_mining_corpus(MINING_FILE.replace("\n", "\r\n")) == parse_mining_corpus(MINING_FILE)
-        assert parse_records(MINING_FILE.replace("\n", "\r\n")) == parse_records(MINING_FILE)
+        assert parse_records(RECORDS_FILE.replace("\n", "\r\n")) == parse_records(RECORDS_FILE)
 
     @pytest.mark.parametrize(
         "sentence_id, form", [("#s1", "a"), ("s\r1", "a"), ("s1", "a\rb"), ("s1", ""), ("", "a")]
     )
     def test_unreadable_field_rejected(self, sentence_id, form):
-        with pytest.raises(ValueError):
-            serialize_mining_corpus(corpus((sentence_id, (form,), True)))
         with pytest.raises(ValueError):
             serialize_records([SentenceRecord(sentence_id, (form,), True)])
 
@@ -493,6 +482,6 @@ class TestFiles:
 
     def test_serialize_rejects_delimiters(self):
         with pytest.raises(ValueError):
-            serialize_mining_corpus(corpus(("s\t1", ("a",), True)))
+            serialize_records([SentenceRecord("s\t1", ("a",), True)])
         with pytest.raises(ValueError):
-            serialize_mining_corpus(corpus(("s1", ("a,b",), True)))
+            serialize_records([SentenceRecord("s1", ("a,b",), True)])

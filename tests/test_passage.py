@@ -20,8 +20,6 @@ from valex.passage import (
     coverage,
     format_fixed,
     format_percent,
-    match_constituents,
-    match_relations,
     parse_passage,
     score_corpus,
     serialize_passage,
@@ -389,43 +387,55 @@ def optimal_tp(gold, hyp, mode):
     return best
 
 
+def constituent_tp(gold, hyp, mode):
+    """True positives per constituent type in one sentence, as score_corpus counts them."""
+    scores = score_corpus((gold,), (hyp,), mode).per_constituent
+    return Counter({t: s.tp for t, s in scores.items() if s.tp})
+
+
+def relation_tp(gold, hyp):
+    """True positives per relation type in one sentence, as score_corpus counts them."""
+    scores = score_corpus((gold,), (hyp,)).per_relation
+    return Counter({t: s.tp for t, s in scores.items() if s.tp})
+
+
 class TestMatchConstituents:
     def test_identity(self):
         ann = sentence([Constituent(C.GN, 0, 2), Constituent(C.NV, 2, 4)])
         for mode in M:
-            assert match_constituents(ann, ann, mode) == Counter({C.GN: 1, C.NV: 1})
+            assert constituent_tp(ann, ann, mode) == Counter({C.GN: 1, C.NV: 1})
 
     def test_mode_definitions(self):
         gold = sentence([Constituent(C.GN, 0, 3)])
         hyp = sentence([Constituent(C.GN, 0, 2)])
-        assert match_constituents(gold, hyp, M.EXACT) == Counter()
-        assert match_constituents(gold, hyp, M.LEFT) == Counter({C.GN: 1})
-        assert match_constituents(gold, hyp, M.OVERLAP) == Counter({C.GN: 1})
+        assert constituent_tp(gold, hyp, M.EXACT) == Counter()
+        assert constituent_tp(gold, hyp, M.LEFT) == Counter({C.GN: 1})
+        assert constituent_tp(gold, hyp, M.OVERLAP) == Counter({C.GN: 1})
 
     def test_type_must_agree(self):
         gold = sentence([Constituent(C.GN, 0, 2)])
         hyp = sentence([Constituent(C.GP, 0, 2)])
         for mode in M:
-            assert match_constituents(gold, hyp, mode) == Counter()
+            assert constituent_tp(gold, hyp, mode) == Counter()
 
     def test_disjoint_spans_never_overlap(self):
         gold = sentence([Constituent(C.GN, 0, 2)])
         hyp = sentence([Constituent(C.GN, 2, 4)])
-        assert match_constituents(gold, hyp, M.OVERLAP) == Counter()
+        assert constituent_tp(gold, hyp, M.OVERLAP) == Counter()
 
     def test_tie_break_takes_earliest_hypothesis(self):
         # gold GN[0,2) ties between hyp GN[0,3) and GN[1,2) at distance 1;
         # consuming the earlier one starves gold GN[2,4)
         gold = sentence([Constituent(C.GN, 0, 2), Constituent(C.GN, 2, 4)])
         hyp = sentence([Constituent(C.GN, 0, 3), Constituent(C.GN, 1, 2)])
-        assert match_constituents(gold, hyp, M.OVERLAP) == Counter({C.GN: 1})
+        assert constituent_tp(gold, hyp, M.OVERLAP) == Counter({C.GN: 1})
         assert optimal_tp(gold, hyp, M.OVERLAP) == 2
 
     def test_sentence_mismatch_is_error(self):
         with pytest.raises(ValueError):
-            match_constituents(sentence(sentence_id="a"), sentence(sentence_id="b"), M.EXACT)
+            score_corpus([sentence(sentence_id="a")], [sentence(sentence_id="b")], M.EXACT)
         with pytest.raises(ValueError):
-            match_constituents(sentence(n_tokens=3), sentence(n_tokens=4), M.EXACT)
+            score_corpus([sentence(n_tokens=3)], [sentence(n_tokens=4)], M.EXACT)
 
     def test_greedy_against_exhaustive_matching(self):
         rng = random.Random(73)
@@ -445,13 +455,13 @@ class TestMatchConstituents:
                 ),
             )
             for mode in M:
-                greedy = sum(match_constituents(gold, hyp, mode).values())
+                greedy = sum(constituent_tp(gold, hyp, mode).values())
                 optimal = optimal_tp(gold, hyp, mode)
                 assert greedy <= optimal
                 assert greedy >= optimal - 1
                 if mode in (M.EXACT, M.LEFT):
                     assert greedy == optimal
-                    per_type = match_constituents(gold, hyp, mode)
+                    per_type = constituent_tp(gold, hyp, mode)
                     for t in C:  # each type alone, against the exhaustive oracle
                         gold_t, hyp_t = (SentenceAnnotation("s", a.tokens, [c for c in a.constituents
                                                                            if c.ctype is t])
@@ -469,9 +479,9 @@ class TestMatchConstituents:
                     for _ in range(rng.randint(0, 5))
                 ),
             )
-            exact = sum(match_constituents(gold, hyp, M.EXACT).values())
-            left = sum(match_constituents(gold, hyp, M.LEFT).values())
-            overlap = sum(match_constituents(gold, hyp, M.OVERLAP).values())
+            exact = sum(constituent_tp(gold, hyp, M.EXACT).values())
+            left = sum(constituent_tp(gold, hyp, M.LEFT).values())
+            overlap = sum(constituent_tp(gold, hyp, M.OVERLAP).values())
             assert exact <= left <= overlap
             assert overlap <= min(len(gold.constituents), len(hyp.constituents))
 
@@ -479,18 +489,18 @@ class TestMatchConstituents:
 class TestMatchRelations:
     def test_identity(self):
         ann = sentence(relations=[Relation(RT.SUJ_V, 0, 1), Relation(RT.COD_V, 2, 1)])
-        assert match_relations(ann, ann) == Counter({RT.SUJ_V: 1, RT.COD_V: 1})
+        assert relation_tp(ann, ann) == Counter({RT.SUJ_V: 1, RT.COD_V: 1})
 
     def test_disjoint(self):
         gold = sentence(relations=[Relation(RT.SUJ_V, 0, 1)])
         hyp = sentence(relations=[Relation(RT.SUJ_V, 0, 2)])
-        assert match_relations(gold, hyp) == Counter()
+        assert relation_tp(gold, hyp) == Counter()
 
     def test_duplicates_consume_one_match_each(self):
         dup = Relation(RT.SUJ_V, 0, 1)
         gold = sentence(relations=[dup, dup, Relation(RT.MOD_V, 2, 1)])
         hyp = sentence(relations=[dup, dup, dup])
-        assert match_relations(gold, hyp) == Counter({RT.SUJ_V: 2})
+        assert relation_tp(gold, hyp) == Counter({RT.SUJ_V: 2})
 
     def test_multiset_intersection_oracle(self):
         rng = random.Random(83)
@@ -502,7 +512,7 @@ class TestMatchRelations:
                 if r.source < n and r.target < n
             )
             hyp = SentenceAnnotation("s", gold.tokens, (), candidates)
-            tp = match_relations(gold, hyp)
+            tp = relation_tp(gold, hyp)
             expected = Counter()
             hyp_pool = Counter(hyp.relations)
             for r in gold.relations:
@@ -637,25 +647,25 @@ class TestScoreCorpus:
             assert list(scores.per_relation) == list(RT)
             for t in C:
                 expected = Scores(
-                    sum(match_constituents(g, h, mode)[t] for g, h in zip(gold, hyp)),
+                    sum(constituent_tp(g, h, mode)[t] for g, h in zip(gold, hyp)),
                     sum(c.ctype is t for g in gold for c in g.constituents),
                     sum(c.ctype is t for h in hyp for c in h.constituents),
                 )
                 assert scores.per_constituent[t] == expected
             for t in RT:
                 expected = Scores(
-                    sum(match_relations(g, h)[t] for g, h in zip(gold, hyp)),
+                    sum(relation_tp(g, h)[t] for g, h in zip(gold, hyp)),
                     sum(r.rtype is t for g in gold for r in g.relations),
                     sum(r.rtype is t for h in hyp for r in h.relations),
                 )
                 assert scores.per_relation[t] == expected
             assert scores.constituents == Scores(
-                sum(sum(match_constituents(g, h, mode).values()) for g, h in zip(gold, hyp)),
+                sum(sum(constituent_tp(g, h, mode).values()) for g, h in zip(gold, hyp)),
                 sum(len(g.constituents) for g in gold),
                 sum(len(h.constituents) for h in hyp),
             )
             assert scores.relations == Scores(
-                sum(sum(match_relations(g, h).values()) for g, h in zip(gold, hyp)),
+                sum(sum(relation_tp(g, h).values()) for g, h in zip(gold, hyp)),
                 sum(len(g.relations) for g in gold),
                 sum(len(h.relations) for h in hyp),
             )
@@ -713,17 +723,6 @@ class TestCoverage:
         assert result.covered == 3
         assert result.ratio == Fraction(3, 8)
         assert result.percent_display == "37.50"
-
-    def test_analyzable_records(self):
-        from valex.checker import SentenceRecord
-
-        records = [
-            SentenceRecord("s1", ("a",), True),
-            SentenceRecord("s2", ("a",), False),
-        ]
-        result = coverage(records)
-        assert result.covered == 1
-        assert result.percent_display == "50.00"
 
     def test_empty_is_error(self):
         with pytest.raises(ValueError):

@@ -27,12 +27,8 @@ from valex.lexicon import (
     serialize_lexicon,
 )
 from valex.mining import (
-    MiningCorpus,
-    MiningSentence,
     SentenceRecord,
-    parse_mining_corpus,
     parse_records,
-    serialize_mining_corpus,
     serialize_records,
 )
 from valex.passage import (
@@ -105,9 +101,9 @@ def corpus(rng: random.Random) -> list:
     ]
 
 
-def sentences(rng: random.Random, model, flag: str) -> list:
+def records(rng: random.Random) -> list:
     return [
-        model(key(rng), tuple(field(rng) for _ in range(rng.randint(1, 3))), **{flag: rng.random() < 0.5})
+        SentenceRecord(key(rng), tuple(field(rng) for _ in range(rng.randint(1, 3))), rng.random() < 0.5)
         for _ in range(rng.randint(1, 3))
     ]
 
@@ -132,9 +128,7 @@ def annotations(rng: random.Random) -> list:
 FORMATS = {
     "lexicon": (lexicon, serialize_lexicon, parse_lexicon),
     "corpus": (corpus, serialize_corpus, parse_corpus),
-    "records": (lambda rng: sentences(rng, SentenceRecord, "analyzable"), serialize_records, parse_records),
-    "mining corpus": (lambda rng: MiningCorpus(tuple(sentences(rng, MiningSentence, "failed"))),
-                      serialize_mining_corpus, parse_mining_corpus),
+    "records": (records, serialize_records, parse_records),
     "passage": (annotations, serialize_passage, parse_passage),
 }
 

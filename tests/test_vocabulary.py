@@ -28,7 +28,7 @@ ENUMS = _enums_in_valex()
 def test_the_walk_finds_every_vocabulary():
     assert {cls.__qualname__ for cls in ENUMS} >= {
         "SyntacticFunction", "Category", "Redistribution", "Marker", "ConstituentType",
-        "RelationType", "RelaxationMode", "FailureReason", "MatchReason",
+        "RelationType", "RelaxationMode", "FailureReason",
     }
 
 
