@@ -406,6 +406,11 @@ class TestStats:
         assert stats.lemma_count == 13
         assert stats.top == (("z", 2), *((f"l{k:02d}", 1) for k in range(9)))
 
+    @pytest.mark.parametrize("n", [9, 10, 11])
+    def test_top_is_cut_at_ten_lemmas(self, n):
+        lex = Lexicon.from_entries([entry(lemma=f"l{k:02d}", entry_id=f"e{k}") for k in range(n)])
+        assert [lemma for lemma, _ in lexicon_stats(lex).top] == [f"l{k:02d}" for k in range(min(n, 10))]
+
     def test_recount_oracle(self):
         rng = random.Random(23)
         for _ in range(20):

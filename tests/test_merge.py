@@ -109,6 +109,23 @@ class TestEntryMatches:
         other = entry(entry_id="o", functions=(F.SUJ, F.OBJ), realizations={F.OBJ: (pp("à"),)})
         assert fuses(ref, other)
 
+    # One function on one side only, alone and beside every other function:
+    # each bit of both masks, and no two bits shared, in the one predicate.
+    @pytest.mark.parametrize("f", list(F), ids=lambda f: f.value)
+    def test_a_function_only_the_other_side_has(self, f):
+        for common in ((), tuple(g for g in F if g is not f)):
+            ref = entry(entry_id="r", functions=common)
+            other = entry(entry_id="o", functions=(*common, f))
+            # an extra base function breaks base equality; an extra oblique is included
+            assert fuses(ref, other) == (f.value not in BASE_TOKENS)
+
+    @pytest.mark.parametrize("f", list(F), ids=lambda f: f.value)
+    def test_a_function_only_the_reference_has(self, f):
+        for common in ((), tuple(g for g in F if g is not f)):
+            ref = entry(entry_id="r", functions=(*common, f))
+            other = entry(entry_id="o", functions=common)
+            assert not fuses(ref, other)
+
     def test_agreement_with_oracle(self):
         rng = random.Random(3)
         for k in range(500):

@@ -433,6 +433,19 @@ class TestFiles:
             records = rand_records(rng)
             assert parse_records(serialize_records(records)) == records
 
+    def test_mining_round_trip(self):
+        # mine's read path: two records files, written and read back, build
+        # the corpus of the reference-analyzable sentences the hypothesis loses
+        rng = random.Random(131)
+        for _ in range(25):
+            ref = rand_records(rng)
+            hyp = [SentenceRecord(r.sentence_id, r.forms, rng.random() < 0.5) for r in ref]
+            rng.shuffle(hyp)
+            lost = {h.sentence_id for h in hyp if not h.analyzable}
+            expected = corpus(*((r.sentence_id, r.forms, r.sentence_id in lost) for r in ref if r.analyzable))
+            read = [parse_records(serialize_records(records)) for records in (ref, hyp)]
+            assert build_mining_corpus(*read) == expected
+
     def test_records_tag_inversion(self):
         records = parse_records("s1\tok\ta\ns2\tfailed\tb\n")
         assert records == [
