@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import FormatError, Vocabulary, parse_rows, write_rows
 from .lexicon import (
@@ -197,7 +198,7 @@ def _parse_pair(pair: str) -> tuple[SyntacticFunction, Realization]:
     return function, parse_realization(realization_tok)
 
 
-def parse_corpus(text: str) -> list[tuple[str, list[ObservedFrame]]]:
+def parse_corpus(text: str | Iterable[str]) -> list[tuple[str, list[ObservedFrame]]]:
     """Parse the corpus annotation format, grouping frames by sentence id
     in first-appearance order.  Each distinct slot pair and frame is parsed
     once per call: lines whose lemma, redistribution and slot tokens agree,

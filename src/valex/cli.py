@@ -11,6 +11,8 @@ files written atomically (write then rename).
 from __future__ import annotations
 
 import argparse
+import codecs
+import collections
 import contextlib
 import functools
 import gc
@@ -58,22 +60,49 @@ def _manifest_lines(pairs) -> list[str]:
 
 
 def _parse_file(path: str, parser):
-    """Read a UTF-8 file, less a leading BOM, and parse it; failures name
-    the file and line."""
+    """Parse a UTF-8 file, less a leading BOM, from its text decoded a
+    block at a time; failures name the file and line.
+
+    The file is read BLOCK bytes at a time through an incremental decoder,
+    so no whole file is held as bytes or as text.  It is decoded as plain
+    utf-8, the BOM dropped after: lines end at LF only, not at every
+    universal newline.  An undecodable byte is reported before any parse
+    error, as a whole-file decode would, and with the whole-file decode's
+    message, which gives its file offset (utf-8-sig would count from after
+    the BOM).  The file is closed before any error leaves.
+    """
+
+    def decoded(handle):
+        decode = codecs.getincrementaldecoder("utf-8")().decode
+        at_start = True  # until the first character, which may be a BOM
+        while True:
+            data = handle.read(BLOCK)
+            try:
+                text = decode(data, not data)  # no data: the end, where a cut sequence fails
+            except UnicodeDecodeError:  # its position counts from this read: decode again whole
+                handle.seek(0)
+                handle.read().decode("utf-8")
+                raise
+            if at_start and text:
+                text, at_start = text.removeprefix("\ufeff"), False
+            if text:
+                yield text
+            if not data:
+                return
+
     try:
-        # Bytes decoded as plain utf-8, the BOM dropped after: lines end at LF
-        # only, not at every universal newline, and a decode error gives its
-        # file offset (utf-8-sig would count from after the BOM).
-        text = Path(path).read_bytes().decode("utf-8").removeprefix("\ufeff")
+        with open(path, "rb") as handle:
+            blocks = decoded(handle)
+            try:
+                return parser(blocks)
+            except FormatError as exc:
+                collections.deque(blocks, maxlen=0)  # an undecodable byte further on is reported instead
+                location = f"{path}:{exc.line}" if exc.line is not None else path
+                raise ValueError(f"{location}: {exc.message}") from exc
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
-    try:
-        return parser(text)
-    except FormatError as exc:
-        location = f"{path}:{exc.line}" if exc.line is not None else path
-        raise ValueError(f"{location}: {exc.message}") from exc
 
 
 def _write(out_dir: str | None, filename: str, header: list[str], body: str) -> None:

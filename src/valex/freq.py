@@ -9,6 +9,7 @@ them, into lemma counts over the table.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import FormatError, parse_rows, write_rows
 
@@ -25,7 +26,7 @@ class FrequencyTable:
                 raise ValueError(f"negative count for form {form!r}")
 
 
-def lemma_counts(table: FrequencyTable, map_text: str) -> tuple[dict[str, int], int]:
+def lemma_counts(table: FrequencyTable, map_text: str | Iterable[str]) -> tuple[dict[str, int], int]:
     """Aggregate the table's counts by lemma through the form-to-lemma map
     text, read row by row; returns (counts, table forms the map lacks).
 
@@ -86,7 +87,7 @@ def _count_row(fields: list[str]) -> tuple[str, int]:
     return form, count
 
 
-def parse_frequency_table(text: str) -> FrequencyTable:
+def parse_frequency_table(text: str | Iterable[str]) -> FrequencyTable:
     counts: dict[str, int] = {}
     for line, (form, count) in parse_rows(text, _count_row):
         if form in counts:

@@ -322,7 +322,7 @@ def _parse_entry(fields: list[str], parse_slot, parse_redistributions) -> Lexica
     )
 
 
-def parse_lexicon(text: str) -> Lexicon:
+def parse_lexicon(text: str | Iterable[str]) -> Lexicon:
     """Parse an interchange-format document into a Lexicon.
 
     Raises FormatError with the offending line number on any syntax

@@ -18,10 +18,11 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Sequence
 from xml.parsers.expat import ExpatError, ParserCreate
 
-from .errors import FormatError, Vocabulary
+from .errors import BLOCK, FormatError, Vocabulary, text_blocks
 
 
 class ConstituentType(Vocabulary):
@@ -128,6 +129,9 @@ _SENTENCE = (r'<S id="([^<>&"\x00-\x1f\ud800-\udfff\ufffe\uffff]+)" full="(yes|n
              r'((?:' + "|".join((_W, _G, _R)) + r')*)</S>(?:\r?\n|\Z)')  # body lines in any order
 
 
+_LONGEST = 1 << 19  # characters of one sentence that the line matcher carries across blocks
+
+
 def _required(tag: str, name: str, value: str | None) -> str:
     if value is None:
         raise FormatError(f"<{tag}> missing {name!r} attribute")
@@ -157,53 +161,78 @@ def _unexpected(tag: str, where: str) -> FormatError:
     return FormatError(f"unexpected element <{'{' if '}' in tag else ''}{tag}> {where}")
 
 
-def parse_passage(text: str) -> list[SentenceAnnotation]:
+def parse_passage(text: str | Iterable[str]) -> list[SentenceAnnotation]:
     """Parse a sequence of <S> blocks into sentence annotations.
 
-    One regex match per sentence and one findall per line kind read the
-    sentences at the start of text in serialize_passage's line shape, with
-    <W>, <G> and <R> lines in any order; expat reads the rest, from the
-    first other sentence, with what came before it blanked so that lines
-    and offsets are the file's.  Only expat raises, and the result is what
-    expat alone makes of the whole text.  A <W> token is the text before its
-    first child; elements nested in <W>, <G> or <R> are ignored.  Every
-    FormatError carries the line of the element at fault, or of </S> for an
-    error in the whole sentence.
+    text is a str or an iterable of text blocks, split anywhere.  One regex
+    match per sentence and one findall per line kind read the sentences at
+    the start of the text in serialize_passage's line shape, with <W>, <G>
+    and <R> lines in any order, on the complete sentences of each block;
+    expat reads the rest, from the first other sentence, fed a block at a
+    time after the line ends before it, so that lines are the file's.  Only
+    expat raises, and the result is what expat alone makes of the whole
+    text.  A <W> token is the text before its first child; elements nested
+    in <W>, <G> or <R> are ignored.  Every FormatError carries the line of
+    the element at fault, or of </S> for an error in the whole sentence.
     """
     annotations: dict[str, SentenceAnnotation] = {}  # by id, in document order
-    item = functools.cache(_item)
-    pos = _read_canonical(text, annotations, item)
-    if pos < len(text):
-        _read_expat(text, pos, annotations, item)
+    item = functools.cache(_item)  # one per file, not per block
+    blocks = iter(text_blocks(text))
+    rest = _read_canonical(blocks, annotations, item)
+    if rest is not None:
+        lines, tail = rest
+        _read_expat(lines, chain([tail], blocks), annotations, item)
     return list(annotations.values())
 
 
-def _read_canonical(text: str, annotations: dict, item) -> int:
-    """Add to annotations the sentences at the start of text that match
-    _SENTENCE, well formed and of new ids; return where the next starts."""
+def _read_canonical(blocks: Iterator[str], annotations: dict, item) -> tuple[int, str] | None:
+    """Add to annotations the sentences at the start of the text that match
+    _SENTENCE, well formed and of new ids, drawing blocks until one does
+    not.  Return None when every sentence did; else the number of lines
+    before that one, and the text from its start that has been drawn."""
     match = re.compile(_SENTENCE).match  # anchored at pos: a gap ends the search at once
     words, constituents, relations = (re.compile(p).findall for p in (_W, _G, _R))
-    pos = 0
-    try:
-        while m := match(text, pos):
-            sentence_id, full, body = m.group(1, 2, 3)
-            pairs = words(body)
-            tokens = [token for k, (ix, token) in enumerate(pairs) if ix == str(k)]
-            if sentence_id in annotations or len(tokens) < len(pairs):
-                break
-            annotations[sentence_id] = SentenceAnnotation(
-                sentence_id, tokens,
-                [item("G", *g) for g in constituents(body)],
-                [item("R", *r) for r in relations(body)], full == "yes")
-            pos = m.end()
-    except ValueError:  # a bad type, span or sentence: expat gives the error its line
-        pass
-    return pos
+    lines = 0  # before text
+    text = ""  # from the first sentence not yet read
+    for block in chain(blocks, [None]):
+        if block is None:  # the end, which may end the last </S> line
+            end = len(text)
+        else:
+            # Up to the line end after the last </S> whose line is drawn: a
+            # sentence that starts before it either matches or never will.
+            text += block
+            close = text.rfind("</S>", 0, text.rfind("\n") + 1)
+            end = text.find("\n", close) + 1 if close >= 0 else 0
+        pos = 0
+        try:
+            while m := match(text, pos, end):
+                sentence_id, full, body = m.group(1, 2, 3)
+                pairs = words(body)
+                tokens = [token for k, (ix, token) in enumerate(pairs) if ix == str(k)]
+                if sentence_id in annotations or len(tokens) < len(pairs):
+                    break
+                annotations[sentence_id] = SentenceAnnotation(
+                    sentence_id, tokens,
+                    [item("G", *g) for g in constituents(body)],
+                    [item("R", *r) for r in relations(body)], full == "yes")
+                pos = m.end()
+        except ValueError:  # a bad type, span or sentence: expat gives the error its line
+            pass
+        lines += text.count("\n", 0, pos)
+        text = text[pos:]
+        # Expat reads from pos if the sentence there starts before end (it
+        # failed for good), if what is drawn of it holds a </S> that does
+        # not start a line, or if it is longer than _LONGEST, as what is
+        # carried is scanned again with each block.
+        close = text.find("</S>")
+        if block is None or pos < end or close > 0 and text[close - 1] != "\n" or len(text) > _LONGEST:
+            return (lines, text) if text else None
+    return None
 
 
-def _read_expat(text: str, pos: int, annotations: dict, item) -> None:
-    """One pass over expat events from pos, the start of a line in text, that
-    adds each sentence as its </S> closes."""
+def _read_expat(lines: int, blocks: Iterable[str], annotations: dict, item) -> None:
+    """One pass over expat events on blocks, the text from the start of
+    line lines + 1, that adds each sentence as its </S> closes."""
     parser = ParserCreate(namespace_separator="}")  # namespaces as ElementTree
     parser.buffer_text = True
     chunks: list[str] = []  # text of the open <W>
@@ -261,10 +290,13 @@ def _read_expat(text: str, pos: int, annotations: dict, item) -> None:
 
     parser.StartElementHandler = start
     parser.EndElementHandler = end
-    lines = text.count("\n", 0, pos)  # text[:pos] goes blank, keeping its length and its line ends
-    document = "".join(("<document>", " " * (pos - lines), "\n" * lines, text[pos:], "</document>"))
     try:  # bytes, so that expat, not the codec, refuses a lone surrogate, at its line
-        parser.Parse(document.encode("utf-8", "surrogatepass"), True)
+        parser.Parse(b"<document>", False)
+        for start in range(0, lines, BLOCK):  # a blank line for each line before blocks
+            parser.Parse(b"\n" * min(BLOCK, lines - start), False)
+        for block in blocks:
+            parser.Parse(block.encode("utf-8", "surrogatepass"), False)
+        parser.Parse(b"</document>", True)
     except ExpatError as exc:
         raise FormatError(f"malformed markup: {exc}", line=exc.lineno) from exc
     finally:  # the handlers hold the parser: free it without waiting for the cyclic collector

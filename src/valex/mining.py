@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
 from operator import sub, truediv
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import FormatError, parse_rows, write_rows
 
@@ -252,7 +252,7 @@ def format_suspects(ranked: Sequence[SuspicionScore]) -> str:
     )
 
 
-def parse_records(text: str) -> list[SentenceRecord]:
+def parse_records(text: str | Iterable[str]) -> list[SentenceRecord]:
     """Read a record file: ``ok`` marks a sentence as analyzable."""
     seen: set[str] = set()
 

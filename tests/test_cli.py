@@ -12,10 +12,10 @@ from pathlib import Path
 import pytest
 
 import valex
-from valex import __version__
+from valex import __version__, cli
 from valex.cli import _manifest_lines, main
 from valex.checker import parse_corpus
-from valex.errors import FormatError
+from valex.errors import BLOCK, FormatError
 from valex.freq import FrequencyTable, lemma_counts, parse_frequency_table, rank_lemmas
 from valex.lexicon import parse_lexicon
 from valex.mining import (
@@ -716,6 +716,65 @@ class TestErrors:
         binary.write_bytes(b"\xef\xbb\xbf\xff\n")
         assert main(["lex", "parse", str(binary)]) == 1
         assert "can't decode byte 0xff in position 3: " in capsys.readouterr().err
+
+    # Files are read BLOCK bytes at a time; these read them 4 bytes at a time,
+    # and a decode failure must give the whole-file decode's message.
+    @pytest.mark.parametrize(
+        "data",
+        [
+            LEXICON.encode() + b"\xff\n",  # past the first read
+            LEXICON.encode() + b"\xc3(\n",  # a bad continuation byte
+            LEXICON.encode() + b"\xe2\x82",  # a sequence cut off at the end of the file
+            b"\xef\xbb\xbf" + LEXICON.encode() + b"\xf0\x9f\x98",  # the same after a BOM
+            b"donner\tV\n" * 4 + b"\xff\n",  # reported in place of the format error at line 1
+        ],
+        ids=["past-first-read", "bad-continuation", "cut-at-eof", "cut-at-eof-after-bom", "after-format-error"],
+    )
+    @pytest.mark.parametrize("command", ["lex", "eval"])
+    def test_undecodable_input_read_in_blocks_gives_the_whole_file_message(
+        self, tmp_path, capsys, monkeypatch, data, command
+    ):
+        if command == "eval":  # the same bytes after a passage: the line matcher, then expat, draw the blocks
+            data = GOLD_DOC.encode() + data.removeprefix(b"\xef\xbb\xbf")
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            message = str(exc)
+        binary = tmp_path / "bad.in"
+        binary.write_bytes(data)
+        monkeypatch.setattr(cli, "BLOCK", 4)
+        argv = ["lex", "parse", str(binary)] if command == "lex" else ["eval", str(binary), str(binary)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"valex: error: cannot read {binary}: {message}\n"
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 5, BLOCK])  # the last: a file shorter than one read
+    def test_characters_split_across_reads_decode(self, tmp_path, capsys, monkeypatch, block):
+        text = LEXICON.replace("lefff:10", "lefff:œuvre😀é")  # characters of 2, 3 and 4 bytes
+        for bom, status in (("", 0), ("\ufeff", 0), ("\ufeff\ufeff", 1)):  # one BOM is dropped, and only one
+            path = write(tmp_path, "multi.lex", bom + text)
+            monkeypatch.setattr(cli, "BLOCK", block)
+            assert main(["lex", "parse", path]) == status
+            out, err = capsys.readouterr()
+            if status == 0:
+                assert "lefff:œuvre😀é" in out and err == ""
+            else:  # the second BOM starts the comment line, which is then a data line
+                assert err.startswith(f"valex: error: {path}:1: ")
+
+    def test_format_error_in_a_multi_block_file_leaves_no_handle_open(self, tmp_path, capsys, monkeypatch):
+        # main runs with the cyclic collector off: a handle dropped open would
+        # stay open, or warn wherever it is collected
+        handles = []
+
+        def recording_open(*args, **kwargs):
+            handles.append(open(*args, **kwargs))
+            return handles[-1]
+
+        path = write(tmp_path, "bad.lex", LEXICON.replace("\tV\t", "\tZ\t", 1) + LEXICON.split("\n", 1)[1] * 50)
+        monkeypatch.setattr(cli, "BLOCK", 64)
+        monkeypatch.setattr(cli, "open", recording_open, raising=False)
+        assert main(["lex", "parse", path]) == 1
+        assert capsys.readouterr().err.startswith(f"valex: error: {path}:2: ")
+        assert len(handles) == 1 and handles[0].closed
 
     @pytest.mark.parametrize(
         "command, flags, message",

@@ -11,8 +11,18 @@ from collections import deque
 import pytest
 
 from valex.checker import ObservedFrame, diagnose_corpus
-from valex.cli import _write
+from valex.cli import _parse_file, _write
 from valex.errors import parse_rows
+from valex.markup import (
+    Constituent,
+    ConstituentType,
+    Relation,
+    RelationType,
+    SentenceAnnotation,
+    parse_passage,
+    serialize_passage,
+)
+from valex.mining import parse_records
 from valex.lexicon import (
     CLITIC,
     NP,
@@ -41,6 +51,19 @@ def traced_peak(function, *args) -> int:
         tracemalloc.stop()
 
 
+def traced_excess(function, *args) -> int:
+    """Bytes allocated by function(*args) at its peak, beyond those live
+    when it returns, the value it returns among them."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        value = function(*args)  # noqa: F841 - live until the figures are read
+        live, peak = tracemalloc.get_traced_memory()
+        return peak - live
+    finally:
+        tracemalloc.stop()
+
+
 def test_parse_rows_holds_no_line_list():
     # 4 MB of text; a list of its 400,000 lines would be about 26 MB
     text = "".join(f"w{k:06d}\t{k % 10}\n" for k in range(400_000))
@@ -56,6 +79,60 @@ def test_write_makes_no_copy_of_the_report(tmp_path, monkeypatch, to):
         assert traced_peak(_write, out_dir, "report.tsv", ["# valex test"], body) < MiB
     if to == "out":
         assert (tmp_path / "report.tsv").stat().st_size == len(body) + len("# valex test\n")
+
+
+def passage(n_sentences: int) -> list[SentenceAnnotation]:
+    """Sentences of 20 tokens, one of them "œuvre", so that a text holding
+    them takes 2 bytes a character; their items repeat, as a corpus's do."""
+    words = ["le", "chat", "dort", "sur", "la", "porte", "œuvre", "du", "vieux", "mur", "qui", "tombe"]
+    ctypes, rtypes = list(ConstituentType), list(RelationType)
+    return [
+        SentenceAnnotation(
+            f"E{k}", tuple(words[(k + i) % len(words)] for i in range(20)),
+            tuple(Constituent(ctypes[(k + j) % 6], j, j + 2) for j in range(0, 12, 3)),
+            tuple(Relation(rtypes[(k + j) % 14], j, j + 1) for j in range(6)),
+        )
+        for k in range(n_sentences)
+    ]
+
+
+# serialize_passage's line shape, which the line matcher reads, and three that
+# expat reads from the first sentence on
+LAYOUTS = {
+    "lines": lambda text: text,
+    "lines without full": lambda text: text.replace(' full="yes"', ""),
+    "one line per sentence": lambda text: text.replace("\n  <", "<").replace("\n</S>", "</S>"),
+    "one line": lambda text: text.replace("\n", ""),
+}
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_parse_file_holds_no_whole_passage_text(tmp_path, layout):
+    # about 4 MB; the whole text alone would take 7-8 MB at 2 bytes a character
+    path = tmp_path / "gold.xml"
+    path.write_text(LAYOUTS[layout](serialize_passage(passage(5_000))), encoding="utf-8")
+    assert path.stat().st_size > 3_500_000
+    assert traced_excess(_parse_file, str(path), parse_passage) < MiB
+
+
+def test_parse_file_holds_no_whole_tab_text(tmp_path):
+    # about 4 MB of records of 100 forms each
+    path = tmp_path / "records.tsv"
+    forms = ",".join(f"forme{k}" for k in range(100))
+    path.write_text("".join(f"s{k}\tok\t{forms}\n" for k in range(5_200)), encoding="utf-8")
+    assert path.stat().st_size > 4_000_000
+    assert traced_excess(_parse_file, str(path), parse_records) < MiB
+
+
+def test_equal_items_in_different_blocks_are_one_object(tmp_path):
+    path = tmp_path / "gold.xml"
+    path.write_text(serialize_passage(passage(400)), encoding="utf-8")  # some 40 blocks
+    annotations = _parse_file(str(path), parse_passage)
+    assert annotations == passage(400)
+    first, far = annotations[0].constituents[0], annotations[396].constituents[0]  # some 300,000 characters apart
+    assert first == far and first is far
+    items = [x for a in annotations for x in a.constituents + a.relations]
+    assert len({id(x) for x in items}) == len(set(items))
 
 
 # A few frames that every lemma's entries repeat, as the entries of a real

@@ -4,7 +4,7 @@ A seeded generator writes documents in serialize_passage's line shape, then
 perturbs some of them.  parse_passage, which reads with the matcher as far as
 it can and with expat from there, must return exactly what expat alone
 returns, with equal items shared the same way, and must raise expat's error
-wherever expat raises.
+wherever expat raises, whether it is given the text whole or as blocks.
 """
 
 import functools
@@ -127,28 +127,34 @@ def sharing(annotations) -> list[int]:
 
 def expat_alone(text: str) -> list[SentenceAnnotation]:
     annotations: dict = {}
-    markup._read_expat(text, 0, annotations, functools.cache(markup._item))
+    markup._read_expat(0, [text], annotations, functools.cache(markup._item))
     return list(annotations.values())
 
 
-def matcher_reach(text: str) -> int:
-    """Where the sentence matcher stops on text."""
-    return markup._read_canonical(text, {}, functools.cache(markup._item))
+def matcher_reach(text: str, read: dict | None = None, size: int = 0) -> int:
+    """Where the sentence matcher stops on text, whole or in blocks of size
+    characters, adding what it reads to read."""
+    blocks = iter([text[k:k + size] for k in range(0, len(text), size)] if size else [text])
+    rest = markup._read_canonical(blocks, {} if read is None else read, functools.cache(markup._item))
+    return len(text) if rest is None else len(text) - len(rest[1]) - len("".join(blocks))
 
 
 def check_agreement(text: str) -> int:
-    """Assert that parse_passage reads text as expat alone does; return where the matcher stopped."""
+    """Assert that parse_passage reads text, whole and cut into blocks of 3
+    or 7 characters, as expat alone does; return where the matcher stopped."""
     try:
         slow = expat_alone(text)
     except FormatError as exc:
-        with pytest.raises(type(exc)) as err:
-            parse_passage(text)
-        assert str(err.value) == str(exc)
-        assert getattr(err.value, "line", None) == getattr(exc, "line", None)
-    else:
-        fast = parse_passage(text)
-        assert fast == slow
-        assert sharing(fast) == sharing(slow)
+        slow = exc
+    for fed in (text, *(iter([text[k:k + n] for k in range(0, len(text), n)]) for n in (3, 7))):
+        if isinstance(slow, FormatError):
+            with pytest.raises(FormatError) as err:
+                parse_passage(fed)
+            assert (str(err.value), err.value.line) == (str(slow), slow.line)
+        else:
+            fast = parse_passage(fed)
+            assert fast == slow
+            assert sharing(fast) == sharing(slow)
     return matcher_reach(text)
 
 
@@ -188,17 +194,20 @@ def test_serializer_output_free_of_escapes_is_read_whole_by_the_matcher(seed):
             ))
         text = serialize_passage(annotations)
         read: dict = {}
-        assert markup._read_canonical(text, read, functools.cache(markup._item)) == len(text)
+        assert matcher_reach(text, read) == len(text)
         assert list(read.values()) == annotations
         assert check_agreement(text) == len(text)
         assert check_agreement(text.rstrip("\n")) == len(text.rstrip("\n"))  # the last line may lack its LF
+        # fed in blocks, it is read whole too: a block edge never hands a sentence to expat
+        assert all(matcher_reach(text, size=size) == len(text) for size in (1, 3, 7))
         # a CRLF copy is read whole too; no token here starts with LF, so every
         # ">\n" ends a line
         crlf = text.replace(">\n", ">\r\n")
         read = {}
-        assert markup._read_canonical(crlf, read, functools.cache(markup._item)) == len(crlf)
+        assert matcher_reach(crlf, read) == len(crlf)
         assert list(read.values()) == annotations
         assert check_agreement(crlf) == len(crlf)
+        assert all(matcher_reach(crlf, size=size) == len(crlf) for size in (1, 3, 7))
 
 
 S_A = '<S id="a" full="yes">\n  <W ix="0">le</W>\n</S>\n'
@@ -240,3 +249,12 @@ S_B = '<S id="b" full="no">\n  <W ix="0">l\'a</W>\n  <W ix="1">"</W>\n  <G type=
 def test_the_matcher_reads_whole_sentences_up_to_the_first_other(read, rest):
     assert matcher_reach(read + rest) == len(read)
     check_agreement(read + rest)
+
+
+def test_the_matcher_hands_a_sentence_longer_than_its_carry_to_expat(monkeypatch):
+    # a sentence spanning many blocks would be scanned once per block
+    monkeypatch.setattr(markup, "_LONGEST", 100)
+    long = '<S id="b" full="yes">\n' + "".join(f'  <W ix="{k}">mot</W>\n' for k in range(20)) + "</S>\n"
+    assert matcher_reach(S_A + long + S_A.replace('"a"', '"c"'), size=7) == len(S_A)
+    assert matcher_reach(S_A + long, size=len(S_A + long)) == len(S_A + long)  # one block: nothing is carried
+    check_agreement(S_A + long)
