@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .errors import BLOCK, FormatError
+from .errors import BLOCK, FormatError, text_blocks
 from .relaxation import RelaxationMode
 
 def _lazy(name: str):
@@ -63,42 +63,30 @@ def _parse_file(path: str, parser):
     """Parse a UTF-8 file, less a leading BOM, from its text decoded a
     block at a time; failures name the file and line.
 
-    The file is read BLOCK bytes at a time through an incremental decoder,
-    so no whole file is held as bytes or as text.  It is decoded as plain
-    utf-8, the BOM dropped after: lines end at LF only, not at every
-    universal newline.  An undecodable byte is reported before any parse
-    error, as a whole-file decode would, and with the whole-file decode's
-    message, which gives its file offset (utf-8-sig would count from after
-    the BOM).  The file is closed before any error leaves.
+    codecs.iterdecode decodes the file's BLOCK-byte reads as the parser
+    draws them, so no whole file is held as bytes or as text.  It decodes
+    plain utf-8, and one BOM is dropped from the first text after: lines
+    end at LF only, not at every universal newline, and a file cut after
+    EF or EF BB fails, which utf-8-sig would read as empty.  An
+    undecodable byte is reported before any parse error, as a whole-file
+    decode would, and with the whole-file decode's message, which gives its
+    file offset (utf-8-sig would count from after the BOM).  The file is
+    closed before any error leaves.
     """
-
-    def decoded(handle):
-        decode = codecs.getincrementaldecoder("utf-8")().decode
-        at_start = True  # until the first character, which may be a BOM
-        while True:
-            data = handle.read(BLOCK)
+    try:
+        with open(path, "rb") as handle:
+            blocks = codecs.iterdecode(iter(functools.partial(handle.read, BLOCK), b""), "utf-8")
             try:
-                text = decode(data, not data)  # no data: the end, where a cut sequence fails
-            except UnicodeDecodeError:  # its position counts from this read: decode again whole
+                try:
+                    return parser(itertools.chain([next(blocks, "").removeprefix("\ufeff")], blocks))
+                except FormatError as exc:
+                    collections.deque(blocks, maxlen=0)  # an undecodable byte further on is reported instead
+                    location = f"{path}:{exc.line}" if exc.line is not None else path
+                    raise ValueError(f"{location}: {exc.message}") from exc
+            except UnicodeDecodeError:  # its position counts from the failed read: decode again whole
                 handle.seek(0)
                 handle.read().decode("utf-8")
                 raise
-            if at_start and text:
-                text, at_start = text.removeprefix("\ufeff"), False
-            if text:
-                yield text
-            if not data:
-                return
-
-    try:
-        with open(path, "rb") as handle:
-            blocks = decoded(handle)
-            try:
-                return parser(blocks)
-            except FormatError as exc:
-                collections.deque(blocks, maxlen=0)  # an undecodable byte further on is reported instead
-                location = f"{path}:{exc.line}" if exc.line is not None else path
-                raise ValueError(f"{location}: {exc.message}") from exc
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
@@ -109,8 +97,7 @@ def _write(out_dir: str | None, filename: str, header: list[str], body: str) -> 
     """Header lines plus body, written atomically into out_dir, or to
     stdout when out_dir is None.  The body goes BLOCK characters at a time:
     no copy of the whole report is made, as text or as bytes."""
-    blocks = (body[start:start + BLOCK] for start in range(0, len(body), BLOCK))
-    text = itertools.chain(["".join(line + "\n" for line in header)], blocks)
+    text = itertools.chain(["".join(line + "\n" for line in header)], text_blocks(body))
     data = (block.encode("utf-8") for block in text)
     if out_dir is None:
         try:
@@ -148,35 +135,38 @@ def _write(out_dir: str | None, filename: str, header: list[str], body: str) -> 
 
 def _across(args, function, *call_args):
     """function(*call_args) on both inputs, parsed by then; its ValueError names both files."""
-    first, second = (getattr(args, name) for name, *_ in args.inputs)
+    first, second = (getattr(args, name) for name in args.inputs)
     try:
         return function(*call_args)
     except ValueError as exc:
         raise ValueError(f"{first} vs {second}: {exc}") from exc
 
 
-def _lex_parse(args, inputs):
-    return {"canonical.lex": lexicon.serialize_lexicon(*inputs)}, ()
+def _lex_parse(args):
+    return {"canonical.lex": lexicon.serialize_lexicon(_parse_file(args.lexicon, lexicon.parse_lexicon))}, ()
 
 
-def _lex_stats(args, inputs):
-    return {"stats.tsv": lexicon.serialize_stats(lexicon.lexicon_stats(*inputs))}, ()
+def _lex_stats(args):
+    stats = lexicon.lexicon_stats(_parse_file(args.lexicon, lexicon.parse_lexicon))
+    return {"stats.tsv": lexicon.serialize_stats(stats)}, ()
 
 
-def _merge(args, inputs):
-    merged, report = _across(args, merge.merge_lexicons, *inputs)
+def _merge(args):
+    merged, report = _across(args, merge.merge_lexicons, _parse_file(args.ref, lexicon.parse_lexicon),
+                             _parse_file(args.other, lexicon.parse_lexicon))
     reports = {"merged.lex": lexicon.serialize_lexicon(merged), "merge_report.tsv": merge.serialize_merge_report(report)}
     return reports, ()
 
 
-def _check(args, inputs):
-    records, histogram = checker.diagnose_corpus(*inputs)
+def _check(args):
+    records, histogram = checker.diagnose_corpus(_parse_file(args.lexicon, lexicon.parse_lexicon),
+                                                 _parse_file(args.corpus, checker.parse_corpus))
     reports = {"records.tsv": mining.serialize_records(records), "failures.tsv": checker.serialize_failures(histogram)}
     return reports, ()
 
 
-def _eval(args, inputs):
-    gold, hyp = inputs
+def _eval(args):
+    gold, hyp = (_parse_file(path, markup.parse_passage) for path in (args.gold, args.hyp))
     for path, annotations in ((args.gold, gold), (args.hyp, hyp)):
         if not annotations:
             raise ValueError(f"{path}: no <S> sentence to evaluate")
@@ -185,11 +175,12 @@ def _eval(args, inputs):
     return {"eval_report.tsv": passage.serialize_eval_report(scores, passage.coverage(hyp))}, (("mode", mode.value),)
 
 
-def _mine(args, inputs):
+def _mine(args):
     if args.top_k < 1:  # rank_suspects refuses it too, but only after the fixed point
         raise ValueError("top_k must be at least 1")
     params = mining.MiningParams(epsilon=args.epsilon, max_iterations=args.max_iter)
-    result = _across(args, mining.compute_suspicion, _across(args, mining.build_mining_corpus, *inputs), params)
+    records = (_parse_file(path, mining.parse_records) for path in (args.ref_records, args.hyp_records))
+    result = _across(args, mining.compute_suspicion, _across(args, mining.build_mining_corpus, *records), params)
     ranked = mining.rank_suspects(result.scores, args.top_k)
     if not result.converged:
         print(
@@ -205,11 +196,11 @@ def _mine(args, inputs):
     )
 
 
-def _freq(args, inputs):
+def _freq(args):
     if args.n < 1:  # rank_lemmas refuses it too, but only after every input is read
         raise ValueError("n must be at least 1")
-    (table,) = inputs
     # the map is read through the fold, with the table bound, so no form-to-lemma dict is held
+    table = _parse_file(args.freq_table, freq.parse_frequency_table)
     counts, unmapped = _parse_file(args.lemma_map, functools.partial(freq.lemma_counts, table))
     report = freq.serialize_top_lemmas(counts, args.n)
     if unmapped:
@@ -225,57 +216,48 @@ def _build_parser() -> argparse.ArgumentParser:
     lex_sub = lex.add_subparsers(dest="lex_command", required=True)
 
     def command(parent, name, help, run, inputs, out_required=False):
-        """Register a command: its positional inputs as (name, module,
-        parser name) triples, whether --out is required, and its run
-        function, which takes the arguments and an iterator that reads and
-        parses each input as it is drawn, so that flags fail before any
-        read, and returns ({filename: body}, manifest params).  An input
-        whose parser name is None is left to the run function, which reads
-        it with _parse_file."""
+        """Register a command: its positional input names, whether --out is
+        required, and its run function, which takes the arguments, checks
+        its flags, reads and parses each input with _parse_file in argument
+        order, so that flags fail before any read, and returns
+        ({filename: body}, manifest params)."""
         subparser = parent.add_parser(name, help=help)
-        for input_name, *_ in inputs:
+        for input_name in inputs:
             subparser.add_argument(input_name)
         out_help = "output directory" if out_required else "output directory (default stdout)"
         subparser.add_argument("--out", required=out_required, help=out_help)
         subparser.set_defaults(run=run, inputs=inputs)
         return subparser
 
-    lex_input = ("lexicon", lexicon, "parse_lexicon")
-    command(lex_sub, "parse", "validate and re-emit canonical form", _lex_parse, (lex_input,))
-    command(lex_sub, "stats", "lemma/entry counts and ambiguity top list", _lex_stats, (lex_input,))
-    command(sub, "merge", "merge two lexicons", _merge,
-            (("ref", lexicon, "parse_lexicon"), ("other", lexicon, "parse_lexicon")), out_required=True)
+    command(lex_sub, "parse", "validate and re-emit canonical form", _lex_parse, ("lexicon",))
+    command(lex_sub, "stats", "lemma/entry counts and ambiguity top list", _lex_stats, ("lexicon",))
+    command(sub, "merge", "merge two lexicons", _merge, ("ref", "other"), out_required=True)
     command(sub, "check", "check an observed-frame corpus against a lexicon", _check,
-            (lex_input, ("corpus", checker, "parse_corpus")), out_required=True)
-    evaluate = command(sub, "eval", "score hypothesis annotations against gold", _eval,
-                       (("gold", markup, "parse_passage"), ("hyp", markup, "parse_passage")))
+            ("lexicon", "corpus"), out_required=True)
+    evaluate = command(sub, "eval", "score hypothesis annotations against gold", _eval, ("gold", "hyp"))
     evaluate.add_argument("--mode", choices=[m.value for m in RelaxationMode], default="exact")
-    mine = command(sub, "mine", "mine suspicious forms from two record files", _mine,
-                   (("ref_records", mining, "parse_records"), ("hyp_records", mining, "parse_records")))
+    mine = command(sub, "mine", "mine suspicious forms from two record files", _mine, ("ref_records", "hyp_records"))
     mine.add_argument("--epsilon", type=float, default=1e-9)
     mine.add_argument("--max-iter", type=int, default=200)
     mine.add_argument("--top-k", type=int, default=20)
-    top = command(sub, "freq", "most frequent lemmas from a form frequency table", _freq,
-                  (("freq_table", freq, "parse_frequency_table"), ("lemma_map", None, None)))
+    top = command(sub, "freq", "most frequent lemmas from a form frequency table", _freq, ("freq_table", "lemma_map"))
     top.add_argument("--n", type=int, default=100)
     return parser
 
 
 def main(argv=None) -> int:
-    """Parse the command's inputs, run it, and write each report it returns
-    under one manifest: the inputs by argument name, then its parameters."""
+    """Run the command, which reads its own inputs, and write each report it
+    returns under one manifest: the inputs by argument name, then its
+    parameters."""
     args = _build_parser().parse_args(argv)
     # A command builds an acyclic model and exits, so the cyclic collector
     # would only re-scan it; the caller's setting is restored on return.
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        paths = [(name, getattr(args, name)) for name, *_ in args.inputs]
         # a path that its manifest line cannot hold fails before any read
-        header = [f"# valex {__version__}", *_manifest_lines([(f"input {n}", path) for n, path in paths])]
-        # The parser is looked up as its input is drawn, which runs its module.
-        parsed = (_parse_file(getattr(args, name), getattr(module, parser)) for name, module, parser in args.inputs if parser)
-        reports, params = args.run(args, parsed)
+        header = [f"# valex {__version__}", *_manifest_lines([(f"input {n}", getattr(args, n)) for n in args.inputs])]
+        reports, params = args.run(args)
         header += _manifest_lines(params)
         for filename, body in reports.items():
             _write(args.out, filename, header, body)

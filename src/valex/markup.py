@@ -227,7 +227,6 @@ def _read_canonical(blocks: Iterator[str], annotations: dict, item) -> tuple[int
         close = text.find("</S>")
         if block is None or pos < end or close > 0 and text[close - 1] != "\n" or len(text) > _LONGEST:
             return (lines, text) if text else None
-    return None
 
 
 def _read_expat(lines: int, blocks: Iterable[str], annotations: dict, item) -> None:

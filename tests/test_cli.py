@@ -730,7 +730,7 @@ class TestErrors:
         ],
         ids=["past-first-read", "bad-continuation", "cut-at-eof", "cut-at-eof-after-bom", "after-format-error"],
     )
-    @pytest.mark.parametrize("command", ["lex", "eval"])
+    @pytest.mark.parametrize("command", ["lex", "eval", "check", "freq"])
     def test_undecodable_input_read_in_blocks_gives_the_whole_file_message(
         self, tmp_path, capsys, monkeypatch, data, command
     ):
@@ -743,9 +743,36 @@ class TestErrors:
         binary = tmp_path / "bad.in"
         binary.write_bytes(data)
         monkeypatch.setattr(cli, "BLOCK", 4)
-        argv = ["lex", "parse", str(binary)] if command == "lex" else ["eval", str(binary), str(binary)]
+        if command == "lex":
+            argv = ["lex", "parse", str(binary)]
+        elif command == "eval":
+            argv = ["eval", str(binary), str(binary)]
+        else:  # the second input: check's corpus, freq's lemma map
+            good = write(tmp_path, "good.in", LEXICON if command == "check" else FREQ_TABLE)
+            argv = [command, good, str(binary), "--out", str(tmp_path / "out")]
         assert main(argv) == 1
         assert capsys.readouterr().err == f"valex: error: cannot read {binary}: {message}\n"
+
+    # The BOM is dropped after a plain utf-8 decode: utf-8-sig's incremental
+    # decoder would read a file cut after EF or EF BB as empty text.
+    @pytest.mark.parametrize("data", [b"\xef", b"\xef\xbb"], ids=["EF", "EF-BB"])
+    @pytest.mark.parametrize("block", [1, BLOCK])
+    def test_file_cut_within_a_bom_gives_the_whole_file_message(self, tmp_path, capsys, monkeypatch, data, block):
+        with pytest.raises(UnicodeDecodeError) as exc:
+            data.decode("utf-8")
+        binary = tmp_path / "cut.lex"
+        binary.write_bytes(data)
+        monkeypatch.setattr(cli, "BLOCK", block)
+        assert main(["lex", "parse", str(binary)]) == 1
+        assert capsys.readouterr().err == f"valex: error: cannot read {binary}: {exc.value}\n"
+
+    @pytest.mark.parametrize("block", [1, BLOCK])
+    def test_file_holding_only_a_bom_parses_as_empty(self, tmp_path, capsys, monkeypatch, block):
+        binary = tmp_path / "bom.lex"
+        binary.write_bytes(b"\xef\xbb\xbf")
+        monkeypatch.setattr(cli, "BLOCK", block)
+        assert main(["lex", "parse", str(binary)]) == 0
+        assert capsys.readouterr() == (f"# valex {__version__}\n# input lexicon: {binary}\n", "")
 
     @pytest.mark.parametrize("block", [1, 2, 3, 5, BLOCK])  # the last: a file shorter than one read
     def test_characters_split_across_reads_decode(self, tmp_path, capsys, monkeypatch, block):
@@ -853,6 +880,7 @@ GOOD_ROWS = {
 }
 COMMAND_INPUTS = {
     "lex parse": ("lexicon",),
+    "merge": ("lexicon", "lexicon"),
     "check": ("lexicon", "corpus"),
     "mine": ("records", "records"),
     "freq": ("freq_table", "lemma_map"),
@@ -916,6 +944,18 @@ def test_tab_format_error_names_file_and_line(tmp_path, capsys, command, bad_inp
     ]
     assert main([*command.split(), *paths, "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"valex: error: {paths[bad_input]}:3: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["merge", "check", "eval", "mine", "freq"])
+def test_inputs_are_read_in_argument_order(tmp_path, capsys, command):
+    # both inputs hold a bad line: only the first is read when it fails
+    if command == "eval":
+        texts, line = [GOLD_DOC + "</X>\n"] * 2, 8  # a mismatched tag
+    else:
+        texts, line = [GOOD_ROWS[fmt] + "a\rb\t1\n" for fmt in COMMAND_INPUTS[command]], 3  # refused in every tab format
+    first, second = (write(tmp_path, f"{k}.in", text) for k, text in enumerate(texts))
+    assert main([command, first, second, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"valex: error: {first}:{line}: ")
 
 
 @pytest.mark.parametrize("command", COMMAND_INPUTS)
