@@ -59,9 +59,10 @@ def _manifest_lines(pairs) -> list[str]:
     return [f"# {key}: {value}" for key, value in pairs]
 
 
-def _parse_file(path: str, parser):
-    """Parse a UTF-8 file, less a leading BOM, from its text decoded a
-    block at a time; failures name the file and line.
+def _read_file(path: str, parser):
+    """Yield what parser yields from a UTF-8 file, less a leading BOM,
+    given its text decoded a block at a time; failures name the file and
+    line.
 
     codecs.iterdecode decodes the file's BLOCK-byte reads as the parser
     draws them, so no whole file is held as bytes or as text.  It decodes
@@ -71,14 +72,14 @@ def _parse_file(path: str, parser):
     undecodable byte is reported before any parse error, as a whole-file
     decode would, and with the whole-file decode's message, which gives its
     file offset (utf-8-sig would count from after the BOM).  The file is
-    closed before any error leaves.
+    closed before any error leaves, and when the generator is closed.
     """
     try:
         with open(path, "rb") as handle:
             blocks = codecs.iterdecode(iter(functools.partial(handle.read, BLOCK), b""), "utf-8")
             try:
                 try:
-                    return parser(itertools.chain([next(blocks, "").removeprefix("\ufeff")], blocks))
+                    yield from parser(itertools.chain([next(blocks, "").removeprefix("\ufeff")], blocks))
                 except FormatError as exc:
                     collections.deque(blocks, maxlen=0)  # an undecodable byte further on is reported instead
                     location = f"{path}:{exc.line}" if exc.line is not None else path
@@ -91,6 +92,39 @@ def _parse_file(path: str, parser):
         raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
+
+
+def _parse_file(path: str, parser):
+    """parser's value for a whole file, read by _read_file's rules.  Every
+    command but eval reads each of its inputs so, in argument order."""
+    (value,) = _read_file(path, lambda blocks: [parser(blocks)])
+    return value
+
+
+def _sentence_pairs(gold: str, hyp: str):
+    """Yield (gold, hypothesis) pairs of the sentences of two passage files,
+    read at once, a sentence of each at a time; None past the end of the
+    shorter.  Errors come in argument order, as if each file were parsed
+    whole in turn: on the hypothesis file's own error, the gold file is
+    read to its end first, and its own error, if any, is raised instead; a
+    file with no sentence fails once both are read."""
+    n_gold = n_hyp = 0
+    with contextlib.closing(_read_file(gold, markup.iter_passage)) as golds, \
+            contextlib.closing(_read_file(hyp, markup.iter_passage)) as hyps:
+        for g in golds:
+            try:
+                h = next(hyps, None)
+            except ValueError:
+                collections.deque(golds, maxlen=0)  # each sentence is dropped as it is built
+                raise
+            n_gold, n_hyp = n_gold + 1, n_hyp + (h is not None)
+            yield g, h
+        for h in hyps:
+            n_hyp += 1
+            yield None, h
+    for path, n in ((gold, n_gold), (hyp, n_hyp)):
+        if not n:
+            raise ValueError(f"{path}: no <S> sentence to evaluate")
 
 
 def _write(out_dir: str | None, filename: str, header: list[str], body: str) -> None:
@@ -166,13 +200,12 @@ def _check(args):
 
 
 def _eval(args):
-    gold, hyp = (_parse_file(path, markup.parse_passage) for path in (args.gold, args.hyp))
-    for path, annotations in ((args.gold, gold), (args.hyp, hyp)):
-        if not annotations:
-            raise ValueError(f"{path}: no <S> sentence to evaluate")
     mode = RelaxationMode(args.mode)
-    scores = _across(args, passage.score_corpus, gold, hyp, mode)  # the sentence ids or token counts differ
-    return {"eval_report.tsv": passage.serialize_eval_report(scores, passage.coverage(hyp))}, (("mode", mode.value),)
+    try:  # each file's own error, or its lack of sentences, is raised as the pairs are drawn
+        scores, covered = passage.score_pairs(_sentence_pairs(args.gold, args.hyp), mode)
+    except passage.Misaligned as exc:  # the sentence ids or token counts differ
+        raise ValueError(f"{args.gold} vs {args.hyp}: {exc}") from exc
+    return {"eval_report.tsv": passage.serialize_eval_report(scores, covered)}, (("mode", mode.value),)
 
 
 def _mine(args):
@@ -220,7 +253,9 @@ def _build_parser() -> argparse.ArgumentParser:
         required, and its run function, which takes the arguments, checks
         its flags, reads and parses each input with _parse_file in argument
         order, so that flags fail before any read, and returns
-        ({filename: body}, manifest params)."""
+        ({filename: body}, manifest params).  eval draws from both inputs
+        at once through _read_file, and reports errors in argument order as
+        well (see _sentence_pairs)."""
         subparser = parent.add_parser(name, help=help)
         for input_name in inputs:
             subparser.add_argument(input_name)

@@ -10,7 +10,8 @@ The markup is a small XML dialect:
       <R type="SUJ-V" src="1" tgt="3"/> ...
     </S>
 
-parse_passage reads it, serialize_passage writes it; valex.passage scores it.
+parse_passage reads it, whole or a block at a time, iter_passage a sentence
+at a time; serialize_passage writes it; valex.passage scores it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import functools
 import re
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import Generator, Iterable, Iterator, Sequence
 from xml.parsers.expat import ExpatError, ParserCreate
 
 from .errors import BLOCK, FormatError, Vocabulary, text_blocks
@@ -161,44 +162,81 @@ def _unexpected(tag: str, where: str) -> FormatError:
     return FormatError(f"unexpected element <{'{' if '}' in tag else ''}{tag}> {where}")
 
 
-def parse_passage(text: str | Iterable[str]) -> list[SentenceAnnotation]:
-    """Parse a sequence of <S> blocks into sentence annotations.
+def parse_passage(text: str | Iterable[str] | None,
+                  reader: Generator[list[SentenceAnnotation], str | None, None] | None = None,
+                  ) -> list[SentenceAnnotation]:
+    """The sentence annotations of a sequence of <S> blocks, as a list.
 
-    text is a str or an iterable of text blocks, split anywhere.  One regex
-    match per sentence and one findall per line kind read the sentences at
-    the start of the text in serialize_passage's line shape, with <W>, <G>
-    and <R> lines in any order, on the complete sentences of each block;
-    expat reads the rest, from the first other sentence, fed a block at a
-    time after the line ends before it, so that lines are the file's.  Only
-    expat raises, and the result is what expat alone makes of the whole
-    text.  A <W> token is the text before its first child; elements nested
-    in <W>, <G> or <R> are ignored.  Every FormatError carries the line of
-    the element at fault, or of </S> for an error in the whole sentence.
+    text is a str or an iterable of text blocks, split anywhere.  Given a
+    reader (see _reader), text is instead the next block of that reader's
+    input, or None for its end, and the list holds the sentences that the
+    block closes.  iter_passage parses by such calls, so that a wrapper of
+    parse_passage, as bench/layertrace.py installs, times and counts every
+    sentence read, whole or a block at a time.
     """
-    annotations: dict[str, SentenceAnnotation] = {}  # by id, in document order
+    if reader is not None:
+        return reader.send(text)
+    reader = _reader()
+    next(reader)
+    return [a for block in chain(text_blocks(text), [None]) for a in reader.send(block)]
+
+
+def iter_passage(text: str | Iterable[str]) -> Iterator[SentenceAnnotation]:
+    """Yield the sentence annotations of a sequence of <S> blocks, the
+    sentences that each block closes once that block is parsed.
+
+    text is a str or an iterable of text blocks, split anywhere; a block is
+    drawn only when the sentences before it are yielded.  One regex match
+    per sentence and one findall per line kind read the sentences at the
+    start of the text in serialize_passage's line shape, with <W>, <G> and
+    <R> lines in any order, on the complete sentences of each block; expat
+    reads the rest, from the first other sentence, fed a block at a time
+    after the line ends before it, so that lines are the file's.  Only
+    expat raises, and what is yielded is what expat alone makes of the
+    whole text.  A <W> token is the text before its first child; elements
+    nested in <W>, <G> or <R> are ignored.  Every FormatError carries the
+    line of the element at fault, or of </S> for an error in the whole
+    sentence.  Only the set of ids yielded is kept, for the duplicate check.
+    """
+    reader = _reader()
+    next(reader)
+    for block in chain(text_blocks(text), [None]):
+        yield from parse_passage(block, reader)
+
+
+def _reader() -> Generator[list[SentenceAnnotation], str | None, None]:
+    """A reader: a generator, started by next(), that is sent each text
+    block and then None, and answers each with a new list of the sentences
+    that it closes.  The line matcher reads, and expat from the first
+    sentence that the matcher cannot read."""
+    seen: set[str] = set()
     item = functools.cache(_item)  # one per file, not per block
-    blocks = iter(text_blocks(text))
-    rest = _read_canonical(blocks, annotations, item)
-    if rest is not None:
-        lines, tail = rest
-        _read_expat(lines, chain([tail], blocks), annotations, item)
-    return list(annotations.values())
+    lines, text, closed, final = yield from _read_canonical(seen, item)
+    if text:
+        yield from _read_expat(lines, [text, None] if final else [text], closed, seen, item)
+    else:
+        yield closed  # every sentence matched: the answer to the end
 
 
-def _read_canonical(blocks: Iterator[str], annotations: dict, item) -> tuple[int, str] | None:
-    """Add to annotations the sentences at the start of the text that match
-    _SENTENCE, well formed and of new ids, drawing blocks until one does
-    not.  Return None when every sentence did; else the number of lines
-    before that one, and the text from its start that has been drawn."""
+def _read_canonical(seen: set, item) -> Generator[list[SentenceAnnotation], str | None,
+                                                   tuple[int, str, list[SentenceAnnotation], bool]]:
+    """A reader of the sentences at the start of the text that match
+    _SENTENCE, well formed and of ids not in seen, up to the block in which
+    one does not, or the end.  Return the number of lines before that
+    sentence, the text from its start that has been sent, the sentences
+    read of the last block, and whether that block was the end."""
     match = re.compile(_SENTENCE).match  # anchored at pos: a gap ends the search at once
     words, constituents, relations = (re.compile(p).findall for p in (_W, _G, _R))
     lines = 0  # before text
     text = ""  # from the first sentence not yet read
-    for block in chain(blocks, [None]):
+    closed: list[SentenceAnnotation] = []
+    while True:
+        block = yield closed
+        closed = []
         if block is None:  # the end, which may end the last </S> line
             end = len(text)
         else:
-            # Up to the line end after the last </S> whose line is drawn: a
+            # Up to the line end after the last </S> whose line is sent: a
             # sentence that starts before it either matches or never will.
             text += block
             close = text.rfind("</S>", 0, text.rfind("\n") + 1)
@@ -209,29 +247,32 @@ def _read_canonical(blocks: Iterator[str], annotations: dict, item) -> tuple[int
                 sentence_id, full, body = m.group(1, 2, 3)
                 pairs = words(body)
                 tokens = [token for k, (ix, token) in enumerate(pairs) if ix == str(k)]
-                if sentence_id in annotations or len(tokens) < len(pairs):
+                if sentence_id in seen or len(tokens) < len(pairs):
                     break
-                annotations[sentence_id] = SentenceAnnotation(
+                closed.append(SentenceAnnotation(
                     sentence_id, tokens,
                     [item("G", *g) for g in constituents(body)],
-                    [item("R", *r) for r in relations(body)], full == "yes")
+                    [item("R", *r) for r in relations(body)], full == "yes"))
+                seen.add(sentence_id)
                 pos = m.end()
         except ValueError:  # a bad type, span or sentence: expat gives the error its line
             pass
         lines += text.count("\n", 0, pos)
         text = text[pos:]
         # Expat reads from pos if the sentence there starts before end (it
-        # failed for good), if what is drawn of it holds a </S> that does
+        # failed for good), if what is sent of it holds a </S> that does
         # not start a line, or if it is longer than _LONGEST, as what is
         # carried is scanned again with each block.
         close = text.find("</S>")
         if block is None or pos < end or close > 0 and text[close - 1] != "\n" or len(text) > _LONGEST:
-            return (lines, text) if text else None
+            return lines, text, closed, block is None
 
 
-def _read_expat(lines: int, blocks: Iterable[str], annotations: dict, item) -> None:
-    """One pass over expat events on blocks, the text from the start of
-    line lines + 1, that adds each sentence as its </S> closes."""
+def _read_expat(lines: int, pending: list[str | None], closed: list[SentenceAnnotation],
+                seen: set, item) -> Generator[list[SentenceAnnotation], str | None, None]:
+    """A reader by expat events, started by next(), of the blocks pending,
+    the text from the start of line lines + 1, and then of each block sent.
+    Its first answer is closed, to which it adds what pending closes."""
     parser = ParserCreate(namespace_separator="}")  # namespaces as ElementTree
     parser.buffer_text = True
     chunks: list[str] = []  # text of the open <W>
@@ -261,7 +302,7 @@ def _read_expat(lines: int, blocks: Iterable[str], annotations: dict, item) -> N
                 if tag != "S":
                     raise _unexpected(tag, "at top level")
                 sentence_id = _required(tag, "id", attrs.get("id"))
-                if sentence_id in annotations:
+                if sentence_id in seen:
                     raise FormatError(f"duplicate sentence id: {sentence_id!r}")
                 full_tok = attrs.get("full", "yes")
                 if full_tok not in ("yes", "no"):
@@ -281,21 +322,27 @@ def _read_expat(lines: int, blocks: Iterable[str], annotations: dict, item) -> N
             parser.CharacterDataHandler = None
         elif depth == 1:
             try:
-                annotations[sentence_id] = SentenceAnnotation(  # the model turns the lists into tuples
+                closed.append(SentenceAnnotation(  # the model turns the lists into tuples
                     sentence_id, tokens, constituents, relations, full_tok == "yes"
-                )
+                ))
             except ValueError as exc:
                 raise FormatError(str(exc), parser.CurrentLineNumber) from exc
+            seen.add(sentence_id)
 
     parser.StartElementHandler = start
     parser.EndElementHandler = end
     try:  # bytes, so that expat, not the codec, refuses a lone surrogate, at its line
         parser.Parse(b"<document>", False)
-        for start in range(0, lines, BLOCK):  # a blank line for each line before blocks
+        for start in range(0, lines, BLOCK):  # a blank line for each line before pending
             parser.Parse(b"\n" * min(BLOCK, lines - start), False)
-        for block in blocks:
-            parser.Parse(block.encode("utf-8", "surrogatepass"), False)
-        parser.Parse(b"</document>", True)
+        while True:
+            for block in pending:
+                if block is None:
+                    parser.Parse(b"</document>", True)
+                else:
+                    parser.Parse(block.encode("utf-8", "surrogatepass"), False)
+            answer, closed = closed, []
+            pending = [(yield answer)]
     except ExpatError as exc:
         raise FormatError(f"malformed markup: {exc}", line=exc.lineno) from exc
     finally:  # the handlers hold the parser: free it without waiting for the cyclic collector

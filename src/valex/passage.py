@@ -10,10 +10,11 @@ formatting rounds half-up to two decimals, percentage style.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from itertools import islice, zip_longest
+from typing import Iterable, Sequence
 
 from .errors import write_rows
 from .markup import (  # the model; Constituent, Relation, the reader and the writer are re-exported
@@ -51,6 +52,9 @@ class Scores:
     gold_count: int
     hyp_count: int
 
+    def __add__(self, other: Scores) -> Scores:
+        return Scores(self.tp + other.tp, self.gold_count + other.gold_count, self.hyp_count + other.hyp_count)
+
     def __post_init__(self):
         if self.tp > min(self.gold_count, self.hyp_count) or self.tp < 0:
             raise ValueError(
@@ -73,8 +77,8 @@ class Scores:
         return 2 * p * r / (p + r)
 
 
-# Sentences per score_corpus intersection: one block's keys take under half a
-# MiB, where 8,000 sentence pairs' (15 MiB) lifted eval's peak RSS past its parse.
+# Sentence pairs per score_corpus intersection and per score_pairs block: one
+# block's pairs and keys, under half a MiB, are alive, whatever the length.
 _BLOCK = 256
 
 
@@ -85,23 +89,50 @@ class EvalScores:
     per_constituent: dict[ConstituentType, Scores]
     per_relation: dict[RelationType, Scores]
 
+    def __add__(self, other: EvalScores) -> EvalScores:
+        return EvalScores(self.constituents + other.constituents, self.relations + other.relations,
+                          {t: s + other.per_constituent[t] for t, s in self.per_constituent.items()},
+                          {t: s + other.per_relation[t] for t, s in self.per_relation.items()})
+
+
+class Misaligned(ValueError):
+    """Gold and hypothesis sentences that do not pair up."""
+
+
+def _aligned(pairs: Iterable[tuple[SentenceAnnotation | None, SentenceAnnotation | None]]):
+    """Yield the (gold, hypothesis) sentence pairs, None past the end of the
+    shorter side, up to the first that does not pair up; then draw the rest
+    and raise Misaligned for the first position whose sentence ids differ,
+    else for the two sentence counts, else for the first token count
+    mismatch."""
+    n_gold = n_hyp = 0
+    ids = tokens = None  # the first pair whose sentence ids, or token counts, differ
+    for g, h in pairs:
+        n_gold, n_hyp = n_gold + (g is not None), n_hyp + (h is not None)
+        if g is None or h is None:
+            continue
+        if ids is None and g.sentence_id != h.sentence_id:
+            ids = (n_gold, g.sentence_id, h.sentence_id)
+        elif tokens is None and len(g.tokens) != len(h.tokens):
+            tokens = (g.sentence_id, len(g.tokens), len(h.tokens))
+        if ids is tokens is None:
+            yield g, h
+    if ids is not None or n_gold != n_hyp:
+        where = (f"gold has {n_gold} sentences, hypothesis {n_hyp}" if ids is None
+                 else "sentence {} is {!r} in gold, {!r} in hypothesis".format(*ids))
+        raise Misaligned(f"gold and hypothesis must list the same sentence ids in order: {where}")
+    if tokens is not None:
+        raise Misaligned("token count mismatch in {!r}: gold has {} tokens, hypothesis {}".format(*tokens))
+
 
 def score_corpus(
     gold: Sequence[SentenceAnnotation],
     hyp: Sequence[SentenceAnnotation],
     mode: RelaxationMode = RelaxationMode.EXACT,
 ) -> EvalScores:
-    """Micro-averaged scores over aligned gold/hypothesis corpora."""
-    gold_ids, hyp_ids = [g.sentence_id for g in gold], [h.sentence_id for h in hyp]
-    if gold_ids != hyp_ids:
-        k = next((k for k, (g, h) in enumerate(zip(gold_ids, hyp_ids)) if g != h), None)
-        where = (f"gold has {len(gold_ids)} sentences, hypothesis {len(hyp_ids)}" if k is None
-                 else f"sentence {k + 1} is {gold_ids[k]!r} in gold, {hyp_ids[k]!r} in hypothesis")
-        raise ValueError(f"gold and hypothesis must list the same sentence ids in order: {where}")
-    for g, h in zip(gold, hyp):
-        if len(g.tokens) != len(h.tokens):
-            raise ValueError(f"token count mismatch in {g.sentence_id!r}: "
-                             f"gold has {len(g.tokens)} tokens, hypothesis {len(h.tokens)}")
+    """Micro-averaged scores over aligned gold/hypothesis corpora; Misaligned
+    if they are not (see _aligned)."""
+    deque(_aligned(zip_longest(gold, hyp)), maxlen=0)
     exact, overlap = mode is RelaxationMode.EXACT, mode is RelaxationMode.OVERLAP
     tp: Counter = Counter()  # these three are keyed by constituent or relation type
     gold_count, hyp_count = (Counter(c.ctype for a in corpus for c in a.constituents)
@@ -137,12 +168,34 @@ def score_corpus(
     return EvalScores(constituents, relations, per_constituent, per_relation)
 
 
+def score_pairs(
+    pairs: Iterable[tuple[SentenceAnnotation | None, SentenceAnnotation | None]],
+    mode: RelaxationMode = RelaxationMode.EXACT,
+) -> tuple[EvalScores, CoverageResult]:
+    """Micro-averaged scores, and the coverage of the hypothesis, over
+    (gold, hypothesis) sentence pairs, None past the end of the shorter
+    side: the sums of score_corpus and coverage on each _BLOCK pairs as
+    they are drawn.  Every pair is drawn before Misaligned is raised (see
+    _aligned), so an error raised in drawing them comes first."""
+    aligned = _aligned(pairs)
+    scores, covered = score_corpus((), (), mode), CoverageResult(0, 0)
+    while block := list(islice(aligned, _BLOCK)):
+        gold, hyp = zip(*block)
+        scores += score_corpus(gold, hyp, mode)
+        covered += coverage(hyp)
+        del block, gold, hyp  # not alive while the next block is drawn
+    return scores, covered
+
+
 @dataclass(frozen=True)
 class CoverageResult:
     """How many items carry a positive flag, with exact ratio."""
 
     covered: int
     total: int
+
+    def __add__(self, other: CoverageResult) -> CoverageResult:
+        return CoverageResult(self.covered + other.covered, self.total + other.total)
 
     @property
     def ratio(self) -> Fraction:

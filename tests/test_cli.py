@@ -7,13 +7,14 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 import valex
 from valex import __version__, cli
-from valex.cli import _manifest_lines, main
+from valex.cli import _manifest_lines, _parse_file, main
 from valex.checker import parse_corpus
 from valex.errors import BLOCK, FormatError
 from valex.freq import FrequencyTable, lemma_counts, parse_frequency_table, rank_lemmas
@@ -24,7 +25,16 @@ from valex.mining import (
     compute_suspicion,
     parse_records,
 )
-from valex.passage import RelaxationMode
+from valex.markup import (
+    Constituent,
+    ConstituentType,
+    Relation,
+    RelationType,
+    SentenceAnnotation,
+    parse_passage,
+    serialize_passage,
+)
+from valex.passage import RelaxationMode, coverage, score_corpus, serialize_eval_report
 
 from gen import LINE_BREAK_LOOKALIKES
 
@@ -956,6 +966,163 @@ def test_inputs_are_read_in_argument_order(tmp_path, capsys, command):
     first, second = (write(tmp_path, f"{k}.in", text) for k, text in enumerate(texts))
     assert main([command, first, second, "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith(f"valex: error: {first}:{line}: ")
+
+
+# eval reads gold and hypothesis at once.  Its errors must still come as if
+# each file were parsed whole in turn: gold's own error (it cannot be read, an
+# undecodable byte anywhere, its first format error), then the hypothesis's,
+# then a file with no sentence, gold first, then the first sentence id that
+# differs, else the two lengths, then the first token count mismatch.
+EVAL_WORDS = ["le", "chat", "dort", "sur", "la", "porte", "œuvre", "du", "vieux", "mur"]
+EVAL_MUTATIONS = ["delete", "duplicate", "swap", "id", "ix", "type", "span", "cut", "byte", "collapse", "missing"]
+EVAL_ATTRIBUTES = {"id": ['id="'], "ix": ['ix="'], "type": ['type="'], "span": ['start="', 'end="', 'src="', 'tgt="']}
+
+
+def random_sentence(rng, sentence_id, length=None):
+    n = length or rng.randint(1, 6)
+    spans = [(s, rng.randint(s + 1, n)) for s in (rng.randrange(n) for _ in range(rng.randint(0, 4)))]
+    pairs = [rng.sample(range(n), 2) for _ in range(rng.randint(0, 3) if n > 1 else 0)]
+    return SentenceAnnotation(
+        sentence_id, tuple(rng.choice(EVAL_WORDS) for _ in range(n)),
+        tuple(Constituent(rng.choice(list(ConstituentType)), s, e) for s, e in spans),
+        tuple(Relation(rng.choice(list(RelationType)), a, b) for a, b in pairs), rng.random() < 0.7,
+    )
+
+
+def mutate_line(rng, data: bytes) -> bytes | None:
+    """data with one seeded mutation of one line, or None for no file."""
+    kind = rng.choices(EVAL_MUTATIONS, weights=[10] * 10 + [2])[0]
+    if kind == "missing":
+        return None
+    if kind == "byte":
+        pos = rng.randint(0, len(data))
+        return data[:pos] + rng.choice([b"\xff", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80"]) + data[pos:]
+    text = data.decode("utf-8")
+    lines = text.splitlines(keepends=True)
+    i = rng.randrange(len(lines))
+    if kind == "delete":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    elif kind == "swap":
+        j = rng.randrange(len(lines))
+        lines[i], lines[j] = lines[j], lines[i]
+    elif kind == "cut":
+        return text[:rng.choice([0, rng.randint(0, len(text))])].encode("utf-8")
+    elif kind == "collapse":  # one sentence on one line: expat reads from there on
+        start = rng.choice([k for k, line in enumerate(lines) if line.startswith("<S ")] or [i])
+        end = next((k for k in range(start, len(lines)) if lines[k].startswith("</S>")), start)
+        lines[start:end + 1] = ["".join(line.strip() for line in lines[start:end + 1]) + "\n"]
+    else:
+        attributes = EVAL_ATTRIBUTES[kind]
+        i = rng.choice([k for k, line in enumerate(lines) if any(a in line for a in attributes)] or [i])
+        present = [a for a in attributes if a in lines[i]]
+        if present:
+            attribute = rng.choice(present)
+            head, rest = lines[i].split(attribute, 1)
+            value, tail = rest.split('"', 1)
+            new = {
+                "id": lambda: rng.choice([f"E{rng.randint(0, 6)}", value + "x", ""]),
+                "ix": lambda: rng.choice([str(int(value) + rng.choice([-1, 1, 2])), "x", "-1", " 0"]),
+                "type": lambda: rng.choice([t.value for t in [*ConstituentType, *RelationType]] + ["ZZ", "gn"]),
+                "span": lambda: rng.choice([str(rng.randint(-1, 8)), "x", ""]),
+            }[kind]()
+            lines[i] = f'{head}{attribute}{new}"{tail}'
+    return "".join(lines).encode("utf-8")
+
+
+def eval_case(rng):
+    """A gold and hypothesis pair, a mode and a read size.  The pair may
+    differ in a sentence's length or in the sentence count, either may hold
+    no sentence, and one or both files take a mutation."""
+    gold = [random_sentence(rng, f"E{k}") for k in range(rng.randint(1, 5))]
+    hyp = [random_sentence(rng, a.sentence_id, len(a.tokens)) for a in gold]
+    if rng.random() < 0.2:
+        k = rng.randrange(len(hyp))
+        hyp[k] = random_sentence(rng, hyp[k].sentence_id, len(hyp[k].tokens) % 6 + 1)
+    if rng.random() < 0.1:
+        hyp = hyp[:-1] if rng.random() < 0.5 else hyp + [random_sentence(rng, f"E{len(hyp)}")]
+    docs = [serialize_passage(gold).encode("utf-8"), serialize_passage(hyp).encode("utf-8")]
+    docs = [b"<!-- none -->\n" if not data or rng.random() < 0.05 else data for data in docs]
+    side = rng.choices([0, 1, None, -1], weights=[4, 4, 3, 1])[0]  # gold, hypothesis, both, neither
+    docs = [mutate_line(rng, data) if side in (k, None) else data for k, data in enumerate(docs)]
+    return docs, rng.choice(["exact", "left", "overlap"]), rng.choice([BLOCK, 5, 13, 64])
+
+
+def two_pass_eval(gold: str, hyp: str, mode: str) -> tuple[int, str, str]:
+    """eval's status, stderr and report as reading each file whole in turn gives them."""
+    try:
+        annotations = [_parse_file(path, parse_passage) for path in (gold, hyp)]
+        for path, sentences in zip((gold, hyp), annotations):
+            if not sentences:
+                raise ValueError(f"{path}: no <S> sentence to evaluate")
+        gold_ids, hyp_ids = ([a.sentence_id for a in sentences] for sentences in annotations)
+        if gold_ids != hyp_ids:
+            k = next((k for k, (g, h) in enumerate(zip(gold_ids, hyp_ids)) if g != h), None)
+            where = (f"gold has {len(gold_ids)} sentences, hypothesis {len(hyp_ids)}" if k is None
+                     else f"sentence {k + 1} is {gold_ids[k]!r} in gold, {hyp_ids[k]!r} in hypothesis")
+            raise ValueError(f"{gold} vs {hyp}: gold and hypothesis must list the same sentence ids in order: {where}")
+        for g, h in zip(*annotations):
+            if len(g.tokens) != len(h.tokens):
+                raise ValueError(f"{gold} vs {hyp}: token count mismatch in {g.sentence_id!r}: "
+                                 f"gold has {len(g.tokens)} tokens, hypothesis {len(h.tokens)}")
+    except ValueError as exc:
+        return 1, f"valex: error: {exc}\n", ""
+    scores = score_corpus(*annotations, RelaxationMode(mode))
+    report = serialize_eval_report(scores, coverage(annotations[1]))
+    return 0, "", f"# valex {__version__}\n# input gold: {gold}\n# input hyp: {hyp}\n# mode: {mode}\n{report}"
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_eval_errors_come_in_the_two_pass_order(tmp_path, capsys, monkeypatch, seed):
+    rng = random.Random(2900 + seed)
+    gold, hyp = str(tmp_path / "gold.xml"), str(tmp_path / "hyp.xml")
+    for case in range(30):
+        docs, mode, block = eval_case(rng)
+        for path, data in zip((gold, hyp), docs):
+            Path(path).unlink(missing_ok=True)
+            if data is not None:
+                Path(path).write_bytes(data)
+        monkeypatch.setattr(cli, "BLOCK", block)
+        expected = two_pass_eval(gold, hyp, mode)
+        status = main(["eval", gold, hyp, "--mode", mode])
+        captured = capsys.readouterr()
+        assert (status, captured.err, captured.out) == expected, (case, docs, mode, block)
+
+
+THREE = "".join(GOLD_DOC.replace('"E1"', f'"E{k}"') for k in (1, 2, 3))  # 21 lines
+EXTRA_TOKEN = '  <W ix="3">.</W>\n</S>'
+
+
+@pytest.mark.parametrize(
+    "gold_doc, hyp_doc, message",
+    [
+        (THREE + "</X>\n", THREE + "</Y>\n", "{gold}:22: malformed markup"),
+        (THREE, THREE + "</Y>\n", "{hyp}:22: malformed markup"),
+        (THREE, None, "cannot read {hyp}"),
+        (THREE + "\udcff", THREE, "cannot read {gold}: 'utf-8' codec can't decode"),
+        (THREE, THREE.replace('"E2"', '"E9"'), "{gold} vs {hyp}: gold and hypothesis must list"),
+        (THREE, THREE.replace("</S>", EXTRA_TOKEN, 2).replace(EXTRA_TOKEN, "</S>", 1), "{gold} vs {hyp}: token count"),
+    ],
+    ids=["gold-error", "hyp-error", "missing-hyp", "undecodable", "id-mismatch", "token-mismatch"],
+)
+def test_eval_error_leaves_no_file_open(tmp_path, capsys, gold_doc, hyp_doc, message):
+    # both files are open at once; whichever error is reported, both are
+    # closed before main returns
+    paths = {}
+    for name, doc in (("gold", gold_doc), ("hyp", hyp_doc)):
+        paths[name] = str(tmp_path / f"{name}.xml")
+        if doc is not None:
+            Path(paths[name]).write_bytes(doc.encode("utf-8", "surrogateescape"))
+    fds = set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else set()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["eval", paths["gold"], paths["hyp"]]) == 1
+        if fds:
+            assert set(os.listdir("/proc/self/fd")) <= fds
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert capsys.readouterr().err.startswith("valex: error: " + message.format(**paths))
 
 
 @pytest.mark.parametrize("command", COMMAND_INPUTS)

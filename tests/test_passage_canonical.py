@@ -126,17 +126,23 @@ def sharing(annotations) -> list[int]:
 
 
 def expat_alone(text: str) -> list[SentenceAnnotation]:
-    annotations: dict = {}
-    markup._read_expat(0, [text], annotations, functools.cache(markup._item))
-    return list(annotations.values())
+    return next(markup._read_expat(0, [text, None], [], set(), functools.cache(markup._item)))
 
 
-def matcher_reach(text: str, read: dict | None = None, size: int = 0) -> int:
+def matcher_reach(text: str, read: list | None = None, size: int = 0) -> int:
     """Where the sentence matcher stops on text, whole or in blocks of size
     characters, adding what it reads to read."""
-    blocks = iter([text[k:k + size] for k in range(0, len(text), size)] if size else [text])
-    rest = markup._read_canonical(blocks, {} if read is None else read, functools.cache(markup._item))
-    return len(text) if rest is None else len(text) - len(rest[1]) - len("".join(blocks))
+    blocks = [text[k:k + size] for k in range(0, len(text), size)] if size else [text]
+    reader = markup._read_canonical(set(), functools.cache(markup._item))
+    next(reader)
+    read = [] if read is None else read
+    for k, block in enumerate([*blocks, None]):
+        try:
+            read += reader.send(block)
+        except StopIteration as stop:
+            _, rest, closed, _ = stop.value
+            read += closed
+            return len(text) - len(rest) - len("".join(blocks[k + 1:]))
 
 
 def check_agreement(text: str) -> int:
@@ -193,9 +199,9 @@ def test_serializer_output_free_of_escapes_is_read_whole_by_the_matcher(seed):
                 rng.random() < 0.7,
             ))
         text = serialize_passage(annotations)
-        read: dict = {}
+        read: list = []
         assert matcher_reach(text, read) == len(text)
-        assert list(read.values()) == annotations
+        assert read == annotations
         assert check_agreement(text) == len(text)
         assert check_agreement(text.rstrip("\n")) == len(text.rstrip("\n"))  # the last line may lack its LF
         # fed in blocks, it is read whole too: a block edge never hands a sentence to expat
@@ -203,9 +209,9 @@ def test_serializer_output_free_of_escapes_is_read_whole_by_the_matcher(seed):
         # a CRLF copy is read whole too; no token here starts with LF, so every
         # ">\n" ends a line
         crlf = text.replace(">\n", ">\r\n")
-        read = {}
+        read = []
         assert matcher_reach(crlf, read) == len(crlf)
-        assert list(read.values()) == annotations
+        assert read == annotations
         assert check_agreement(crlf) == len(crlf)
         assert all(matcher_reach(crlf, size=size) == len(crlf) for size in (1, 3, 7))
 
