@@ -50,7 +50,7 @@ class FailureReason(Vocabulary):
     UNKNOWN_CONSTRUCTION = "UNKNOWN-CONSTRUCTION"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ObservedFrame:
     """One predicate occurrence: lemma, realized slots, context."""
 
@@ -70,7 +70,7 @@ class ObservedFrame:
             raise ValueError(f"duplicate function in observed frame for {self.lemma!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnalyzabilityVerdict:
     analyzable: bool
     witness_entry_ids: tuple[str, ...] = ()
@@ -200,10 +200,12 @@ def _parse_pair(pair: str) -> tuple[SyntacticFunction, Realization]:
 
 def parse_corpus(text: str | Iterable[str]) -> list[tuple[str, list[ObservedFrame]]]:
     """Parse the corpus annotation format, grouping frames by sentence id
-    in first-appearance order.  Each distinct slot pair and frame is parsed
-    once per call: lines whose lemma, redistribution and slot tokens agree,
-    in whatever order the slots are listed, share one frame."""
+    in first-appearance order.  Each distinct slot pair, slot set and frame
+    is parsed once per call: lines whose slot tokens agree, in whatever
+    order they are listed, share one slot set, and lines whose lemma and
+    redistribution agree too share one frame."""
     parse_pair = functools.cache(_parse_pair)
+    slot_sets: dict[str, frozenset[tuple[SyntacticFunction, Realization]]] = {}
     frames: dict[str, ObservedFrame] = {}
 
     def parse_row(fields: list[str]) -> tuple[str, ObservedFrame]:
@@ -213,13 +215,17 @@ def parse_corpus(text: str | Iterable[str]) -> list[tuple[str, list[ObservedFram
         if not sentence_id:
             raise FormatError("empty sentence id")
         tokens = slots_tok.split(";") if slots_tok else ()
+        sorted_tokens = ";".join(sorted(tokens))
         # one string: key tuples of many lengths would outlive the memo in tuple free lists
-        key = f"{lemma}\t{redist_tok}\t{';'.join(sorted(tokens))}"
+        key = f"{lemma}\t{redist_tok}\t{sorted_tokens}"
         frame = frames.get(key)
         if frame is None:
             # in line order, so that the first bad token of the line is the one reported
             context = Redistribution.parse(redist_tok, "redistribution")
-            frame = ObservedFrame(lemma, frozenset([parse_pair(token) for token in tokens]), context)
+            slots = slot_sets.get(sorted_tokens)
+            if slots is None:
+                slots = slot_sets[sorted_tokens] = frozenset([parse_pair(token) for token in tokens])
+            frame = ObservedFrame(lemma, slots, context)
             if len(frame.slots) < len(tokens):  # a repeated token, which the set would hide
                 raise FormatError(f"duplicate function in observed frame for {lemma!r}")
             frames[key] = frame

@@ -14,7 +14,7 @@ from typing import Iterable
 from .errors import FormatError, parse_rows, write_rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FrequencyTable:
     """Form counts, by form."""
 

@@ -95,7 +95,7 @@ def check_lemma(lemma: str) -> None:
         raise ValueError(f"lemma must be lowercase: {lemma!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Realization:
     """One admissible surface realization; PP carries its preposition."""
 
@@ -130,7 +130,7 @@ def pp(prep: str) -> Realization:
     return Realization(Marker.PP, prep)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FunctionSlot:
     """One frame slot: a function, its realizations, and optionality."""
 
@@ -152,7 +152,7 @@ class FunctionSlot:
         return f"{self.function.value}{flag}:{reals}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LexicalEntry:
     """One lexicon entry: a lemma with one subcategorization frame.
 
@@ -207,7 +207,7 @@ class LexicalEntry:
             raise ValueError(f"uncoded entry {self.entry_id} cannot have optional slots")
 
 
-@dataclass
+@dataclass(slots=True)
 class Lexicon:
     """A collection of entries grouped by lemma.
 
@@ -246,7 +246,7 @@ class Lexicon:
             yield from group
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StatsReport:
     """Size figures for one lexicon."""
 
@@ -287,10 +287,11 @@ def _parse_redistributions(token: str) -> frozenset[Redistribution]:
     )
 
 
-def _parse_entry(fields: list[str], parse_slot, parse_redistributions) -> LexicalEntry:
+def _parse_entry(fields: list[str], parse_slot, parse_redistributions, strings: dict[str, str]) -> LexicalEntry:
     if len(fields) < 7:
         raise FormatError(f"expected at least 7 tab-separated fields, got {len(fields)}")
     lemma, category_tok, entry_id, frame_tok, redist_tok, coded_tok = fields[:6]
+    lemma = strings.setdefault(lemma, lemma)
     provenance_tok = fields[6]
     examples = tuple(fields[7:])
 
@@ -306,9 +307,12 @@ def _parse_entry(fields: list[str], parse_slot, parse_redistributions) -> Lexica
     else:
         raise FormatError(f"coded flag must be 'coded' or 'uncoded', got {coded_tok!r}")
 
+    provenance = []
     for tok in provenance_tok.split(","):
-        if ":" not in tok:
+        source, sep, orig_id = tok.partition(":")
+        if not sep:
             raise FormatError(f"malformed provenance item: {tok!r}")
+        provenance.append((strings.setdefault(source, source), orig_id))
 
     return LexicalEntry(
         lemma=lemma,
@@ -317,7 +321,7 @@ def _parse_entry(fields: list[str], parse_slot, parse_redistributions) -> Lexica
         frame=frame,
         redistributions=redistributions,
         coded=coded,
-        provenance=tuple(tok.partition(":")[::2] for tok in provenance_tok.split(",")),
+        provenance=tuple(provenance),
         examples=examples,
     )
 
@@ -328,11 +332,13 @@ def parse_lexicon(text: str | Iterable[str]) -> Lexicon:
     Raises FormatError with the offending line number on any syntax
     problem, unknown token, empty realization set or duplicate entry_id.
     Each distinct slot token and redistribution field is parsed once per
-    call; the results are shared by the entries that repeat them.
+    call, and each distinct lemma and provenance source is held once; the
+    results are shared by the entries that repeat them.
     """
     parse_slot = functools.cache(_parse_slot)
     parse_redistributions = functools.cache(_parse_redistributions)
-    rows = parse_rows(text, lambda fields: _parse_entry(fields, parse_slot, parse_redistributions))
+    strings: dict[str, str] = {}
+    rows = parse_rows(text, lambda fields: _parse_entry(fields, parse_slot, parse_redistributions, strings))
     entries: list[LexicalEntry] = []
     seen_ids: dict[str, int] = {}
     for line, entry in rows:

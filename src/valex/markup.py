@@ -52,7 +52,7 @@ class RelationType(Vocabulary):
     JUXT = "JUXT"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Constituent:
     """A typed, half-open token span [start, end)."""
 
@@ -65,7 +65,7 @@ class Constituent:
             raise ValueError(f"invalid span [{self.start}, {self.end})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Relation:
     """A typed dependency between two distinct token positions."""
 
@@ -80,7 +80,7 @@ class Relation:
             raise ValueError("negative token index")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SentenceAnnotation:
     sentence_id: str
     tokens: tuple[str, ...]

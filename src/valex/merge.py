@@ -21,7 +21,7 @@ from .errors import write_rows
 from .lexicon import FunctionSlot, LexicalEntry, Lexicon
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MergedLemmaResult:
     """Outcome of merging one lemma's entries from two lexicons."""
 
@@ -46,7 +46,7 @@ class MergedLemmaResult:
             raise ValueError(f"validation flag inconsistent for {self.lemma}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MergeReport:
     """Per-lemma merge outcomes; totals are recomputed on demand."""
 

@@ -27,7 +27,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 from .errors import FormatError, parse_rows, write_rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Sentence:
     """The fields and validator a record and a mining sentence share."""
 
@@ -47,17 +47,17 @@ class _Sentence:
             raise ValueError(f"form {bad!r} cannot be serialized")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SentenceRecord(_Sentence):
     analyzable: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MiningSentence(_Sentence):
     failed: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MiningCorpus:
     """Sentences in canonical order (sorted by id, ids unique)."""
 
@@ -71,7 +71,7 @@ class MiningCorpus:
         object.__setattr__(self, "sentences", ordered)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MiningParams:
     epsilon: float = 1e-9
     max_iterations: int = 200
@@ -83,7 +83,7 @@ class MiningParams:
             raise ValueError("max_iterations must be at least 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SuspicionScore:
     form: str
     score: float

@@ -44,7 +44,7 @@ def _overlap_tp(gold: SentenceAnnotation, hyp: SentenceAnnotation) -> Counter:
     return tp
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Scores:
     """tp/gold/hyp counts with exact rational precision, recall, f."""
 
@@ -82,7 +82,7 @@ class Scores:
 _BLOCK = 256
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvalScores:
     constituents: Scores
     relations: Scores
@@ -187,7 +187,7 @@ def score_pairs(
     return scores, covered
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoverageResult:
     """How many items carry a positive flag, with exact ratio."""
 

@@ -513,6 +513,36 @@ class TestCorpusFormat:
         assert frames[3] is not frames[0]
         assert frames[3] == obs("donner", frames[0].slots, R.PASSIVE)
 
+    def test_one_slot_set_per_slot_list_whatever_the_lemma_and_order(self):
+        text = (
+            "s1\tdonner\tACTIVE\tSuj:NP;Obj:NP\n"
+            "s2\tvoir\tACTIVE\tObj:NP;Suj:NP\n"
+            "s3\tprendre\tPASSIVE\tSuj:NP;Obj:NP\n"
+            "s4\tdonner\tACTIVE\tSuj:NP\n"
+        )
+        frames = [frames[0] for _, frames in parse_corpus(text)]
+        assert len(set(map(id, frames))) == 4
+        assert frames[0].slots is frames[1].slots is frames[2].slots
+        assert frames[0].slots == frozenset({(F.SUJ, NP), (F.OBJ, NP)})
+        assert frames[3].slots == frozenset({(F.SUJ, NP)})
+
+    @pytest.mark.parametrize(
+        "bad, fragment",
+        [
+            ("s2\taimer\tACTIVE\tObj:NP;Suj:NP;Obj:NP", "duplicate function in observed frame for 'aimer'"),
+            ("s2\taimer\tWEIRD\tObj:NP;Suj:NP;Obj:NP", "unknown redistribution"),
+            ("s2\taimer\tWEIRD\tObj:NP;Suj:NP", "unknown redistribution"),
+            ("s2\tAimer\tACTIVE\tObj:NP;Suj:NP;Obj:NP", "lemma must be lowercase"),
+        ],
+    )
+    def test_line_repeating_a_slot_list_fails_at_its_own_line(self, bad, fragment):
+        # lines 1 and 2 share one slot set; line 3 lists its slots again, maybe one twice
+        text = f"s0\tdonner\tACTIVE\tSuj:NP;Obj:NP\ns1\tvoir\tACTIVE\tObj:NP;Suj:NP\n{bad}\n"
+        with pytest.raises(FormatError) as err:
+            parse_corpus(text)
+        assert err.value.line == 3
+        assert fragment in err.value.message
+
     @pytest.mark.parametrize(
         "slots, fragment",
         [("Zzz:NP;Suj:XX", "unknown function token: 'Zzz'"), ("Suj:XX;Zzz:NP", "unknown realization token: 'XX'")],

@@ -175,6 +175,25 @@ class TestParseErrors:
         assert first.redistributions == again.redistributions == alone.redistributions
         assert parse_lexicon(serialize_lexicon(lexicon)) == lexicon
 
+    def test_lemmas_and_provenance_sources_are_one_string_each(self):
+        text = (
+            "donner\tV\tdonner__1\tSuj:NP\tACTIVE\tcoded\tlefff:1,dicovalence:7\n"
+            "voir\tV\tvoir__1\tSuj:NP\tACTIVE\tcoded\tdicovalence:8\n"
+            "donner\tV\tdonner__2\tSuj:NP;Obj:NP\tACTIVE\tcoded\tlefff:2\n"
+        )
+        lexicon = parse_lexicon(text)
+        (d1, d2), (v1,) = lexicon.entries["donner"], lexicon.entries["voir"]
+        assert d1.lemma is d2.lemma
+        assert all(e.lemma is lemma for lemma, group in lexicon.entries.items() for e in group)
+        assert d1.provenance[0][0] is d2.provenance[0][0]  # lefff
+        assert d1.provenance[1][0] is v1.provenance[0][0]  # dicovalence
+        suj, obj = slot(SyntacticFunction.SUJ), slot(SyntacticFunction.OBJ)
+        assert [d1, d2, v1] == [
+            entry("donner", "donner__1", (suj,), provenance=(("lefff", "1"), ("dicovalence", "7"))),
+            entry("donner", "donner__2", (suj, obj), provenance=(("lefff", "2"),)),
+            entry("voir", "voir__1", (suj,), provenance=(("dicovalence", "8"),)),
+        ]
+
     def test_duplicate_entry_id(self):
         text = DONNER_LINE + "\n" + DONNER_LINE + "\n"
         with pytest.raises(FormatError) as err:

@@ -23,7 +23,7 @@ from valex.markup import (
     parse_passage,
     serialize_passage,
 )
-from valex.mining import parse_records
+from valex.mining import SentenceRecord, parse_records
 from valex.lexicon import (
     CLITIC,
     NP,
@@ -63,6 +63,21 @@ def traced_excess(function, *args) -> int:
         return peak - live
     finally:
         tracemalloc.stop()
+
+
+FORMS, SLOTS = ("donner", "voir"), frozenset({(F.SUJ, NP)})
+
+
+@pytest.mark.parametrize("make", [
+    lambda: SentenceRecord("s1", FORMS, True),
+    lambda: ObservedFrame("donner", SLOTS),
+], ids=["SentenceRecord", "ObservedFrame"])
+def test_one_record_holds_no_dict(make):
+    # fields shared, so only the objects and the list's pointers count:
+    # 64.6 B an object on CPython 3.11-3.13 and 64.9-80.8 B on 3.10, whose
+    # subclass repeats its base's slots; with a __dict__ beside the fields,
+    # 96.8-104.9 B on 3.11-3.13 and 160.8-160.9 B on 3.10
+    assert traced_peak(lambda: [make() for _ in range(10_000)]) / 10_000 < 88
 
 
 def test_parse_rows_holds_no_line_list():
@@ -150,7 +165,7 @@ def eval_pair(tmp_path, n_sentences: int) -> list[str]:
 @pytest.mark.parametrize("mode", ["exact", "overlap"])
 def test_eval_holds_neither_model_whole(tmp_path, mode):
     # gold and hypothesis are read and scored a sentence pair at a time, so
-    # only a block of pairs and each file's set of ids are held: 2.72-2.76
+    # only a block of pairs and each file's set of ids are held: 2.71-2.73
     # MiB at 5,000 sentences, each file about 4 MB, on CPython 3.11, so the
     # bound is twice the largest; 16.2-16.3 MiB when both models are held whole
     small, large = eval_pair(tmp_path, 1_000), eval_pair(tmp_path, 5_000)
@@ -159,7 +174,7 @@ def test_eval_holds_neither_model_whole(tmp_path, mode):
     peaks = [traced_peak(main, ["eval", *pair, "--mode", mode, "--out", out]) for pair in (small, large)]
     assert peaks[1] < 5.5 * MiB
     # from 1,000 to 5,000 sentences the peak grows by the two id sets alone,
-    # 0.80-0.90 MiB; by 12.5 MiB when the models are held whole
+    # 0.81-0.91 MiB; by 12.5 MiB when the models are held whole
     assert peaks[1] - peaks[0] < 1.8 * MiB
 
 
@@ -186,7 +201,7 @@ def lexicon_and_corpus(n_lemmas: int):
 
 
 def test_diagnose_corpus_compiles_onto_shared_sets():
-    # 6,000 entries over 4 frames: 0.81-0.85 MiB on CPython 3.10-3.13, so the
+    # 6,000 entries over 4 frames: 0.80-0.83 MiB on CPython 3.10-3.13, so the
     # bound is twice the largest; 5.8-6.0 MiB when each entry holds its own sets
     lexicon, corpus = lexicon_and_corpus(2_000)
     records, histogram = diagnose_corpus(lexicon, corpus)

@@ -1,5 +1,7 @@
-"""Every closed token set in valex is a Vocabulary: one token table per set."""
+"""The classes valex defines: every closed token set is a Vocabulary, one
+token table per set, and every model a slotted dataclass."""
 
+import dataclasses
 import enum
 import importlib
 import pkgutil
@@ -10,19 +12,19 @@ import valex
 from valex.errors import FormatError, Vocabulary
 
 
-def _enums_in_valex():
+def _classes_in_valex(kind):
     found = set()
     for info in pkgutil.iter_modules(valex.__path__):
         module = importlib.import_module(f"valex.{info.name}")
         found.update(
             value for value in vars(module).values()
-            if isinstance(value, type) and issubclass(value, enum.Enum)
-            and value.__module__.startswith("valex.")
+            if isinstance(value, type) and kind(value) and value.__module__.startswith("valex.")
         )
     return sorted(found, key=lambda cls: cls.__qualname__)
 
 
-ENUMS = _enums_in_valex()
+ENUMS = _classes_in_valex(lambda cls: issubclass(cls, enum.Enum))
+MODELS = _classes_in_valex(dataclasses.is_dataclass)
 
 
 def test_the_walk_finds_every_vocabulary():
@@ -44,3 +46,17 @@ def test_every_enum_is_a_vocabulary(vocabulary):
             vocabulary.parse(token, "x")
         assert err.value.message == f"unknown x: {token!r}"
         assert err.value.line is None
+
+
+def test_the_walk_finds_every_model():
+    assert {cls.__qualname__ for cls in MODELS} >= {
+        "LexicalEntry", "Lexicon", "ObservedFrame", "SentenceRecord", "MiningSentence", "SentenceAnnotation",
+        "Scores", "MergeReport", "FrequencyTable",
+    }
+
+
+@pytest.mark.parametrize("model", MODELS, ids=lambda cls: cls.__qualname__)
+def test_every_model_is_slotted(model):
+    # no instance carries a __dict__ beside its fields; tests/test_memory.py bounds one record's size
+    assert "__slots__" in vars(model)
+    assert not hasattr(object.__new__(model), "__dict__")
