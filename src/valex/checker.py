@@ -41,6 +41,10 @@ _FUNCTIONS = frozenset(SyntacticFunction)
 # Contexts in which an unexpressed deep subject is not a coding failure.
 _SUBJECT_EXEMPT_CONTEXTS = frozenset({Redistribution.PASSIVE, Redistribution.IMPERSONAL})
 
+# The bit of every observed pair that no compiled entry holds, which no entry
+# carries: the frame fails clause (a) for every entry of its lemma.
+_UNHELD = 1
+
 
 class FailureReason(Vocabulary):
     MISSING_LEMMA = "MISSING-LEMMA"
@@ -85,45 +89,48 @@ class AnalyzabilityVerdict:
 
 
 class _Entry:
-    """A lexical entry compiled for _clauses.  Entries compiled with one
-    shared dict, which maps each value to itself, hold one object per
-    distinct (function, realization) pair, pair set and obligatory pair."""
+    """A lexical entry compiled for _clauses.  Entries compiled together
+    share a dict `bits`, which gives each distinct (function, realization)
+    pair its own bit, from bit 1 on, as they meet it; `pairs` is the sum of
+    the entry's bits.  They hold one obligatory pair per distinct
+    obligatory set, on a dict `shared` that maps each value to itself."""
 
     __slots__ = ("entry_id", "pairs", "obligatory", "redistributions", "coded")
 
-    def __init__(self, entry: LexicalEntry, shared: dict):
-        def share(value):
-            return shared.setdefault(value, value)
-
+    def __init__(self, entry: LexicalEntry, bits: dict, shared: dict):
         # every slot is obligatory in an uncoded entry, which has no optional slots
         obligatory = frozenset(slot.function for slot in entry.frame if not slot.optional)
+        obligatory_pair = (obligatory, obligatory - {SyntacticFunction.SUJ})  # as is, and Suj exempt
         self.entry_id = entry.entry_id
-        self.pairs = share(frozenset(share((slot.function, r)) for slot in entry.frame for r in slot.realizations))
-        self.obligatory = share((obligatory, obligatory - {SyntacticFunction.SUJ}))  # as is, and Suj exempt
+        self.pairs = sum({bits.setdefault((slot.function, r), 2 << len(bits))
+                          for slot in entry.frame for r in slot.realizations})
+        self.obligatory = shared.setdefault(obligatory_pair, obligatory_pair)
         self.redistributions = entry.redistributions
         self.coded = entry.coded
 
 
-def _clauses(entry: _Entry, obs: ObservedFrame) -> tuple[bool, bool, bool]:
+def _clauses(entry: _Entry, obs: ObservedFrame, obs_pairs: int) -> tuple[bool, bool, bool]:
     """The three acceptance clauses, evaluated independently.
 
-    (a) every observed slot exists in the frame with that realization;
+    (a) every observed slot exists in the frame with that realization:
+        obs_pairs, the observed pairs' mask, has no bit the entry lacks;
     (b) every obligatory frame slot is observed, Suj exempt under
         PASSIVE/IMPERSONAL, all slots obligatory for uncoded entries;
     (c) the observed context is licensed by the entry.
     """
     subject_exempt = obs.redistribution_context in _SUBJECT_EXEMPT_CONTEXTS
     return (
-        obs.slots <= entry.pairs,
+        not obs_pairs & ~entry.pairs,
         entry.obligatory[subject_exempt] <= {function for function, _ in obs.slots},
         obs.redistribution_context in entry.redistributions,
     )
 
 
-def _verdict(entries: tuple[_Entry, ...], obs: ObservedFrame) -> AnalyzabilityVerdict:
+def _verdict(entries: tuple[_Entry, ...], obs: ObservedFrame, bits: dict) -> AnalyzabilityVerdict:
     if not entries:
         return AnalyzabilityVerdict(False, (), FailureReason.MISSING_LEMMA)
-    clauses = [(entry, _clauses(entry, obs)) for entry in entries]
+    obs_pairs = sum({bits.get(pair, _UNHELD) for pair in obs.slots})  # unheld pairs: one bit, once
+    clauses = [(entry, _clauses(entry, obs, obs_pairs)) for entry in entries]
     witnesses = tuple(entry.entry_id for entry, (a, b, c) in clauses if a and b and c)
     if witnesses:
         return AnalyzabilityVerdict(True, witnesses, None)
@@ -146,7 +153,8 @@ def check_sentence(lexicon: Lexicon, obs: ObservedFrame) -> AnalyzabilityVerdict
     MISSING-REDISTRIBUTION over MISSING-OBLIGATORY-COMPLEMENT for
     near-miss entries, else UNKNOWN-CONSTRUCTION.
     """
-    return _verdict(tuple(_Entry(entry, {}) for entry in lexicon.entries.get(obs.lemma, ())), obs)
+    bits: dict = {}
+    return _verdict(tuple(_Entry(entry, bits, {}) for entry in lexicon.entries.get(obs.lemma, ())), obs, bits)
 
 
 def diagnose_corpus(lexicon: Lexicon, corpus) -> tuple[list[SentenceRecord], Counter]:
@@ -155,10 +163,11 @@ def diagnose_corpus(lexicon: Lexicon, corpus) -> tuple[list[SentenceRecord], Cou
     corpus: iterable of (sentence_id, list of ObservedFrame).  A sentence
     is analyzable only if all its frames are; the histogram counts one
     failure reason per failed frame.  Each entry is compiled once, onto
-    values shared by the whole call, and each distinct frame is checked
-    once, as check_sentence would; only its failure reason is kept.
+    bits and values shared by the whole call, and each distinct frame is
+    checked once, as check_sentence would; only its failure reason is kept.
     """
     compiled: dict[str, tuple[_Entry, ...]] = {}
+    bits: dict = {}
     shared: dict = {}
     reasons: dict[ObservedFrame, FailureReason | None] = {}  # None: analyzable
     unchecked = object()
@@ -174,9 +183,9 @@ def diagnose_corpus(lexicon: Lexicon, corpus) -> tuple[list[SentenceRecord], Cou
             if reason is unchecked:
                 entries = compiled.get(obs.lemma)
                 if entries is None:
-                    entries = tuple(_Entry(entry, shared) for entry in lexicon.entries.get(obs.lemma, ()))
+                    entries = tuple(_Entry(entry, bits, shared) for entry in lexicon.entries.get(obs.lemma, ()))
                     compiled[obs.lemma] = entries
-                reason = reasons[obs] = _verdict(entries, obs).failure_reason
+                reason = reasons[obs] = _verdict(entries, obs, bits).failure_reason
             if reason is not None:
                 analyzable = False
                 histogram[reason] += 1
@@ -202,9 +211,11 @@ def parse_corpus(text: str | Iterable[str]) -> list[tuple[str, list[ObservedFram
     """Parse the corpus annotation format, grouping frames by sentence id
     in first-appearance order.  Each distinct slot pair, slot set and frame
     is parsed once per call: lines whose slot tokens agree, in whatever
-    order they are listed, share one slot set, and lines whose lemma and
-    redistribution agree too share one frame."""
+    order they are listed, share one slot set, lines whose lemma and
+    redistribution agree too share one frame, and the frames of a lemma
+    share one string."""
     parse_pair = functools.cache(_parse_pair)
+    lemmas: dict[str, str] = {}
     slot_sets: dict[str, frozenset[tuple[SyntacticFunction, Realization]]] = {}
     frames: dict[str, ObservedFrame] = {}
 
@@ -225,7 +236,7 @@ def parse_corpus(text: str | Iterable[str]) -> list[tuple[str, list[ObservedFram
             slots = slot_sets.get(sorted_tokens)
             if slots is None:
                 slots = slot_sets[sorted_tokens] = frozenset([parse_pair(token) for token in tokens])
-            frame = ObservedFrame(lemma, slots, context)
+            frame = ObservedFrame(lemmas.setdefault(lemma, lemma), slots, context)
             if len(frame.slots) < len(tokens):  # a repeated token, which the set would hide
                 raise FormatError(f"duplicate function in observed frame for {lemma!r}")
             frames[key] = frame

@@ -4,10 +4,13 @@ from collections import Counter
 import pytest
 
 from valex.checker import (
+    _UNHELD,
     AnalyzabilityVerdict,
     FailureReason,
     ObservedFrame,
     SentenceRecord,
+    _clauses,
+    _Entry,
     check_sentence,
     diagnose_corpus,
     parse_corpus,
@@ -380,6 +383,119 @@ class TestDiagnose:
         assert records == expected_records
         assert histogram == expected_histogram
         assert len(set(histogram)) >= 2  # the pool mixes failure reasons
+
+
+def reference_clauses(e: LexicalEntry, observation: ObservedFrame) -> tuple[bool, bool, bool]:
+    """The three acceptance clauses on sets: clause (a) is the subset test
+    obs.slots <= pairs, which the entry's pair mask replaces."""
+    pairs = frozenset((slot.function, r) for slot in e.frame for r in slot.realizations)
+    obligatory = {slot.function for slot in e.frame if not slot.optional}
+    if observation.redistribution_context in (R.PASSIVE, R.IMPERSONAL):
+        obligatory.discard(F.SUJ)
+    return (
+        observation.slots <= pairs,
+        obligatory <= {function for function, _ in observation.slots},
+        observation.redistribution_context in e.redistributions,
+    )
+
+
+def reference_verdict(lexicon: Lexicon, observation: ObservedFrame) -> AnalyzabilityVerdict:
+    """check_sentence on reference_clauses, with the same reason precedence."""
+    entries = lexicon.entries.get(observation.lemma, ())
+    if not entries:
+        return AnalyzabilityVerdict(False, (), FailureReason.MISSING_LEMMA)
+    clauses = [(e, reference_clauses(e, observation)) for e in entries]
+    witnesses = tuple(e.entry_id for e, (a, b, c) in clauses if a and b and c)
+    if witnesses:
+        return AnalyzabilityVerdict(True, witnesses, None)
+    if not any(e.coded for e in entries):
+        reason = FailureReason.UNCODED_ENTRY
+    elif any(a and b and not c for _, (a, b, c) in clauses):
+        reason = FailureReason.MISSING_REDISTRIBUTION
+    elif any(a and c and not b for _, (a, b, c) in clauses):
+        reason = FailureReason.MISSING_OBLIGATORY_COMPLEMENT
+    else:
+        reason = FailureReason.UNKNOWN_CONSTRUCTION
+    return AnalyzabilityVerdict(False, (), reason)
+
+
+def reference_fold(lexicon: Lexicon, corpus) -> tuple[list[SentenceRecord], Counter]:
+    records, histogram = [], Counter()
+    for sentence_id, frames in corpus:
+        verdicts = [reference_verdict(lexicon, f) for f in frames]
+        records.append(SentenceRecord(sentence_id, tuple(f.lemma for f in frames), all(v.analyzable for v in verdicts)))
+        histogram.update(v.failure_reason for v in verdicts if not v.analyzable)
+    return records, histogram
+
+
+class TestPairMasks:
+    """Clause (a) on pair masks against the set reference: an observed pair
+    that no compiled entry holds fails clause (a) for every entry."""
+
+    DORMIR = entry("dormir", "d1", slots=((F.SUJ, (NP,), False),), redistributions=(R.ACTIVE, R.PASSIVE))
+    VOIR = entry("voir", "v1", slots=((F.SUJ, (NP,), False), (F.OBJ, (NP,), False)))
+
+    @pytest.mark.parametrize("observation, clauses, reason", [
+        # Obj:CLITIC is held by no entry of the lexicon
+        (obs("dormir", {(F.SUJ, NP), (F.OBJ, CLITIC)}), (False, True, True), FailureReason.UNKNOWN_CONSTRUCTION),
+        # Obj:NP is held by voir's entry only
+        (obs("dormir", {(F.SUJ, NP), (F.OBJ, NP)}), (False, True, True), FailureReason.UNKNOWN_CONSTRUCTION),
+        (obs("dormir", {(F.OBJ, NP)}, R.PASSIVE), (False, True, True), FailureReason.UNKNOWN_CONSTRUCTION),
+        (obs("dormir", (), R.PASSIVE), (True, True, True), None),
+        (obs("dormir", ()), (True, False, True), FailureReason.MISSING_OBLIGATORY_COMPLEMENT),
+    ], ids=["held-by-none", "held-by-another-lemma", "passive-held-by-another-lemma", "empty", "empty-active"])
+    def test_clauses_match_the_set_reference(self, observation, clauses, reason):
+        lex = Lexicon.from_entries([self.DORMIR, self.VOIR])
+        assert reference_clauses(self.DORMIR, observation) == clauses
+        verdict = check_sentence(lex, observation)
+        assert verdict == reference_verdict(lex, observation)
+        assert verdict.failure_reason is reason
+
+    def test_pair_numbered_by_a_lemma_compiled_later_in_the_call(self):
+        # s1 is checked before voir is compiled, so Obj:NP has no bit yet;
+        # s3's frame, new to the call, is checked after voir numbered it
+        lex = Lexicon.from_entries([self.DORMIR, self.VOIR])
+        corpus = [
+            ("s1", [obs("dormir", {(F.SUJ, NP), (F.OBJ, NP)})]),
+            ("s2", [obs("voir", {(F.SUJ, NP), (F.OBJ, NP)})]),
+            ("s3", [obs("dormir", {(F.OBJ, NP)}, R.PASSIVE), obs("dormir", {(F.SUJ, NP)})]),
+            ("s4", [obs("dormir", (), R.PASSIVE)]),
+        ]
+        records, histogram = diagnose_corpus(lex, corpus)
+        assert (records, histogram) == reference_fold(lex, corpus)
+        assert [r.analyzable for r in records] == [False, True, False, True]
+        assert histogram == Counter({FailureReason.UNKNOWN_CONSTRUCTION: 2})
+
+    @pytest.mark.parametrize("seed", [89, 97, 101])
+    def test_masks_match_the_set_reference_on_random_lexicons(self, seed):
+        rng = random.Random(seed)
+        lex = rand_lexicon(rng, 8)
+        lemmas = list(lex.entries) + ["fantôme"]
+        frames = []
+        for _ in range(300):
+            source = rand_entry(rng, rng.choice(lemmas), "tmp", coded=rng.random() < 0.8)
+            frame = rand_observed_frame(rng, source, rng.choice(list(R)))
+            if frame.slots and rng.random() < 0.3:  # drop a slot, down to none
+                frame = obs(frame.lemma, sorted(frame.slots, key=str)[1:], frame.redistribution_context)
+            frames.append(frame)
+        # every lemma's entries compiled on one numbering before any frame is
+        # checked; diagnose_corpus below compiles each lemma as it meets it
+        bits: dict = {}
+        compiled = {lemma: [(e, _Entry(e, bits, {})) for e in group] for lemma, group in lex.entries.items()}
+        a_alone = 0
+        for frame in frames:
+            mask = 0
+            for pair in frame.slots:
+                mask |= bits.get(pair, _UNHELD)
+            for e, compiled_entry in compiled.get(frame.lemma, ()):
+                clauses = reference_clauses(e, frame)
+                assert _clauses(compiled_entry, frame, mask) == clauses
+                a_alone += clauses == (False, True, True)
+            assert check_sentence(lex, frame) == reference_verdict(lex, frame)
+        assert a_alone > 0 and any(not f.slots for f in frames)
+        assert any(pair not in bits for f in frames for pair in f.slots)
+        corpus = [(f"s{k:03d}", frames[k:k + rng.randint(1, 3)]) for k in range(0, len(frames), 3)]
+        assert diagnose_corpus(lex, corpus) == reference_fold(lex, corpus)
 
 
 CORPUS_TEXT = (

@@ -11,7 +11,7 @@ from collections import deque
 
 import pytest
 
-from valex.checker import ObservedFrame, diagnose_corpus
+from valex.checker import ObservedFrame, diagnose_corpus, parse_corpus
 from valex.cli import _parse_file, _write, main
 from valex.errors import parse_rows
 from valex.markup import (
@@ -189,9 +189,9 @@ FRAMES = [
 ACTIVE = frozenset({Redistribution.ACTIVE})
 
 
-def lexicon_and_corpus(n_lemmas: int):
+def lexicon_and_corpus(n_lemmas: int, frame_of=lambda k, j: FRAMES[(k + j) % 4]):
     entries = [
-        LexicalEntry(f"l{k}", Category.V, f"l{k}_{j}", tuple(FunctionSlot(*slot) for slot in FRAMES[(k + j) % 4]),
+        LexicalEntry(f"l{k}", Category.V, f"l{k}_{j}", tuple(FunctionSlot(*slot) for slot in frame_of(k, j)),
                      ACTIVE, True, (("src", f"l{k}_{j}"),))
         for k in range(n_lemmas) for j in range(3)
     ]
@@ -201,9 +201,45 @@ def lexicon_and_corpus(n_lemmas: int):
 
 
 def test_diagnose_corpus_compiles_onto_shared_sets():
-    # 6,000 entries over 4 frames: 0.80-0.83 MiB on CPython 3.10-3.13, so the
-    # bound is twice the largest; 5.8-6.0 MiB when each entry holds its own sets
+    # 6,000 entries over 4 frames: 0.80-0.82 MiB on CPython 3.10-3.13, with
+    # pair masks as with one frozenset per distinct pair set, so the bound is
+    # twice the largest; 5.8-6.0 MiB when each entry holds its own sets
     lexicon, corpus = lexicon_and_corpus(2_000)
     records, histogram = diagnose_corpus(lexicon, corpus)
     assert len(records) == 200 and sum(histogram.values()) == 0
     assert traced_peak(diagnose_corpus, lexicon, corpus) < 1.7 * MiB
+
+
+PREPOSITIONS = ("à", "de", "sur", "dans", "par", "pour", "avec", "contre", "sous", "vers", "chez", "entre", "devant")
+
+
+def one_pair_set(n: int):
+    """A frame whose optional Obl takes the prepositions of n's set bits:
+    a distinct pair set for each n from 1 to 2 ** 13 - 1."""
+    return (F.SUJ, (NP,), False), (F.OBL, tuple(pp(p) for i, p in enumerate(PREPOSITIONS) if n >> i & 1), True)
+
+
+def test_diagnose_corpus_compiles_distinct_pair_sets_onto_masks():
+    # 6,000 entries with 6,000 distinct pair sets of 2-13 pairs: 0.98-1.00
+    # MiB on CPython 3.10-3.13, with a mask of its pairs per entry, so the
+    # bound is twice the largest; 5.09-5.11 MiB with a frozenset per entry
+    lexicon, corpus = lexicon_and_corpus(2_000, lambda k, j: one_pair_set(3 * k + j + 1))
+    records, histogram = diagnose_corpus(lexicon, corpus)
+    assert len(records) == 200 and sum(histogram.values()) == 0
+    assert traced_peak(diagnose_corpus, lexicon, corpus) < 2 * MiB
+
+
+def test_frames_of_a_lemma_hold_one_lemma_string():
+    # distinct frames of one lemma, in several contexts and slot lists, among another lemma's
+    lines = [
+        f"{lemma}\t{context}\t{slots}"
+        for context in ("ACTIVE", "PASSIVE", "IMPERSONAL")
+        for slots in ("Suj:NP", "Obj:NP;Suj:NP", "", "Suj:CLITIC;Obja:PP(à)")
+        for lemma in ("dormir", "voir")
+    ]
+    text = "".join(f"s{k}\t{line}\n" for k, line in enumerate(lines))
+    frames = [frame for _, group in parse_corpus(text) for frame in group]
+    assert len(set(frames)) == len(frames) == 24
+    for lemma in ("dormir", "voir"):
+        held = [frame.lemma for frame in frames if frame.lemma == lemma]
+        assert len(held) == 12 and all(string is held[0] for string in held)
