@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import FormatError, Vocabulary, parse_rows, write_rows
 from .lexicon import (
@@ -193,7 +193,7 @@ def diagnose_corpus(lexicon: Lexicon, corpus) -> tuple[list[SentenceRecord], Cou
     return records, histogram
 
 
-def serialize_failures(histogram: Counter) -> str:
+def serialize_failures(histogram: Counter) -> Iterator[str]:
     """Report rows: reason, failed frames; one row per FailureReason, in
     declaration order, zeros included."""
     return write_rows((reason.value, str(histogram.get(reason, 0))) for reason in FailureReason)
@@ -256,7 +256,7 @@ def _observation_fields(sentence_id: str, obs: ObservedFrame) -> tuple[str, str,
     return sentence_id, obs.lemma, obs.redistribution_context.value, slots
 
 
-def serialize_corpus(corpus: list[tuple[str, list[ObservedFrame]]]) -> str:
+def serialize_corpus(corpus: list[tuple[str, list[ObservedFrame]]]) -> Iterator[str]:
     """Inverse of parse_corpus; raises ValueError for an empty or repeated
     sentence id and for a sentence without frames, which would not read back."""
     for sentence_id, frames in corpus:

@@ -4,8 +4,8 @@ Subcommands: ``lex parse``, ``lex stats``, ``merge``, ``check``, ``eval``,
 ``mine``, ``freq``.  Every report is tab-separated UTF-8: a body written
 by one function of the domain module it reports, under ``#`` header lines
 recording the run manifest (tool version, input paths and parameters).
-Reports go to stdout, or into the directory given with ``--out`` as whole
-files written atomically (write then rename).
+Reports go to stdout, or into the directory given with ``--out``, where
+all of a command's reports are written, then renamed into place together.
 """
 
 from __future__ import annotations
@@ -127,41 +127,50 @@ def _sentence_pairs(gold: str, hyp: str):
             raise ValueError(f"{path}: no <S> sentence to evaluate")
 
 
-def _write(out_dir: str | None, filename: str, header: list[str], body: str) -> None:
-    """Header lines plus body, written atomically into out_dir, or to
-    stdout when out_dir is None.  The body goes BLOCK characters at a time:
-    no copy of the whole report is made, as text or as bytes."""
-    text = itertools.chain(["".join(line + "\n" for line in header)], text_blocks(body))
-    data = (block.encode("utf-8") for block in text)
+def _write(out_dir: str | None, header: list[str], reports: dict) -> None:
+    """Each report of reports, {filename: body}, as the header lines plus
+    its body, a str or text blocks: to stdout in turn when out_dir is None,
+    else into out_dir, where every report is written to a temporary file
+    before any is renamed into place, and on any error every temporary file
+    is unlinked, so that none of the reports lands.  A body goes a block at
+    a time: no copy of a whole report is made, as text or as bytes."""
+    head = "".join(line + "\n" for line in header)
     if out_dir is None:
         try:
-            if hasattr(sys.stdout, "buffer"):  # UTF-8 whatever the locale, as --out writes
+            for body in reports.values():
+                text = itertools.chain([head], text_blocks(body))
+                if hasattr(sys.stdout, "buffer"):  # UTF-8 whatever the locale, as --out writes
+                    sys.stdout.flush()
+                    for block in text:
+                        sys.stdout.buffer.write(block.encode("utf-8"))
+                else:  # a text-only stream, such as io.StringIO
+                    for block in text:
+                        sys.stdout.write(block)
                 sys.stdout.flush()
-                for block in data:
-                    sys.stdout.buffer.write(block)
-            else:  # a text-only stream, such as io.StringIO
-                for block in text:
-                    sys.stdout.write(block)
-            sys.stdout.flush()
         except OSError as exc:  # a full disk, a closed pipe
             with contextlib.suppress(OSError):  # drop what is still buffered, or exit fails on it again
                 sys.stdout.close()
             raise ValueError(f"cannot write stdout: {exc.strerror or exc}") from exc
         return
-    target = Path(out_dir) / filename
+    staged: list[tuple[Path, Path]] = []  # (temporary file, report file)
     try:
-        target.parent.mkdir(parents=True, exist_ok=True)
-        # created 0o666 less the umask, as a shell redirection creates a file
-        # (mkstemp would give 0o600); O_EXCL refuses a name another run holds
-        tmp_path = target.with_name(f"{filename}.{os.urandom(6).hex()}")
-        fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
-            with os.fdopen(fd, "wb") as handle:
-                for block in data:
-                    handle.write(block)
-            os.replace(tmp_path, target)
+            for filename, body in reports.items():
+                target = Path(out_dir) / filename
+                target.parent.mkdir(parents=True, exist_ok=True)
+                # created 0o666 less the umask, as a shell redirection creates a file
+                # (mkstemp would give 0o600); O_EXCL refuses a name another run holds
+                tmp_path = target.with_name(f"{filename}.{os.urandom(6).hex()}")
+                fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                staged.append((tmp_path, target))
+                with os.fdopen(fd, "wb") as handle:
+                    for block in itertools.chain([head], text_blocks(body)):
+                        handle.write(block.encode("utf-8"))
+            for tmp_path, target in staged:
+                os.replace(tmp_path, target)
         except BaseException:
-            os.unlink(tmp_path)
+            for tmp_path, _ in staged:
+                tmp_path.unlink(missing_ok=True)  # gone once renamed, if a later rename fails
             raise
     except OSError as exc:
         raise ValueError(f"cannot write {target}: {exc.strerror or exc}") from exc
@@ -293,9 +302,7 @@ def main(argv=None) -> int:
         # a path that its manifest line cannot hold fails before any read
         header = [f"# valex {__version__}", *_manifest_lines([(f"input {n}", getattr(args, n)) for n in args.inputs])]
         reports, params = args.run(args)
-        header += _manifest_lines(params)
-        for filename, body in reports.items():
-            _write(args.out, filename, header, body)
+        _write(args.out, header + _manifest_lines(params), reports)
         return 0
     except ValueError as exc:
         print(f"valex: error: {exc}", file=sys.stderr)

@@ -1,7 +1,8 @@
 """Shared exception type, vocabulary base, text blocks and line layer of the tab formats.
 
 Every reader takes its text as a str or as text blocks, through
-text_blocks.  Every tab-separated format reads its rows with parse_rows and
+text_blocks, and every report writer returns its body as text blocks, from
+write_rows.  Every tab-separated format reads its rows with parse_rows and
 writes them with write_rows, so one rule decides what a line is, and
 parse_rows alone gives a row's parse error its line; see "File formats" in
 the README.
@@ -89,13 +90,17 @@ def parse_rows(text: str | Iterable[str], parse_row: Callable[[list[str]], T]) -
         first += len(lines)
 
 
-def write_rows(rows: Iterable[Sequence[str]]) -> str:
-    """Join rows into a document of LF-terminated tab-separated lines.
+def write_rows(rows: Iterable[Sequence[str]]) -> Iterator[str]:
+    """Yield rows as LF-terminated tab-separated lines, joined into blocks of
+    whole lines, each yielded once it holds BLOCK characters or more.
 
     Raises ValueError for a field holding a tab, CR or LF, and for a first
-    field starting with ``#``: parse_rows would not read either back.
+    field starting with ``#``: parse_rows would not read either back.  Rows
+    are checked as they are drawn, so the error comes after the blocks
+    before its row's block are yielded, and that block is not.
     """
     lines = []
+    size = 0  # characters in lines
     for fields in rows:
         text = "\t".join(fields)
         if text.count("\t") != len(fields) - 1 or "\n" in text or "\r" in text:
@@ -104,7 +109,12 @@ def write_rows(rows: Iterable[Sequence[str]]) -> str:
         if text.startswith("#"):
             raise ValueError(f"first field {fields[0]!r} starts with '#' and cannot be serialized")
         lines.append(text + "\n")
-    return "".join(lines)
+        size += len(text) + 1
+        if size >= BLOCK:
+            yield "".join(lines)
+            lines, size = [], 0
+    if lines:
+        yield "".join(lines)
 
 
 class Vocabulary(Enum):

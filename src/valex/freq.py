@@ -9,7 +9,7 @@ them, into lemma counts over the table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import FormatError, parse_rows, write_rows
 
@@ -54,7 +54,7 @@ def rank_lemmas(counts: dict[str, int], n: int) -> list[str]:
     return sorted(counts, key=lambda lemma: (-counts[lemma], lemma))[:n]
 
 
-def serialize_top_lemmas(counts: dict[str, int], n: int) -> str:
+def serialize_top_lemmas(counts: dict[str, int], n: int) -> Iterator[str]:
     """Report rows: rank, lemma, count, for the n lemmas rank_lemmas ranks."""
     ranked = rank_lemmas(counts, n)
     return write_rows((str(rank), lemma, str(counts[lemma])) for rank, lemma in enumerate(ranked, start=1))

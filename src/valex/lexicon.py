@@ -367,8 +367,8 @@ def _entry_fields(entry: LexicalEntry, slot_token) -> list[str]:
     ]
 
 
-def serialize_lexicon(lexicon: Lexicon) -> str:
-    """Serialize to canonical form: lemmas sorted, entries in entry_id order."""
+def serialize_lexicon(lexicon: Lexicon) -> Iterator[str]:
+    """Canonical form, as text blocks: lemmas sorted, entries in entry_id order."""
     slot_token = functools.cache(FunctionSlot.token)  # the parser's memo makes equal slots repeat
     return write_rows(_entry_fields(entry, slot_token) for entry in lexicon.all_entries())
 
@@ -392,7 +392,7 @@ def lexicon_stats(lexicon: Lexicon) -> StatsReport:
     )
 
 
-def serialize_stats(stats: StatsReport) -> str:
+def serialize_stats(stats: StatsReport) -> Iterator[str]:
     """Report rows: the lemma, entry and most-entries-per-lemma counts, then
     one 'top' row per listed lemma: rank, lemma, entry count."""
     return write_rows([

@@ -16,6 +16,7 @@ both input counts is flagged for manual validation.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Iterator
 
 from .errors import write_rows
 from .lexicon import FunctionSlot, LexicalEntry, Lexicon
@@ -178,14 +179,14 @@ def merge_lexicons(ref: Lexicon, other: Lexicon) -> tuple[Lexicon, MergeReport]:
     return merged, MergeReport(tuple(results))
 
 
-def serialize_merge_report(report: MergeReport) -> str:
-    """One row per lemma plus a trailing #TOTALS comment line."""
-    rows = write_rows(
+def serialize_merge_report(report: MergeReport) -> Iterator[str]:
+    """One row per lemma, then the #TOTALS comment line as a last block."""
+    yield from write_rows(
         (r.lemma, str(r.ref_count), str(r.other_count), str(r.merged_count),
          "yes" if r.needs_validation else "no")
         for r in report.results
     )
-    return rows + (
+    yield (
         f"#TOTALS lemmas={report.total_lemmas} entries={report.total_entries} "
         f"flagged_lemmas={report.flagged_lemmas} flagged_entries={report.flagged_entries}\n"
     )

@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
 from operator import sub, truediv
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import FormatError, parse_rows, write_rows
 
@@ -243,7 +243,7 @@ def rank_suspects(scores: Sequence[SuspicionScore], top_k: int) -> list[Suspicio
     return ranked[:top_k]
 
 
-def format_suspects(ranked: Sequence[SuspicionScore]) -> str:
+def format_suspects(ranked: Sequence[SuspicionScore]) -> Iterator[str]:
     """Report rows: rank, form, score (6 decimals), failed sentences,
     sample sentence id."""
     return write_rows(
@@ -270,7 +270,7 @@ def parse_records(text: str | Iterable[str]) -> list[SentenceRecord]:
     return [row for _, row in parse_rows(text, parse_row)]
 
 
-def serialize_records(records: Sequence[SentenceRecord]) -> str:
+def serialize_records(records: Sequence[SentenceRecord]) -> Iterator[str]:
     """Inverse of parse_records; raises ValueError for a repeated sentence id."""
     if len({r.sentence_id for r in records}) < len(records):
         raise ValueError("duplicate sentence id")

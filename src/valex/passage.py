@@ -14,7 +14,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, zip_longest
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import write_rows
 from .markup import (  # the model; Constituent, Relation, the reader and the writer are re-exported
@@ -235,7 +235,7 @@ def _scores_row(kind: str, label: str, scores: Scores) -> tuple[str, ...]:
     return (kind, label, *map(str, counts), *map(format_percent, ratios))
 
 
-def serialize_eval_report(scores: EvalScores, covered: CoverageResult) -> str:
+def serialize_eval_report(scores: EvalScores, covered: CoverageResult) -> Iterator[str]:
     """Report rows: five summary rows (sentences, coverage count and percent,
     constituent and relation f-measure), then for constituents and then
     relations an ALL row and one row per type in type order: kind, label,

@@ -28,19 +28,19 @@ MULTIBYTE = ["é", "œ", "ß", "€", "\u2028", "\U0001f600", "\U0010fffd"]
 
 
 def lexicon_text(rng):
-    return serialize_lexicon(rand_lexicon(rng, rng.randint(2, 5)))
+    return "".join(serialize_lexicon(rand_lexicon(rng, rng.randint(2, 5))))
 
 
 def corpus_text(rng):
     entries = [e for group in rand_lexicon(rng, 4).entries.values() for e in group]
-    return serialize_corpus([
+    return "".join(serialize_corpus([
         (f"s{k}", [rand_observed_frame(rng, rng.choice(entries)) for _ in range(rng.randint(1, 3))])
         for k in range(rng.randint(2, 8))
-    ])
+    ]))
 
 
 def records_text(rng):
-    return serialize_records(rand_records(rng, 12))
+    return "".join(serialize_records(rand_records(rng, 12)))
 
 
 FORMS = [f"f{k}" for k in range(12)]

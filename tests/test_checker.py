@@ -565,7 +565,7 @@ class TestCorpusFormat:
     )
     def test_unreadable_field_rejected(self, sentence_id, lemma):
         with pytest.raises(ValueError):
-            serialize_corpus([(sentence_id, [obs(lemma=lemma)])])
+            "".join(serialize_corpus([(sentence_id, [obs(lemma=lemma)])]))
 
     @pytest.mark.parametrize(
         "corpus, message",

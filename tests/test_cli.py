@@ -16,9 +16,9 @@ import valex
 from valex import __version__, cli
 from valex.cli import _manifest_lines, _parse_file, main
 from valex.checker import parse_corpus
-from valex.errors import BLOCK, FormatError
+from valex.errors import BLOCK, FormatError, write_rows
 from valex.freq import FrequencyTable, lemma_counts, parse_frequency_table, rank_lemmas
-from valex.lexicon import parse_lexicon
+from valex.lexicon import Category, LexicalEntry, Lexicon, parse_lexicon, serialize_lexicon
 from valex.mining import (
     MiningParams,
     build_mining_corpus,
@@ -601,6 +601,18 @@ class TestFreqCommand:
         assert "# n: 1" in header_lines(out / "top_lemmas.tsv")
 
 
+REFUSED_FIELD = "tab\there"
+REFUSED_MESSAGE = f"field {REFUSED_FIELD!r} contains a tab or line break and cannot be serialized"
+
+
+def refused_lexicon(n_good: int) -> Lexicon:
+    """n_good entries, then, sorted last, one whose example holds a tab,
+    which the model accepts and serialize_lexicon refuses."""
+    text = "".join(f"l{k:05d}\tV\tl{k}\tSuj:NP\tACTIVE\tcoded\tlefff:{k}\n" for k in range(n_good))
+    bad = LexicalEntry("zzz", Category.V, "z1", (), frozenset(), False, (("lefff", "0"),), (REFUSED_FIELD,))
+    return Lexicon.from_entries([*parse_lexicon(text).all_entries(), bad])
+
+
 class TestErrors:
     def test_missing_file(self, tmp_path, capsys):
         assert main(["lex", "parse", str(tmp_path / "absent.lex")]) == 1
@@ -876,6 +888,39 @@ class TestErrors:
         assert capsys.readouterr().err == message
         assert [(p.name, p.is_dir()) for p in out.iterdir()] == [("stats.tsv", True)]
 
+    def test_refused_body_under_out_lands_no_report(self, tmp_path, capsys, monkeypatch):
+        # merged.lex, merge's first report, is refused past its first block
+        monkeypatch.setattr(valex.lexicon, "parse_lexicon", lambda blocks: refused_lexicon(1_000))
+        out = tmp_path / "out"
+        out.mkdir()
+        inputs = [write(tmp_path, "ref.lex", LEXICON), write(tmp_path, "other.lex", LEXICON)]
+        assert main(["merge", *inputs, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"valex: error: {REFUSED_MESSAGE}\n"
+        assert list(out.iterdir()) == []  # neither report, and no temporary file
+
+    def test_refused_second_report_lands_neither(self, tmp_path, capsys, monkeypatch):
+        # records.tsv is written whole before failures.tsv is refused; it is not renamed into place
+        monkeypatch.setattr(valex.checker, "serialize_failures", lambda histogram: write_rows([(REFUSED_FIELD, "1")]))
+        out = tmp_path / "out"
+        out.mkdir()
+        inputs = [write(tmp_path, "toy.lex", LEXICON), write(tmp_path, "corpus.tsv", CORPUS)]
+        assert main(["check", *inputs, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"valex: error: {REFUSED_MESSAGE}\n"
+        assert list(out.iterdir()) == []  # neither report, and no temporary file
+
+    def test_refused_body_on_stdout_leaves_the_blocks_before_its_row(self, tmp_path, capsys, monkeypatch):
+        # as the README states: the manifest lines and the whole blocks of
+        # lines written before the one that holds the refused row
+        refused = refused_lexicon(1_000)
+        monkeypatch.setattr(valex.lexicon, "parse_lexicon", lambda blocks: refused)
+        path = write(tmp_path, "toy.lex", LEXICON)
+        assert main(["lex", "parse", path]) == 1
+        out, err = capsys.readouterr()
+        assert err == f"valex: error: {REFUSED_MESSAGE}\n"
+        blocks = list(serialize_lexicon(Lexicon.from_entries(list(refused.all_entries())[:-1])))
+        assert len(blocks) > 2 and len(blocks[-1]) < BLOCK  # the refused row, last, joins the last block
+        assert out == f"# valex {__version__}\n# input lexicon: {path}\n" + "".join(blocks[:-1])
+
 
 # Two good lines of each tab format, and the formats of each command's inputs.
 GOOD_ROWS = {
@@ -1069,7 +1114,7 @@ def two_pass_eval(gold: str, hyp: str, mode: str) -> tuple[int, str, str]:
     except ValueError as exc:
         return 1, f"valex: error: {exc}\n", ""
     scores = score_corpus(*annotations, RelaxationMode(mode))
-    report = serialize_eval_report(scores, coverage(annotations[1]))
+    report = "".join(serialize_eval_report(scores, coverage(annotations[1])))
     return 0, "", f"# valex {__version__}\n# input gold: {gold}\n# input hyp: {hyp}\n# mode: {mode}\n{report}"
 
 

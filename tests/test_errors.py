@@ -1,11 +1,16 @@
 """The line layer's block split: errors.parse_rows reads a text BLOCK
 characters at a time and must give the rows and line numbers that splitting
-the whole text gives, wherever a line falls against a block boundary."""
+the whole text gives, wherever a line falls against a block boundary; and
+errors.write_rows yields blocks of whole lines that join into the document
+of every row."""
+
+import random
+import re
 
 import pytest
 
-from valex.cli import _parse_file
-from valex.errors import BLOCK, FormatError, parse_rows
+from valex.cli import _parse_file, _write
+from valex.errors import BLOCK, FormatError, parse_rows, write_rows
 
 
 def parse_row(fields):
@@ -106,3 +111,47 @@ def test_failure_at_a_block_boundary_names_file_and_line(tmp_path, where):
     with pytest.raises(ValueError) as err:
         _parse_file(str(path), lambda text: list(parse_rows(text, parse_row)))
     assert str(err.value) == f"{path}:{line}: bad row ['bad', 'row']"
+
+
+def document(rows):
+    """The rows as one text of LF-terminated tab-separated lines."""
+    return "".join("\t".join(fields) + "\n" for fields in rows)
+
+
+def random_rows(rng):
+    """Up to 60 rows of 1-4 fields, some of a few characters, some longer than a block."""
+    def field():
+        n = rng.choice([0, 1, 5, 80, BLOCK // 3, BLOCK + 7])
+        return "".join(rng.choice("ab é€\U0001f600") for _ in range(n))
+
+    return [["r" + field(), *(field() for _ in range(rng.randint(0, 3)))] for _ in range(rng.randint(0, 60))]
+
+
+def test_write_rows_blocks_join_to_the_document_of_whole_lines():
+    rng = random.Random(37)
+    for _ in range(60):
+        rows = random_rows(rng)
+        blocks = list(write_rows(rows))
+        assert "".join(blocks) == document(rows)
+        for k, block in enumerate(blocks):
+            assert block.endswith("\n")
+            assert block[:-1].rfind("\n") + 1 < BLOCK  # what precedes its last line: under BLOCK
+            assert len(block) >= BLOCK or k == len(blocks) - 1  # only the last block is short
+
+
+def test_write_rows_yields_the_blocks_before_a_refused_row():
+    bad = "tab\there"
+    rows = [("r", "x" * 100)] * 300 + [("r", bad)]
+    blocks = []
+    with pytest.raises(ValueError, match=re.escape(f"field {bad!r} contains a tab or line break")):
+        for block in write_rows(rows):
+            blocks.append(block)
+    good = list(write_rows(rows[:-1]))
+    assert len(good) > 2 and len(good[-1]) < BLOCK
+    assert blocks == good[:-1]  # the block the refused row would close is not yielded
+
+
+def test_no_rows_give_an_empty_body_and_a_header_only_report(tmp_path):
+    assert list(write_rows([])) == []
+    _write(str(tmp_path), ["# valex test"], {"empty.tsv": write_rows([])})
+    assert (tmp_path / "empty.tsv").read_text(encoding="utf-8") == "# valex test\n"

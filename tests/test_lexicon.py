@@ -343,7 +343,7 @@ class TestRoundTrip:
             "ACTIVE,PASSIVE\tcoded\tlefff:1380"
         )
         lex = parse_lexicon(DONNER_LINE)
-        assert serialize_lexicon(lex).rstrip("\n") == canonical
+        assert "".join(serialize_lexicon(lex)).rstrip("\n") == canonical
         assert parse_lexicon(canonical) == lex
 
     def test_parse_serialize_identity_random(self):
@@ -359,14 +359,14 @@ class TestRoundTrip:
             "aboyer\tV\ta2\tSuj:NP\tACTIVE\tcoded\ts:2\n"
             "aboyer\tV\ta1\tSuj:CLITIC\tACTIVE\tcoded\ts:3\n"
         )
-        once = serialize_lexicon(parse_lexicon(shuffled))
-        assert serialize_lexicon(parse_lexicon(once)) == once
+        once = "".join(serialize_lexicon(parse_lexicon(shuffled)))
+        assert "".join(serialize_lexicon(parse_lexicon(once))) == once
         assert once.index("aboyer\tV\ta1") < once.index("aboyer\tV\ta2") < once.index("zoner")
 
     def test_unserializable_example_rejected(self):
         e = entry(examples=("tab\there",))
         with pytest.raises(ValueError):
-            serialize_lexicon(Lexicon.from_entries([e]))
+            "".join(serialize_lexicon(Lexicon.from_entries([e])))
 
     @pytest.mark.parametrize("char", LINE_BREAK_LOOKALIKES)
     def test_example_with_line_break_lookalike_round_trips(self, char):
@@ -374,7 +374,7 @@ class TestRoundTrip:
         assert parse_lexicon(serialize_lexicon(lex)) == lex
 
     def test_crlf_document_parses_like_lf(self):
-        text = serialize_lexicon(rand_lexicon(random.Random(11), 6))
+        text = "".join(serialize_lexicon(rand_lexicon(random.Random(11), 6)))
         assert parse_lexicon(text.replace("\n", "\r\n")) == parse_lexicon(text)
 
     @pytest.mark.parametrize(
@@ -393,7 +393,7 @@ class TestRoundTrip:
     )
     def test_unreadable_field_rejected(self, fields):
         with pytest.raises(ValueError):
-            serialize_lexicon(Lexicon.from_entries([entry(**fields)]))
+            "".join(serialize_lexicon(Lexicon.from_entries([entry(**fields)])))
 
 
 class TestStats:

@@ -354,7 +354,7 @@ class TestReport:
 
     def test_serialized_rows_and_totals(self):
         report = self.make_report()
-        text = serialize_merge_report(report)
+        text = "".join(serialize_merge_report(report))
         lines = text.splitlines()
         assert lines[0] == "murer\t1\t1\t2\tyes"
         assert lines[1] == "noter\t1\t1\t1\tno"

@@ -406,7 +406,7 @@ class TestFormat:
             SuspicionScore("réaffirmer", 1.0, 28, 28, "s07"),
             SuspicionScore("neutre", 0.0, 3, 0, None),
         ]
-        assert format_suspects(ranked) == (
+        assert "".join(format_suspects(ranked)) == (
             "1\tréaffirmer\t1.000000\t28\ts07\n"
             "2\tneutre\t0.000000\t0\t-\n"
         )
@@ -452,7 +452,7 @@ class TestFiles:
             SentenceRecord("s1", ("a",), True),
             SentenceRecord("s2", ("b",), False),
         ]
-        assert serialize_records(records) == "s1\tok\ta\ns2\tfailed\tb\n"
+        assert "".join(serialize_records(records)) == "s1\tok\ta\ns2\tfailed\tb\n"
 
     @pytest.mark.parametrize(
         "line, fragment",
@@ -487,7 +487,7 @@ class TestFiles:
     )
     def test_unreadable_field_rejected(self, sentence_id, form):
         with pytest.raises(ValueError):
-            serialize_records([SentenceRecord(sentence_id, (form,), True)])
+            "".join(serialize_records([SentenceRecord(sentence_id, (form,), True)]))
 
     def test_repeated_record_id_rejected(self):
         with pytest.raises(ValueError, match="duplicate sentence id"):
@@ -495,6 +495,6 @@ class TestFiles:
 
     def test_serialize_rejects_delimiters(self):
         with pytest.raises(ValueError):
-            serialize_records([SentenceRecord("s\t1", ("a",), True)])
+            "".join(serialize_records([SentenceRecord("s\t1", ("a",), True)]))
         with pytest.raises(ValueError):
-            serialize_records([SentenceRecord("s1", ("a,b",), True)])
+            "".join(serialize_records([SentenceRecord("s1", ("a,b",), True)]))
