@@ -91,9 +91,11 @@ class AnalyzabilityVerdict:
 class _Entry:
     """A lexical entry compiled for _clauses.  Entries compiled together
     share a dict `bits`, which gives each distinct (function, realization)
-    pair its own bit, from bit 1 on, as they meet it; `pairs` is the sum of
-    the entry's bits.  They hold one obligatory pair per distinct
-    obligatory set, on a dict `shared` that maps each value to itself."""
+    pair its own bit, from bit 1 on, as they meet it, and a dict `shared`,
+    which maps each distinct obligatory pair to itself, so that they hold
+    one per distinct obligatory set, and each distinct FunctionSlot to its
+    mask, the sum of its pairs' bits, so that each is compiled once per
+    call.  `pairs` is the sum of the entry's slot masks."""
 
     __slots__ = ("entry_id", "pairs", "obligatory", "redistributions", "coded")
 
@@ -102,26 +104,33 @@ class _Entry:
         obligatory = frozenset(slot.function for slot in entry.frame if not slot.optional)
         obligatory_pair = (obligatory, obligatory - {SyntacticFunction.SUJ})  # as is, and Suj exempt
         self.entry_id = entry.entry_id
-        self.pairs = sum({bits.setdefault((slot.function, r), 2 << len(bits))
-                          for slot in entry.frame for r in slot.realizations})
+        pairs = 0  # a frame's functions differ, so its slot masks share no bit
+        for slot in entry.frame:
+            mask = shared.get(slot)
+            if mask is None:
+                mask = shared[slot] = sum({bits.setdefault((slot.function, r), 2 << len(bits))
+                                           for r in slot.realizations})
+            pairs += mask
+        self.pairs = pairs
         self.obligatory = shared.setdefault(obligatory_pair, obligatory_pair)
         self.redistributions = entry.redistributions
         self.coded = entry.coded
 
 
-def _clauses(entry: _Entry, obs: ObservedFrame, obs_pairs: int) -> tuple[bool, bool, bool]:
+def _clauses(entry: _Entry, obs: ObservedFrame, obs_pairs: int, obs_functions: set) -> tuple[bool, bool, bool]:
     """The three acceptance clauses, evaluated independently.
 
     (a) every observed slot exists in the frame with that realization:
         obs_pairs, the observed pairs' mask, has no bit the entry lacks;
-    (b) every obligatory frame slot is observed, Suj exempt under
-        PASSIVE/IMPERSONAL, all slots obligatory for uncoded entries;
+    (b) every obligatory frame slot is observed: its function is in
+        obs_functions, the observed slots' functions; Suj is exempt under
+        PASSIVE/IMPERSONAL, and all slots are obligatory for uncoded entries;
     (c) the observed context is licensed by the entry.
     """
     subject_exempt = obs.redistribution_context in _SUBJECT_EXEMPT_CONTEXTS
     return (
         not obs_pairs & ~entry.pairs,
-        entry.obligatory[subject_exempt] <= {function for function, _ in obs.slots},
+        entry.obligatory[subject_exempt] <= obs_functions,
         obs.redistribution_context in entry.redistributions,
     )
 
@@ -130,7 +139,8 @@ def _verdict(entries: tuple[_Entry, ...], obs: ObservedFrame, bits: dict) -> Ana
     if not entries:
         return AnalyzabilityVerdict(False, (), FailureReason.MISSING_LEMMA)
     obs_pairs = sum({bits.get(pair, _UNHELD) for pair in obs.slots})  # unheld pairs: one bit, once
-    clauses = [(entry, _clauses(entry, obs, obs_pairs)) for entry in entries]
+    obs_functions = {function for function, _ in obs.slots}
+    clauses = [(entry, _clauses(entry, obs, obs_pairs, obs_functions)) for entry in entries]
     witnesses = tuple(entry.entry_id for entry, (a, b, c) in clauses if a and b and c)
     if witnesses:
         return AnalyzabilityVerdict(True, witnesses, None)

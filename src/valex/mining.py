@@ -20,11 +20,16 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 from itertools import repeat
-from operator import sub, truediv
+from operator import add, itemgetter, sub, truediv
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import FormatError, parse_rows, write_rows
+
+# The fewest forms that get a blame round of their own in compute_suspicion:
+# for fewer, one reduce per form costs less than the round's fixed cost.
+_ROUND = 32
 
 
 @dataclass(frozen=True, slots=True)
@@ -134,6 +139,86 @@ def build_mining_corpus(
     return MiningCorpus(tuple(sentences))
 
 
+def _check_blame_mass(shares: list[list[float]]) -> None:
+    """Assert that the shares of every sentence sum to 1 within 1e-12, by
+    fsum's verdict; shares holds sentences of one length, column by column.
+
+    Shares lie in [0, 1], so a left-to-right sum of n of them near 1 is off
+    the exact sum by less than n·2⁻⁵⁰.  A group whose plain row sums all
+    lie inside the bound tightened by that much passes, as fsum would pass
+    it.  Any other group, a NaN too, goes to the fsum rule itself.
+    """
+    rows = shares[0]
+    for column in shares[1:]:
+        rows = list(map(add, rows, column))
+    slack = 1e-12 - len(shares) * 2.0**-50  # <= 0 from 1,126 shares on: fsum alone decides
+    # min and max skip a NaN that is not first; sum carries any NaN
+    if 1.0 - slack <= min(rows) and max(rows) <= 1.0 + slack and not math.isnan(sum(rows)):
+        return
+    # one fsum per sentence; all() fails on NaN, as the comparison does
+    assert all(map((1e-12).__ge__, map(abs, map(sub, map(math.fsum, zip(*shares)), repeat(1.0))))), (
+        "per-sentence blame must sum to 1"
+    )
+
+
+def _check_unit_interval(scores: list[float]) -> None:
+    """Assert that every score lies in [0, 1]; a NaN anywhere fails."""
+    # min and max skip a NaN that is not first; sum carries any NaN
+    assert 0.0 <= min(scores, default=0.0) and max(scores, default=0.0) <= 1.0 and not math.isnan(sum(scores)), (
+        "scores must stay in [0, 1]"
+    )
+
+
+def _take(indices: Sequence[int]) -> Callable[[Sequence[float]], Sequence[float]]:
+    """A getter of the items at indices, in that order, as a sequence;
+    itemgetter alone gives one index's item itself, and takes no empty list."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return itemgetter(slice(indices[0], indices[0] + 1) if indices else slice(0))
+
+
+def _step_plan(failed: list[list[int]], forms: int) -> tuple[list, Callable, list[tuple[int, slice]], list[slice]]:
+    """How a step of compute_suspicion runs over the failed sentences, each
+    a list of form indices; forms are numbered by share count, most first.
+
+    groups holds the sentences of each length column by column (the forms at
+    position 0 of every sentence, then at position 1, ...), as getters of
+    their scores, so that a step is a few C-level passes per group.  Its
+    shares come out group after group, column after column, into one list;
+    gather takes them from there in the order of the blame sums.  Round r
+    holds the r-th share of every form that has one, a prefix of the forms,
+    for as long as a round holds at least _ROUND forms: rounds gives each
+    round's width and slice of gather's result.  rests then gives the slice
+    of the remaining shares of each form that has more.
+    """
+    positions = [k for sentence in failed for k in sentence]  # every share's form, in summation order
+    by_length: dict[int, list[range]] = {}  # failed sentences, as ranges of positions
+    start = 0
+    for sentence in failed:
+        by_length.setdefault(len(sentence), []).append(range(start, start + len(sentence)))
+        start += len(sentence)
+    layout = [[list(column) for column in zip(*spans)] for spans in by_length.values()]
+    groups = [[_take(list(map(positions.__getitem__, column))) for column in columns] for columns in layout]
+    flat_positions = [p for columns in layout for column in columns for p in column]
+    places: list[list[int]] = [[] for _ in range(forms)]  # where each form's shares come out, in summation order
+    for flat_index in sorted(range(len(flat_positions)), key=flat_positions.__getitem__):
+        places[positions[flat_positions[flat_index]]].append(flat_index)
+    sequence = [form_places[0] for form_places in places]  # round 0
+    rounds: list[tuple[int, slice]] = []  # round 1 on
+    depth = 1
+    width = sum(len(form_places) > depth for form_places in places)
+    while width >= _ROUND:
+        rounds.append((width, slice(len(sequence), len(sequence) + width)))
+        sequence += [form_places[depth] for form_places in places[:width]]
+        depth += 1
+        width = sum(len(form_places) > depth for form_places in places[:width])
+    rests: list[slice] = []
+    for form_places in places[:width]:
+        rests.append(slice(len(sequence), len(sequence) + len(form_places) - depth))
+        sequence += form_places[depth:]
+    return groups, _take(sequence), rounds, rests
+
+
 def compute_suspicion(
     corpus: MiningCorpus,
     params: MiningParams = MiningParams(),
@@ -147,7 +232,11 @@ def compute_suspicion(
     form over all its occurrences.
     Stops when the largest score change drops below epsilon, or after
     max_iterations steps.  on_iteration, if given, receives each new
-    score vector; summation order is fixed (sentence id, then position).
+    score vector.  The floats do not depend on how a step is laid out: a
+    sentence's denominator is correctly rounded (the score itself for one
+    form, one addition for two, fsum for more), each form's blame is summed
+    in one fixed order (sentence id, then position), and the blame-mass
+    check gives fsum's verdict on every sentence.
     """
     if not corpus.sentences:
         raise ValueError("cannot mine an empty corpus")
@@ -155,61 +244,52 @@ def compute_suspicion(
     # there, so only the forms of failed sentences get an index and a score.
     occurrences: Counter[str] = Counter()  # every form, in first-appearance order
     failed_sentences: Counter[str] = Counter()
+    failed_occurrences: Counter[str] = Counter()  # forms of failed sentences, as they first appear
     sample: dict[str, str] = {}  # id of the first failed sentence that holds the form
-    index: dict[str, int] = {}  # forms of failed sentences, numbered as they first appear
-    failed: list[list[int]] = []  # each failed sentence, as positions in index
     for sentence in corpus.sentences:
         occurrences.update(sentence.forms)
         if sentence.failed:
             failed_sentences.update(set(sentence.forms))
+            failed_occurrences.update(sentence.forms)
             for form in sentence.forms:
                 sample.setdefault(form, sentence.sentence_id)
-            failed.append([index.setdefault(form, len(index)) for form in sentence.forms])
-    positions = [k for forms in failed for k in forms]  # every share's form, in summation order
+    # forms of failed sentences, numbered by failed occurrences, most first
+    # (ties as they first appear), so that the forms with more than r shares
+    # are a prefix of index for every r
+    ranked = failed_occurrences.most_common()
+    index = {form: k for k, (form, _) in enumerate(ranked)}
     active_occurrences = [occurrences[form] for form in index]
-    failed_occurrences = Counter(positions)
-    scores = [failed_occurrences[k] / o for k, o in enumerate(active_occurrences)]
-    # Each step works on the failed sentences of one length at a time, held
-    # column by column (the forms at position 0 of every sentence, then at
-    # position 1, ...), so that it is a few C-level maps per group.  Its
-    # shares come out group after group, column after column; order maps
-    # each position, in summation order, to its share in that layout, so
-    # that every blame[k] stays the same left-to-right sum.
-    by_length: dict[int, list[range]] = {}  # failed sentences, as ranges of positions
-    start = 0
-    for forms in failed:
-        by_length.setdefault(len(forms), []).append(range(start, start + len(forms)))
-        start += len(forms)
-    layout = [[list(column) for column in zip(*spans)] for spans in by_length.values()]
-    groups = [[list(map(positions.__getitem__, column)) for column in columns] for columns in layout]
-    order = [0] * len(positions)
-    for flat_index, position in enumerate(p for columns in layout for column in columns for p in column):
-        order[position] = flat_index
+    scores = [count / o for (_, count), o in zip(ranked, active_occurrences)]
+    failed = [[index[form] for form in s.forms] for s in corpus.sentences if s.failed]
+    groups, gather, rounds, rests = _step_plan(failed, len(index))
     # No denominator is ever 0.0: every active form starts at a failure
     # rate > 0, and after any step each failed sentence S has given some
     # position a share >= 1/|S|, so that form scores >= 1/(|S|·occ) > 0.
     # A zero would raise ZeroDivisionError rather than spread blame.
     fsum = math.fsum
     for iteration in range(1, params.max_iterations + 1):
-        score_of = scores.__getitem__
         flat: list[float] = []
         for columns in groups:
-            values = [list(map(score_of, column)) for column in columns]
-            denominators = list(map(fsum, zip(*values)))  # fsum is correctly rounded: order-free
+            values = [take(scores) for take in columns]
+            # each correctly rounded, as fsum is, so independent of term order
+            if len(values) == 1:
+                denominators = values[0]
+            elif len(values) == 2:
+                denominators = list(map(add, *values))
+            else:
+                denominators = list(map(fsum, zip(*values)))
             shares = [list(map(truediv, column, denominators)) for column in values]
-            # one fsum per sentence; all() fails on NaN, as the comparison does
-            assert all(map((1e-12).__ge__, map(abs, map(sub, map(fsum, zip(*shares)), repeat(1.0))))), (
-                "per-sentence blame must sum to 1"
-            )
+            _check_blame_mass(shares)
             for column in shares:
                 flat += column
-        blame = [0.0] * len(index)
-        for k, share in zip(positions, map(flat.__getitem__, order)):
-            blame[k] += share
+        in_order = gather(flat)
+        # round 0: 0.0 plus a share is the share, and no share is -0.0
+        blame = list(in_order[: len(index)])
+        for width, piece in rounds:
+            blame[:width] = map(add, blame, in_order[piece])
+        blame[: len(rests)] = map(reduce, repeat(add), map(in_order.__getitem__, rests), blame)
         new_scores = list(map(truediv, blame, active_occurrences))
-        assert 0.0 <= min(new_scores, default=0.0) and max(new_scores, default=0.0) <= 1.0, (
-            "scores must stay in [0, 1]"
-        )
+        _check_unit_interval(new_scores)
         delta = max(map(abs, map(sub, new_scores, scores)), default=0.0)
         scores = new_scores
         if on_iteration is not None:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import Counter
 
@@ -489,13 +490,55 @@ class TestPairMasks:
                 mask |= bits.get(pair, _UNHELD)
             for e, compiled_entry in compiled.get(frame.lemma, ()):
                 clauses = reference_clauses(e, frame)
-                assert _clauses(compiled_entry, frame, mask) == clauses
+                assert _clauses(compiled_entry, frame, mask, {f for f, _ in frame.slots}) == clauses
                 a_alone += clauses == (False, True, True)
             assert check_sentence(lex, frame) == reference_verdict(lex, frame)
         assert a_alone > 0 and any(not f.slots for f in frames)
         assert any(pair not in bits for f in frames for pair in f.slots)
         corpus = [(f"s{k:03d}", frames[k:k + rng.randint(1, 3)]) for k in range(0, len(frames), 3)]
         assert diagnose_corpus(lex, corpus) == reference_fold(lex, corpus)
+
+    def test_equal_slots_built_apart_compile_as_shared_ones(self):
+        # entries built outside parse_lexicon hold a FunctionSlot object of
+        # their own for every slot; the same entries again, holding one object
+        # per distinct slot, as parse_lexicon's do, compile to the same masks
+        shapes = [
+            ((F.SUJ, (NP,), False), (F.OBJ, (NP, CLITIC), False)),
+            ((F.SUJ, (NP,), False), (F.OBJ, (CLITIC, NP), True)),  # optional: another slot, the same pairs
+            ((F.SUJ, (NP, CLITIC), False),),
+            ((F.SUJ, (NP,), False), (F.OBJA, (pp("à"),), True)),
+        ]
+        apart = [entry("voir", f"v{k}", slots=shape) for k, shape in enumerate(shapes)]
+        apart.append(entry("dormir", "d0", slots=shapes[0], redistributions=(R.ACTIVE, R.PASSIVE)))
+        one: dict = {}
+        shared = [dataclasses.replace(e, frame=tuple(one.setdefault(s, s) for s in e.frame)) for e in apart]
+        assert apart[0].frame[0] == apart[4].frame[0] and apart[0].frame[0] is not apart[4].frame[0]
+        assert shared[0].frame[0] is shared[4].frame[0] is shared[1].frame[0]
+        compiled = []
+        for entries in (apart, shared):
+            bits: dict = {}
+            memo: dict = {}
+            pairs = [_Entry(e, bits, memo).pairs for e in entries]
+            assert sum(isinstance(key, FunctionSlot) for key in memo) == 5  # each distinct slot, once
+            compiled.append((pairs, bits))
+        assert compiled[0] == compiled[1]
+        pairs, bits = compiled[0]
+        assert pairs == [sum({bits[f, r] for f, reals, _ in shape for r in reals}) for shape in shapes + shapes[:1]]
+        frames = [
+            obs(lemma, slots, context)
+            for lemma in ("voir", "dormir")
+            for context in (R.ACTIVE, R.PASSIVE)
+            for slots in ({(F.SUJ, NP), (F.OBJ, CLITIC)}, {(F.SUJ, CLITIC)}, {(F.OBJ, NP)}, {(F.OBJA, pp("à"))}, ())
+        ]
+        corpus = [(f"s{k:02d}", [frame]) for k, frame in enumerate(frames)]
+        verdicts = []
+        for entries in (apart, shared):
+            lex = Lexicon.from_entries(entries)
+            verdicts.append([check_sentence(lex, frame) for frame in frames])
+            assert verdicts[-1] == [reference_verdict(lex, frame) for frame in frames]
+            assert diagnose_corpus(lex, corpus) == reference_fold(lex, corpus)
+        assert verdicts[0] == verdicts[1]
+        assert {v.failure_reason for v in verdicts[0]} > {None, FailureReason.MISSING_OBLIGATORY_COMPLEMENT}
 
 
 CORPUS_TEXT = (

@@ -216,9 +216,11 @@ def test_write_streams_a_lexicon_body(tmp_path):
 
 
 def test_diagnose_corpus_compiles_onto_shared_sets():
-    # 6,000 entries over 4 frames: 0.80-0.82 MiB on CPython 3.10-3.13, with
-    # pair masks as with one frozenset per distinct pair set, so the bound is
-    # twice the largest; 5.8-6.0 MiB when each entry holds its own sets
+    # 6,000 entries over 4 frames, each entry with FunctionSlot objects of
+    # its own: 0.80-0.82 MiB on CPython 3.10-3.13 (0.80 on 3.11, also with
+    # one mask per distinct slot on the call's memo), with pair masks as with
+    # one frozenset per distinct pair set, so the bound is twice the largest;
+    # 5.8-6.0 MiB when each entry holds its own sets
     lexicon, corpus = lexicon_and_corpus(2_000)
     records, histogram = diagnose_corpus(lexicon, corpus)
     assert len(records) == 200 and sum(histogram.values()) == 0
@@ -235,9 +237,11 @@ def one_pair_set(n: int):
 
 
 def test_diagnose_corpus_compiles_distinct_pair_sets_onto_masks():
-    # 6,000 entries with 6,000 distinct pair sets of 2-13 pairs: 0.98-1.00
-    # MiB on CPython 3.10-3.13, with a mask of its pairs per entry, so the
-    # bound is twice the largest; 5.09-5.11 MiB with a frozenset per entry
+    # 6,000 entries with 6,000 distinct pair sets of 2-13 pairs: 1.51 MiB on
+    # CPython 3.11, with a mask of its pairs per entry and one per distinct
+    # slot on the call's memo, here one per entry; 0.98-1.00 MiB on 3.10-3.13
+    # with the entry masks alone, for which the bound was set at twice the
+    # largest; 5.09-5.11 MiB with a frozenset per entry
     lexicon, corpus = lexicon_and_corpus(2_000, lambda k, j: one_pair_set(3 * k + j + 1))
     records, histogram = diagnose_corpus(lexicon, corpus)
     assert len(records) == 200 and sum(histogram.values()) == 0

@@ -1,6 +1,9 @@
 import math
 import random
 from collections import Counter
+from functools import reduce
+from operator import add
+from types import SimpleNamespace
 
 import pytest
 
@@ -8,10 +11,13 @@ import valex.mining
 from valex.checker import SentenceRecord
 from valex.errors import FormatError
 from valex.mining import (
+    _ROUND,
     MiningCorpus,
     MiningParams,
     MiningSentence,
     SuspicionScore,
+    _check_blame_mass,
+    _check_unit_interval,
     build_mining_corpus,
     compute_suspicion,
     format_suspects,
@@ -359,6 +365,159 @@ class TestKernelAgainstSeedLoop:
         sample = corpus(*sentences)
         assert {len(s.forms) for s in sample.sentences if s.failed} == set(range(1, 9))
         self.assert_same_run(sample, params)
+
+
+    def test_bench_shaped_corpus(self):
+        # the shape of the bench's failed sentences: one form in more of them
+        # than the blame rounds cover, so that it sums the rest of its shares
+        # in one reduce, hundreds of forms failed once, forms failed often
+        # enough for several rounds, and failed sentences of 1-4 forms
+        rng = random.Random(37)
+        medium = [f"m{k}" for k in range(60)]
+        once = iter(f"u{k}" for k in range(300))
+        sentences = []
+        for n in range(400):
+            forms = ["h"] * (n % 8 < 3) + ["h"] * (n % 40 == 0)  # h twice in a sentence, now and then
+            while len(forms) < 1 + n % 4:
+                forms.append(next(once, None) or rng.choice(medium))
+            rng.shuffle(forms)
+            sentences.append((f"s{n:03}", tuple(forms), True))
+        for n in range(300):
+            sentences.append((f"t{n:03}", ("h", rng.choice(medium), f"ok{n % 50}"), False))
+        sample = corpus(*sentences)
+        failed = Counter(form for s in sample.sentences if s.failed for form in s.forms)
+        assert failed["h"] == 160 and sum(count == 1 for count in failed.values()) == 300
+        assert {len(s.forms) for s in sample.sentences if s.failed} == {1, 2, 3, 4}
+        # rounds run while _ROUND forms have another share: to depth 5 or more
+        deepest = sorted(failed.values(), reverse=True)[_ROUND - 1]
+        assert 5 <= deepest < failed["h"]
+        self.assert_same_run(sample, MiningParams(max_iterations=30))
+
+
+def fsum_rule(shares):
+    """The per-sentence rule as first written: one fsum per sentence."""
+    return all(abs(math.fsum(row) - 1.0) <= 1e-12 for row in zip(*shares))
+
+
+def blame_mass_passes(shares):
+    try:
+        _check_blame_mass(shares)
+    except AssertionError as error:
+        assert str(error) == "per-sentence blame must sum to 1"
+        return False
+    return True
+
+
+def columns(*rows):
+    return [list(column) for column in zip(*rows)]
+
+
+def plain(row):
+    return reduce(add, row)  # left to right, as the check's row sums
+
+
+def crossing_rows():
+    """Rows on which the plain sum and fsum fall on opposite sides of 1e-12,
+    below 1 and above it, as (row, fsum's verdict)."""
+    below = 1.0 - 1e-12  # the largest float below 1 that the rule rejects
+    while 1.0 - below <= 1e-12:
+        below = math.nextafter(below, 0.0)
+    while 1.0 - math.nextafter(below, 1.0) > 1e-12:
+        below = math.nextafter(below, 1.0)
+    above = 1.0 + 1e-12  # the smallest float above 1 that the rule rejects
+    while above - 1.0 <= 1e-12:
+        above = math.nextafter(above, 2.0)
+    while math.nextafter(above, 0.0) - 1.0 > 1e-12:
+        above = math.nextafter(above, 0.0)
+    low, high = math.ulp(below), math.ulp(above)
+    return [
+        ([below, low / 4, low / 4, low / 4, low / 4], True),  # each quarter ulp rounds away
+        ([below - low, low / 2 + low / 2**20, low / 2 + low / 2**20], False),  # each rounds up
+        ([0.5, above - high - 0.5, high / 2 - high / 2**20, high / 2 - high / 2**20], False),
+        ([0.5, above - 2 * high - 0.5, high / 2 + high / 2**20, high / 2 + high / 2**20], True),
+    ]
+
+
+class TestKernelChecks:
+    """compute_suspicion's two asserts, each called on its own."""
+
+    @pytest.mark.parametrize("row, verdict", crossing_rows())
+    def test_rows_where_the_plain_sum_and_fsum_disagree(self, row, verdict):
+        assert (abs(math.fsum(row) - 1.0) <= 1e-12) is verdict
+        assert (abs(plain(row) - 1.0) <= 1e-12) is not verdict
+        assert blame_mass_passes(columns(row)) is verdict
+        # among rows that pass on any sum, in either place
+        ones = [1.0 / len(row)] * len(row)
+        assert blame_mass_passes(columns(ones, row, ones)) is verdict
+        assert blame_mass_passes(columns(row, ones)) is verdict
+
+    @pytest.mark.parametrize("width", range(1, 9))
+    def test_groups_agree_with_the_fsum_rule(self, width):
+        rng = random.Random(width)
+        verdicts = Counter()
+        for _ in range(300):
+            rows = []
+            for _ in range(rng.randint(1, 6)):
+                weights = [rng.random() + 1e-3 for _ in range(width)]
+                total = math.fsum(weights)
+                row = [w / total for w in weights]  # as the kernel's shares
+                if rng.random() < 0.5:  # off by a few 1e-13, around the bound
+                    row[rng.randrange(width)] += rng.randint(-15, 15) * 1e-13
+                rows.append(row)
+            group = columns(*rows)
+            verdicts[fsum_rule(group)] += 1
+            assert blame_mass_passes(group) is fsum_rule(group)
+        assert verdicts[True] > 30 and verdicts[False] > 30
+
+    def test_long_rows_take_the_exact_path(self, monkeypatch):
+        # from 1,126 shares on, the tightened bound is <= 0 and no row passes
+        # on its plain sum, so the rule's fsum runs on every row
+        assert 1e-12 - 1126 * 2.0**-50 <= 0.0 < 1e-12 - 1125 * 2.0**-50
+        calls = []
+
+        def fsum(values):
+            calls.append(len(values) if isinstance(values, list) else None)
+            return math.fsum(values)
+
+        monkeypatch.setattr(valex.mining, "math", SimpleNamespace(fsum=fsum, isnan=math.isnan))
+        short = [0.25] * 4
+        assert blame_mass_passes(columns(short, short))
+        assert calls == []
+        long = [2.0**-11] * 2048
+        assert plain(long) == 1.0
+        assert blame_mass_passes(columns(long, long))
+        assert calls == [None, None]  # one fsum per row, over its tuple of shares
+        long[7] += 2e-12
+        assert not blame_mass_passes(columns(long))
+
+    @pytest.mark.parametrize("where", [0, 1, 2], ids=["first", "middle", "last"])
+    def test_a_nan_fails_both_checks_anywhere(self, where):
+        scores = [0.25, 0.5, 0.75]
+        scores[where] = math.nan
+        # min and max alone skip a NaN that is not first
+        assert (0.0 <= min(scores) and max(scores) <= 1.0) is (where != 0)
+        with pytest.raises(AssertionError, match=r"^scores must stay in \[0, 1\]$"):
+            _check_unit_interval(scores)
+        rows = [[0.5, 0.5], [0.25, 0.75], [1.0, 0.0]]
+        rows[where][1] = math.nan
+        with pytest.raises(AssertionError, match="^per-sentence blame must sum to 1$"):
+            _check_blame_mass(columns(*rows))
+
+    @pytest.mark.parametrize("scores, verdict", [
+        ([], True),
+        ([0.0, 1.0, 0.5], True),
+        ([-0.0], True),
+        ([0.5, 1.0000000000000002], False),
+        ([0.5, -5e-324], False),
+        ([0.5, math.inf], False),
+    ])
+    def test_unit_interval(self, scores, verdict):
+        try:
+            _check_unit_interval(scores)
+        except AssertionError:
+            assert not verdict
+        else:
+            assert verdict
 
 
 class TestRank:
