@@ -10,8 +10,8 @@ The markup is a small XML dialect:
       <R type="SUJ-V" src="1" tgt="3"/> ...
     </S>
 
-parse_passage reads it, whole or a block at a time, iter_passage a sentence
-at a time; serialize_passage writes it; valex.passage scores it.
+iter_passage reads it a sentence at a time, and parse_passage into a list
+of iter_passage's; serialize_passage writes it; valex.passage scores it.
 """
 
 from __future__ import annotations
@@ -167,18 +167,16 @@ def parse_passage(text: str | Iterable[str] | None,
                   ) -> list[SentenceAnnotation]:
     """The sentence annotations of a sequence of <S> blocks, as a list.
 
-    text is a str or an iterable of text blocks, split anywhere.  Given a
-    reader (see _reader), text is instead the next block of that reader's
-    input, or None for its end, and the list holds the sentences that the
-    block closes.  iter_passage parses by such calls, so that a wrapper of
-    parse_passage, as bench/layertrace.py installs, times and counts every
-    sentence read, whole or a block at a time.
+    text is a str or an iterable of text blocks, split anywhere: the list is
+    iter_passage's.  Given a reader (see _reader), text is instead the next
+    block of that reader's input, or None for its end, and the list holds
+    the sentences that the block closes.  iter_passage parses by such calls,
+    so that a wrapper of parse_passage, as bench/layertrace.py installs,
+    times and counts every sentence read, a block at a time.
     """
-    if reader is not None:
-        return reader.send(text)
-    reader = _reader()
-    next(reader)
-    return [a for block in chain(text_blocks(text), [None]) for a in reader.send(block)]
+    if reader is None:
+        return list(iter_passage(text))
+    return reader.send(text)
 
 
 def iter_passage(text: str | Iterable[str]) -> Iterator[SentenceAnnotation]:

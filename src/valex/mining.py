@@ -1,12 +1,12 @@
 """Comparative error mining over analyzability records.
 
 Given per-sentence records from a reference run and a hypothesis run, the
-mining corpus keeps the sentences the reference analyzes and marks as
-failed those the hypothesis loses.  A fixed point then distributes each
-failed sentence's unit of suspicion over the forms it contains: a form's
-suspicion is the average, over its occurrences, of the share of blame it
-takes inside each failed sentence, where shares are proportional to the
-current suspicions and renormalized per sentence.
+mining corpus holds the hypothesis's own record of each sentence that the
+reference analyzes, failed where the hypothesis loses it.  A fixed point
+then distributes each failed sentence's unit of suspicion over the forms it
+contains: a form's suspicion is the average, over its occurrences, of the
+share of blame it takes inside each failed sentence, where shares are
+proportional to the current suspicions and renormalized per sentence.
 
 Record files, written by the checker, hold one sentence per line,
 following the shared line rule of ``valex.errors`` (see "File formats" in
@@ -33,11 +33,10 @@ _ROUND = 32
 
 
 @dataclass(frozen=True, slots=True)
-class _Sentence:
-    """The fields and validator a record and a mining sentence share."""
-
+class SentenceRecord:
     sentence_id: str
     forms: tuple[str, ...]
+    analyzable: bool
 
     def __post_init__(self):
         object.__setattr__(self, "forms", tuple(self.forms))
@@ -51,22 +50,17 @@ class _Sentence:
             bad = next(form for form in self.forms if "," in form)
             raise ValueError(f"form {bad!r} cannot be serialized")
 
-
-@dataclass(frozen=True, slots=True)
-class SentenceRecord(_Sentence):
-    analyzable: bool
-
-
-@dataclass(frozen=True, slots=True)
-class MiningSentence(_Sentence):
-    failed: bool
+    @property
+    def failed(self) -> bool:
+        """The record file's ``failed`` tag."""
+        return not self.analyzable
 
 
 @dataclass(frozen=True, slots=True)
 class MiningCorpus:
     """Sentences in canonical order (sorted by id, ids unique)."""
 
-    sentences: tuple[MiningSentence, ...]
+    sentences: tuple[SentenceRecord, ...]
 
     def __post_init__(self):
         ordered = tuple(sorted(self.sentences, key=lambda s: s.sentence_id))
@@ -110,8 +104,8 @@ def build_mining_corpus(
     """Pair reference and hypothesis records into a mining corpus.
 
     Both sides must cover the same sentence ids with identical forms.
-    Sentences the reference cannot analyze are excluded; a kept sentence
-    is failed when the hypothesis alone loses it.
+    The corpus holds the hypothesis record of each sentence the reference
+    analyzes, so a kept sentence is failed when the hypothesis alone loses it.
     """
     by_id: dict[str, SentenceRecord] = {}
     for record in hyp_records:
@@ -130,9 +124,7 @@ def build_mining_corpus(
         if hyp.forms != ref.forms:
             raise ValueError(f"form mismatch for sentence {ref.sentence_id!r}")
         if ref.analyzable:
-            sentences.append(
-                MiningSentence(ref.sentence_id, ref.forms, failed=not hyp.analyzable)
-            )
+            sentences.append(hyp)
     if len(seen) != len(by_id):
         extra = sorted(set(by_id) - seen)[0]
         raise ValueError(f"sentence {extra!r} missing from reference records")
@@ -140,8 +132,9 @@ def build_mining_corpus(
 
 
 def _check_blame_mass(shares: list[list[float]]) -> None:
-    """Assert that the shares of every sentence sum to 1 within 1e-12, by
-    fsum's verdict; shares holds sentences of one length, column by column.
+    """Raise AssertionError, under python -O too, unless the shares of every
+    sentence sum to 1 within 1e-12 by fsum's verdict; shares holds sentences
+    of one length, column by column.
 
     Shares lie in [0, 1], so a left-to-right sum of n of them near 1 is off
     the exact sum by less than n·2⁻⁵⁰.  A group whose plain row sums all
@@ -156,17 +149,16 @@ def _check_blame_mass(shares: list[list[float]]) -> None:
     if 1.0 - slack <= min(rows) and max(rows) <= 1.0 + slack and not math.isnan(sum(rows)):
         return
     # one fsum per sentence; all() fails on NaN, as the comparison does
-    assert all(map((1e-12).__ge__, map(abs, map(sub, map(math.fsum, zip(*shares)), repeat(1.0))))), (
-        "per-sentence blame must sum to 1"
-    )
+    if not all(map((1e-12).__ge__, map(abs, map(sub, map(math.fsum, zip(*shares)), repeat(1.0))))):
+        raise AssertionError("per-sentence blame must sum to 1")
 
 
 def _check_unit_interval(scores: list[float]) -> None:
-    """Assert that every score lies in [0, 1]; a NaN anywhere fails."""
+    """Raise AssertionError, under python -O too, unless every score lies in
+    [0, 1]; a NaN anywhere fails."""
     # min and max skip a NaN that is not first; sum carries any NaN
-    assert 0.0 <= min(scores, default=0.0) and max(scores, default=0.0) <= 1.0 and not math.isnan(sum(scores)), (
-        "scores must stay in [0, 1]"
-    )
+    if not (0.0 <= min(scores, default=0.0) and max(scores, default=0.0) <= 1.0 and not math.isnan(sum(scores))):
+        raise AssertionError("scores must stay in [0, 1]")
 
 
 def _take(indices: Sequence[int]) -> Callable[[Sequence[float]], Sequence[float]]:

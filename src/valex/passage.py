@@ -77,8 +77,8 @@ class Scores:
         return 2 * p * r / (p + r)
 
 
-# Sentence pairs per score_corpus intersection and per score_pairs block: one
-# block's pairs and keys, under half a MiB, are alive, whatever the length.
+# Sentence pairs per score_pairs block, each scored by one score_corpus call:
+# one block's pairs and keys, under half a MiB, are alive, whatever the length.
 _BLOCK = 256
 
 
@@ -141,18 +141,16 @@ def score_corpus(
     # Relations match on (type, src, tgt), constituents on (type, start, end)
     # in exact mode and on (type, start) in left mode.  Each rule is an
     # equivalence, so greedy matching is the multiset intersection of (sentence
-    # position, type, a, b), taken per block so that one block's keys are alive.
-    for lo in range(0, len(gold), _BLOCK):
-        matched = []
-        for corpus in (gold, hyp):
-            part = corpus[lo:lo + _BLOCK]
-            keys = [(k, r.rtype, r.source, r.target) for k, a in enumerate(part) for r in a.relations]
-            if not overlap:
-                keys += [(k, c.ctype, c.start, c.end if exact else None)
-                         for k, a in enumerate(part) for c in a.constituents]
-            matched.append(Counter(keys))
-        for key, n in (matched[0] & matched[1]).items():
-            tp[key[1]] += n
+    # position, type, a, b).
+    matched = []
+    for corpus in (gold, hyp):
+        keys = [(k, r.rtype, r.source, r.target) for k, a in enumerate(corpus) for r in a.relations]
+        if not overlap:
+            keys += [(k, c.ctype, c.start, c.end if exact else None)
+                     for k, a in enumerate(corpus) for c in a.constituents]
+        matched.append(Counter(keys))
+    for key, n in (matched[0] & matched[1]).items():
+        tp[key[1]] += n
     if overlap:
         for g, h in zip(gold, hyp):
             tp.update(_overlap_tp(g, h))  # update, unlike +=, does not re-filter

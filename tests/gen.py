@@ -17,7 +17,7 @@ from valex.lexicon import (
     pp,
 )
 from valex.checker import ObservedFrame, SentenceRecord
-from valex.mining import MiningCorpus, MiningSentence
+from valex.mining import MiningCorpus
 from valex.passage import Constituent, ConstituentType, Relation, RelationType, SentenceAnnotation
 
 # Characters str.splitlines() breaks on besides LF and CR; the line formats
@@ -137,7 +137,7 @@ def rand_mining_corpus(rng: random.Random, max_sentences: int = 50, vocabulary: 
     for k in range(n):
         size = rng.randint(1, 5)
         sentence_forms = tuple(rng.choice(forms) for _ in range(size))
-        sentences.append(MiningSentence(f"s{k:03d}", sentence_forms, rng.random() < 0.4))
+        sentences.append(SentenceRecord(f"s{k:03d}", sentence_forms, not (rng.random() < 0.4)))
     return MiningCorpus(tuple(sentences))
 
 

@@ -146,6 +146,10 @@ MUTATIONS = {
 }
 
 
+def listed_passage(text):
+    return list(markup.iter_passage(text))
+
+
 def outcome(read, text):
     """What read makes of text: the value and, for annotations, which items
     are one object; or the FormatError's message and line."""
@@ -153,7 +157,7 @@ def outcome(read, text):
         value = read(text)
     except FormatError as exc:
         return "refused", exc.message, exc.line
-    if read is parse_passage:
+    if read in (parse_passage, listed_passage):
         items = [x for a in value for x in a.constituents + a.relations]
         first: dict[int, int] = {}
         return "read", value, [first.setdefault(id(x), k) for k, x in enumerate(items)]
@@ -169,6 +173,24 @@ def test_passage_read_as_the_whole_text_when_expat_takes_long_sentences(monkeypa
     # the line matcher hands a sentence longer than _LONGEST, and the rest, to expat
     monkeypatch.setattr(markup, "_LONGEST", 100)
     check_blocks("passage")
+
+
+def test_parse_passage_is_the_list_that_iter_passage_yields():
+    # value, shared items and error alike, on a str and on blocks
+    rng = random.Random("parse_passage is iter_passage")
+    seen = {"read": 0, "refused": 0}
+    for mutation in MUTATIONS.values():
+        for _ in range(5):
+            lines = passage_text(rng).split("\n")
+            mutation(rng, lines)
+            text = "\n".join(lines)
+            listed = outcome(listed_passage, text)
+            seen[listed[0]] += 1
+            assert outcome(parse_passage, text) == listed, text
+            for size in SIZES:
+                blocks = [text[start:start + size] for start in range(0, len(text), size)]
+                assert outcome(parse_passage, iter(blocks)) == outcome(listed_passage, iter(blocks)) == listed
+    assert min(seen.values()) > 5, seen
 
 
 def check_blocks(name):

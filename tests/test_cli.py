@@ -402,6 +402,21 @@ class TestCheckCommand:
             "UNKNOWN-CONSTRUCTION\t0",
         ]
 
+    def test_frames_that_list_a_slot_their_lemma_lacks(self, tmp_path):
+        lex_path = write(tmp_path, "two.lex", (
+            "dormir\tV\td__1\tSuj:NP\tACTIVE\tcoded\tl:1\n"
+            "voir\tV\tv__1\tSuj:NP;Obj:NP\tACTIVE\tcoded\tl:2\n"
+        ))
+        corpus_path = write(tmp_path, "three.tsv", (
+            "s1\tdormir\tACTIVE\tSuj:NP;Obj:NP\n"
+            "s2\tdormir\tACTIVE\tSuj:NP;Obj:CLITIC\n"
+            "s3\tvoir\tACTIVE\tSuj:NP;Obj:NP\n"
+        ))
+        out = tmp_path / "out"
+        assert main(["check", lex_path, corpus_path, "--out", str(out)]) == 0
+        assert "UNKNOWN-CONSTRUCTION\t2" in body_lines(out / "failures.tsv")
+        assert body_lines(out / "records.tsv") == ["s1\tfailed\tdormir", "s2\tfailed\tdormir", "s3\tok\tvoir"]
+
     def test_leading_bom_is_dropped(self, tmp_path):
         # a BOM read as text would make the first lemma "\ufeffdonner"
         lex_path = write(tmp_path, "toy.lex", "\ufeff" + LEXICON.split("\n", 1)[1])
@@ -515,6 +530,18 @@ class TestMineCommand:
         assert 0.0 < result.final_delta
         headers = header_lines(out / "suspects.tsv")
         assert headers[-2:] == ["# converged: no", f"# final_delta: {result.final_delta!r}"]
+
+    @pytest.mark.parametrize("options, pins", [
+        ([], ["# iterations_used: 200", "# final_delta: 3.7018986427741346e-05"]),
+        (["--max-iter", "3"], ["# iterations_used: 3", "# final_delta: 0.06120963560139003"]),
+    ], ids=["default", "max-iter-3"])
+    def test_final_delta_is_pinned(self, tmp_path, capsys, options, pins):
+        # the same floats on every supported Python, read through the report
+        ref = write(tmp_path, "ref.tsv", "s1\tok\ta,b\ns2\tok\ta\ns3\tok\tb,c\ns4\tok\tc,d,a\n")
+        hyp = write(tmp_path, "hyp.tsv", "s1\tfailed\ta,b\ns2\tfailed\ta\ns3\tok\tb,c\ns4\tfailed\tc,d,a\n")
+        assert main(["mine", ref, hyp, *options]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [pin in lines for pin in pins] == [True, True]
 
     def test_non_convergence_warning(self, tmp_path, capsys):
         ref = write(tmp_path, "ref.tsv", REF_RECORDS)

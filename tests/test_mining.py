@@ -1,8 +1,12 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from functools import reduce
 from operator import add
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -14,7 +18,6 @@ from valex.mining import (
     _ROUND,
     MiningCorpus,
     MiningParams,
-    MiningSentence,
     SuspicionScore,
     _check_blame_mass,
     _check_unit_interval,
@@ -30,7 +33,7 @@ from gen import LINE_BREAK_LOOKALIKES, rand_mining_corpus, rand_records
 
 
 def corpus(*sentences):
-    return MiningCorpus(tuple(MiningSentence(i, forms, failed) for i, forms, failed in sentences))
+    return MiningCorpus(tuple(SentenceRecord(i, forms, not failed) for i, forms, failed in sentences))
 
 
 # s1 and s2 fail, s3 succeeds; `a` should absorb all suspicion
@@ -147,7 +150,7 @@ def seed_fixed_point(corpus, params=MiningParams(), on_iteration=None):
 
 
 class TestModel:
-    @pytest.mark.parametrize("model", [MiningSentence, SentenceRecord])
+    @pytest.mark.parametrize("model", [SentenceRecord])
     def test_sentence_validation(self, model):
         with pytest.raises(ValueError, match="^empty sentence id$"):
             model("", ("a",), False)
@@ -164,7 +167,8 @@ class TestModel:
         assert SentenceRecord is valex.mining.SentenceRecord
         record = SentenceRecord("s1", ["a"], True)
         assert repr(record) == "SentenceRecord(sentence_id='s1', forms=('a',), analyzable=True)"
-        assert record != MiningSentence("s1", ("a",), True)
+        # failed is the record file's tag, read off analyzable, not a field
+        assert not record.failed and SentenceRecord("s1", ("a",), False).failed
 
     def test_corpus_sorts_and_rejects_duplicates(self):
         out_of_order = corpus(("s2", ("a",), False), ("s1", ("b",), True))
@@ -203,6 +207,30 @@ class TestBuild:
         built = build_mining_corpus(ref, hyp)
         assert [s.sentence_id for s in built.sentences] == ["s1", "s2"]
         assert built.sentences[0].failed
+
+    def test_the_corpus_holds_the_hypothesis_records_themselves(self):
+        rng = random.Random(149)
+        for _ in range(25):
+            ref = rand_records(rng)
+            hyp = [self.record(r.sentence_id, r.forms, rng.random() < 0.5) for r in ref]
+            rng.shuffle(hyp)
+            built = build_mining_corpus(ref, hyp).sentences
+            ref_ok = {r.sentence_id for r in ref if r.analyzable}
+            kept = sorted((h for h in hyp if h.sentence_id in ref_ok), key=lambda h: h.sentence_id)
+            assert len(built) == len(kept) and all(b is h for b, h in zip(built, kept))
+
+    def test_sentences_the_reference_fails_are_left_out_whatever_the_hypothesis_says(self):
+        ref = [self.record("s1", ["a"], False), self.record("s2", ["b"], False), self.record("s3", ["c"], True)]
+        hyp = [self.record("s1", ["a"], True), self.record("s2", ["b"], False), self.record("s3", ["c"], True)]
+        assert [s.sentence_id for s in build_mining_corpus(ref, hyp).sentences] == ["s3"]
+        with pytest.raises(ValueError, match="^cannot mine an empty corpus$"):
+            compute_suspicion(build_mining_corpus(ref[:2], hyp[:2]))
+
+    def test_a_kept_record_is_failed_exactly_when_its_tag_is(self):
+        ref = parse_records("s1\tok\ta\ns2\tok\tb\ns3\tfailed\tc\ns4\tfailed\td\n")
+        hyp = parse_records("s1\tfailed\ta\ns2\tok\tb\ns3\tfailed\tc\ns4\tok\td\n")
+        built = build_mining_corpus(ref, hyp).sentences
+        assert [(s.sentence_id, s.failed) for s in built] == [("s1", True), ("s2", False)]
 
     def test_mismatches_are_errors(self):
         ok = self.record("s1", ["a"], True)
@@ -502,6 +530,25 @@ class TestKernelChecks:
         rows[where][1] = math.nan
         with pytest.raises(AssertionError, match="^per-sentence blame must sum to 1$"):
             _check_blame_mass(columns(*rows))
+
+    def test_both_checks_raise_under_python_O(self):
+        # raised from an if, not asserted: python -O strips assert statements
+        code = (
+            "import math\n"
+            "from valex.mining import _check_blame_mass, _check_unit_interval\n"
+            "print(__debug__)\n"
+            "for check, values in ((_check_unit_interval, [math.nan, 2.0]), (_check_blame_mass, [[5.0]])):\n"
+            "    try:\n"
+            "        check(values)\n"
+            "    except AssertionError as exc:\n"
+            "        print(exc)\n"
+            "    else:\n"
+            "        print('passed')\n"
+        )
+        src = str(Path(valex.mining.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
+        result = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert result.stdout.splitlines() == ["False", "scores must stay in [0, 1]", "per-sentence blame must sum to 1"]
 
     @pytest.mark.parametrize("scores, verdict", [
         ([], True),

@@ -672,11 +672,13 @@ class TestScoreCorpus:
 
     @pytest.mark.parametrize("block", [1, 3, 7, 40])
     def test_scores_do_not_depend_on_the_block_size(self, block, monkeypatch):
+        # score_pairs sums one score_corpus call per block; the sums equal
+        # one call over the whole corpus, for blocks of 1 to all 40 pairs
         gold, hyp = self.with_repeats(*self.aligned_corpora(113, 40), 113)
-        whole = {mode: score_corpus(gold, hyp, mode) for mode in M}  # one block of 40
+        whole = {mode: score_corpus(gold, hyp, mode) for mode in M}
         monkeypatch.setattr(passage, "_BLOCK", block)
         for mode in M:
-            assert score_corpus(gold, hyp, mode) == whole[mode]
+            assert passage.score_pairs(zip(gold, hyp), mode) == (whole[mode], coverage(hyp))
 
     def test_permutation_invariance(self):
         rng = random.Random(103)

@@ -50,7 +50,7 @@ def test_every_enum_is_a_vocabulary(vocabulary):
 
 def test_the_walk_finds_every_model():
     assert {cls.__qualname__ for cls in MODELS} >= {
-        "LexicalEntry", "Lexicon", "ObservedFrame", "SentenceRecord", "MiningSentence", "SentenceAnnotation",
+        "LexicalEntry", "Lexicon", "ObservedFrame", "SentenceRecord", "SentenceAnnotation",
         "Scores", "MergeReport", "FrequencyTable",
     }
 
