@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .errors import BLOCK, FormatError, text_blocks
+from .errors import BLOCK, FormatError
 from .relaxation import RelaxationMode
 
 def _lazy(name: str):
@@ -129,7 +129,7 @@ def _sentence_pairs(gold: str, hyp: str):
 
 def _write(out_dir: str | None, header: list[str], reports: dict) -> None:
     """Each report of reports, {filename: body}, as the header lines plus
-    its body, a str or text blocks: to stdout in turn when out_dir is None,
+    its body, as text blocks: to stdout in turn when out_dir is None,
     else into out_dir, where every report is written to a temporary file
     before any is renamed into place, and on any error every temporary file
     is unlinked, so that none of the reports lands.  A body goes a block at
@@ -138,7 +138,7 @@ def _write(out_dir: str | None, header: list[str], reports: dict) -> None:
     if out_dir is None:
         try:
             for body in reports.values():
-                text = itertools.chain([head], text_blocks(body))
+                text = itertools.chain([head], body)
                 if hasattr(sys.stdout, "buffer"):  # UTF-8 whatever the locale, as --out writes
                     sys.stdout.flush()
                     for block in text:
@@ -164,7 +164,7 @@ def _write(out_dir: str | None, header: list[str], reports: dict) -> None:
                 fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
                 staged.append((tmp_path, target))
                 with os.fdopen(fd, "wb") as handle:
-                    for block in itertools.chain([head], text_blocks(body)):
+                    for block in itertools.chain([head], body):
                         handle.write(block.encode("utf-8"))
             for tmp_path, target in staged:
                 os.replace(tmp_path, target)

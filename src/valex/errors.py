@@ -24,8 +24,7 @@ class FormatError(ValueError):
     """
 
     def __init__(self, message: str, line: int | None = None):
-        self.message = message
-        self.line = line
+        self.message, self.line = message, line
         super().__init__(message if line is None else f"line {line}: {message}")
 
 
@@ -94,15 +93,16 @@ def write_rows(rows: Iterable[Sequence[str]]) -> Iterator[str]:
     """Yield rows as LF-terminated tab-separated lines, joined into blocks of
     whole lines, each yielded once it holds BLOCK characters or more.
 
-    Raises ValueError for a field holding a tab, CR or LF, and for a first
-    field starting with ``#``: parse_rows would not read either back.  Rows
-    are checked as they are drawn, so the error comes after the blocks
-    before its row's block are yielded, and that block is not.
+    Raises ValueError for a row parse_rows would not read back: a blank
+    one, a field holding a tab, CR or LF, or a first field starting with
+    ``#``.  Rows are checked as they are drawn, so the error comes after
+    the blocks before its row's block are yielded, and that block is not.
     """
-    lines = []
-    size = 0  # characters in lines
+    lines, size = [], 0  # size: the characters in lines
     for fields in rows:
         text = "\t".join(fields)
+        if not text.strip(" \t"):
+            raise ValueError(f"row {tuple(fields)!r} is blank and cannot be serialized")
         if text.count("\t") != len(fields) - 1 or "\n" in text or "\r" in text:
             bad = next(f for f in fields if "\t" in f or "\n" in f or "\r" in f)
             raise ValueError(f"field {bad!r} contains a tab or line break and cannot be serialized")

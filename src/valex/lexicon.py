@@ -45,16 +45,8 @@ class SyntacticFunction(Vocabulary):
     OBL2 = "Obl2"
 
 
-# Total, disjoint classification: every function is base or oblique.
-BASE_FUNCTIONS = frozenset(
-    {SyntacticFunction.SUJ, SyntacticFunction.OBJ, SyntacticFunction.OBJA, SyntacticFunction.OBJDE}
-)
-OBLIQUE_FUNCTIONS = frozenset(SyntacticFunction) - BASE_FUNCTIONS
-
-# Bit of each function in an entry's base_mask or oblique_mask; the two
-# classes are numbered separately, in enum order, so both masks stay small ints.
-_BASE_BIT = {f: 1 << k for k, f in enumerate(f for f in SyntacticFunction if f in BASE_FUNCTIONS)}
-_OBLIQUE_BIT = {f: 1 << k for k, f in enumerate(f for f in SyntacticFunction if f in OBLIQUE_FUNCTIONS)}
+# Bit of each function in an entry's function_mask, in enum order.
+FUNCTION_BIT = {f: 1 << k for k, f in enumerate(SyntacticFunction)}
 
 
 class Category(Vocabulary):
@@ -160,8 +152,8 @@ class LexicalEntry:
     absent: its frame is the bare base construction and every slot is
     obligatory.  Coded entries always license at least ACTIVE.
 
-    base_mask and oblique_mask are the sets of the frame's base and oblique
-    functions, as bitmasks; they are derived from the frame on construction.
+    function_mask is the set of the frame's functions, as the sum of their
+    FUNCTION_BIT bits; it is derived from the frame on construction.
     """
 
     lemma: str
@@ -172,8 +164,7 @@ class LexicalEntry:
     coded: bool
     provenance: tuple[tuple[str, str], ...]
     examples: tuple[str, ...] = ()
-    base_mask: int = field(init=False, repr=False, compare=False)
-    oblique_mask: int = field(init=False, repr=False, compare=False)
+    function_mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if type(self.frame) is not tuple:
@@ -186,15 +177,11 @@ class LexicalEntry:
         check_lemma(self.lemma)
         if not self.entry_id:
             raise ValueError("empty entry_id")
-        base = oblique = 0
+        mask = 0
         for slot in self.frame:
-            if slot.function in _BASE_BIT:
-                base |= _BASE_BIT[slot.function]
-            else:
-                oblique |= _OBLIQUE_BIT[slot.function]
-        object.__setattr__(self, "base_mask", base)
-        object.__setattr__(self, "oblique_mask", oblique)
-        if base.bit_count() + oblique.bit_count() != len(self.frame):
+            mask |= FUNCTION_BIT[slot.function]
+        object.__setattr__(self, "function_mask", mask)
+        if mask.bit_count() != len(self.frame):
             raise ValueError(f"duplicate function in frame of {self.entry_id}")
         if not self.provenance:
             raise ValueError(f"entry {self.entry_id} has no provenance")

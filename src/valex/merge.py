@@ -2,10 +2,10 @@
 
 Entries of a shared lemma are matched on their function signatures: a
 reference entry matches another entry when both subcategorize exactly the
-same base functions and the reference's oblique functions are included in
-the other's.  That one predicate, on the entries' base and oblique masks,
-is inline in merge_lemma.  Matching is directional; the reference side is
-the one being enriched.
+same base functions (BASE_FUNCTIONS) and the reference's oblique functions
+(OBLIQUE_FUNCTIONS) are included in the other's.  That one predicate, on
+the entries' function masks, is inline in merge_lemma.  Matching is
+directional; the reference side is the one being enriched.
 
 Per lemma, the merge walks reference entries in order and fuses each with
 every not-yet-consumed matching entry from the other side; leftovers on
@@ -19,7 +19,14 @@ from dataclasses import dataclass, replace
 from typing import Iterator
 
 from .errors import write_rows
-from .lexicon import FunctionSlot, LexicalEntry, Lexicon
+from .lexicon import FUNCTION_BIT, FunctionSlot, LexicalEntry, Lexicon, SyntacticFunction
+
+# Total, disjoint classification: every function is base or oblique.
+BASE_FUNCTIONS = frozenset(
+    {SyntacticFunction.SUJ, SyntacticFunction.OBJ, SyntacticFunction.OBJA, SyntacticFunction.OBJDE}
+)
+OBLIQUE_FUNCTIONS = frozenset(SyntacticFunction) - BASE_FUNCTIONS
+_BASE = sum(FUNCTION_BIT[f] for f in BASE_FUNCTIONS)  # the base functions' bits of a function_mask
 
 
 @dataclass(frozen=True, slots=True)
@@ -130,10 +137,11 @@ def merge_lemma(ref_entries, other_entries) -> MergedLemmaResult:
     unconsumed = other_entries
     merged: list[LexicalEntry] = []
     for ref in ref_entries:
-        rbase, robl = ref.base_mask, ref.oblique_mask
+        r = ref.function_mask
         absorbed, kept = [], []
         for other in unconsumed:
-            if other.base_mask == rbase and not robl & ~other.oblique_mask:
+            o = other.function_mask
+            if not (r ^ o) & _BASE and not r & ~o:  # equal bases, and r's obliques within o's
                 absorbed.append(other)
             else:
                 kept.append(other)
@@ -175,7 +183,7 @@ def merge_lexicons(ref: Lexicon, other: Lexicon) -> tuple[Lexicon, MergeReport]:
                 avoid.add(entry.entry_id)
             entries.append(entry)
         results.append(replace(result, entries=tuple(entries)))
-    merged = Lexicon.from_entries(e for r in results for e in r.entries)
+    merged = Lexicon({r.lemma: r.entries for r in results})
     return merged, MergeReport(tuple(results))
 
 

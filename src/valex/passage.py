@@ -211,20 +211,14 @@ def coverage(records: Sequence[SentenceAnnotation]) -> CoverageResult:
     return CoverageResult(sum(r.full_parse for r in records), len(records))
 
 
-def format_fixed(value, places: int = 2) -> str:
-    """Decimal string with the given places, rounding half away from zero."""
-    q = Fraction(value)
-    scale = 10**places
-    n, d = abs(q * scale).numerator, abs(q * scale).denominator
-    units = (2 * n + d) // (2 * d)
-    sign = "-" if q < 0 and units else ""  # no negative zero
-    whole, part = divmod(units, scale)
-    return f"{sign}{whole}.{part:0{places}d}" if places else f"{sign}{whole}"
-
-
 def format_percent(ratio) -> str:
-    """Ratio in [0, 1] rendered as a percentage with two decimals."""
-    return format_fixed(Fraction(ratio) * 100, 2)
+    """A ratio, such as a score in [0, 1], rendered as a percentage with two
+    decimals, rounding half up; a negative ratio raises ValueError."""
+    q = Fraction(ratio) * 10_000  # in hundredths of a percent
+    if q < 0:
+        raise ValueError(f"negative ratio: {ratio}")
+    whole, part = divmod((2 * q.numerator + q.denominator) // (2 * q.denominator), 100)
+    return f"{whole}.{part:02d}"
 
 
 def _scores_row(kind: str, label: str, scores: Scores) -> tuple[str, ...]:

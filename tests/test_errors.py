@@ -155,3 +155,31 @@ def test_no_rows_give_an_empty_body_and_a_header_only_report(tmp_path):
     assert list(write_rows([])) == []
     _write(str(tmp_path), ["# valex test"], {"empty.tsv": write_rows([])})
     assert (tmp_path / "empty.tsv").read_text(encoding="utf-8") == "# valex test\n"
+
+
+# rows parse_rows would skip as blank lines: no fields, or only spaces and tabs
+BLANK_ROWS = [(), ("",), (" ",), ("", ""), (" ", ""), ("\t",), ("", "\t ")]
+
+
+@pytest.mark.parametrize("row", BLANK_ROWS, ids=repr)
+def test_write_rows_refuses_a_blank_row(row):
+    # the blank test runs before the tab test, so ("\t",) is blank, not a tab field
+    with pytest.raises(ValueError, match=f"^{re.escape(f'row {row!r} is blank and cannot be serialized')}$"):
+        list(write_rows([("r", "x"), row]))
+
+
+def test_write_rows_writes_exactly_the_rows_that_read_back():
+    def reads_back(row):
+        text = "\t".join(row)
+        return (text.strip(" \t") != "" and text.count("\t") == len(row) - 1
+                and "\n" not in text and "\r" not in text and not text.startswith("#"))
+
+    rng = random.Random(41)
+    for _ in range(3000):
+        rows = [tuple(rng.choice(["", " ", "\t", "#", "a", " a", "a\n", "\r"]) for _ in range(rng.randint(0, 3)))
+                for _ in range(rng.randint(1, 3))]
+        if all(map(reads_back, rows)):
+            assert [fields for _, fields in parse_rows(write_rows(rows), tuple)] == rows
+        else:
+            with pytest.raises(ValueError):
+                list(write_rows(rows))

@@ -6,10 +6,9 @@ import pytest
 
 from valex.errors import FormatError
 from valex.lexicon import (
-    BASE_FUNCTIONS,
     CLITIC,
+    FUNCTION_BIT,
     NP,
-    OBLIQUE_FUNCTIONS,
     Category,
     FunctionSlot,
     LexicalEntry,
@@ -23,6 +22,7 @@ from valex.lexicon import (
     pp,
     serialize_lexicon,
 )
+from valex.merge import _BASE, BASE_FUNCTIONS, OBLIQUE_FUNCTIONS
 
 from gen import LINE_BREAK_LOOKALIKES, rand_lexicon
 
@@ -306,20 +306,22 @@ class TestSignatures:
 
     @staticmethod
     def assert_masks_agree(entries):
-        # Each function's bit, read off a one-slot entry, must be a distinct
-        # power of two within its class; an entry's masks are then the
-        # union of the bits of its signatures.
+        # Each function's bit, read off a one-slot entry, must be its
+        # FUNCTION_BIT, a distinct power of two, inside merge's base bits
+        # exactly when the function is base; an entry's mask is then the sum
+        # of its functions' bits, and its base and oblique parts the sums of
+        # its signatures' bits.
         bits = {}
         for f in SyntacticFunction:
-            probe = entry(frame=(slot(f),))
-            bits[f] = probe.base_mask if f in BASE_FUNCTIONS else probe.oblique_mask
+            bits[f] = entry(frame=(slot(f),)).function_mask
+            assert bits[f] == FUNCTION_BIT[f]
             assert bits[f].bit_count() == 1
-            assert (probe.base_mask if f in OBLIQUE_FUNCTIONS else probe.oblique_mask) == 0
-        for cls in (BASE_FUNCTIONS, OBLIQUE_FUNCTIONS):
-            assert len({bits[f] for f in cls}) == len(cls)
+            assert bits[f] & _BASE == (bits[f] if f in BASE_FUNCTIONS else 0)
+        assert len(set(bits.values())) == len(SyntacticFunction)
         for e in entries:
-            assert e.base_mask == sum(bits[f] for f in base_set(e))
-            assert e.oblique_mask == sum(bits[f] for f in oblique_set(e))
+            assert e.function_mask == sum(bits[s.function] for s in e.frame)
+            assert e.function_mask & _BASE == sum(bits[f] for f in base_set(e))
+            assert e.function_mask & ~_BASE == sum(bits[f] for f in oblique_set(e))
 
     def test_cached_masks_agree_with_signatures(self):
         rng = random.Random(11)
@@ -330,7 +332,7 @@ class TestSignatures:
             # merge_lexicons renames colliding ids through dataclasses.replace
             renamed = [dataclasses.replace(e, entry_id=e.entry_id + "~2") for e in entries]
             self.assert_masks_agree(renamed)
-            # replacing the frame recomputes the masks
+            # replacing the frame recomputes the mask
             reframed = [dataclasses.replace(e, frame=e.frame[1:]) for e in entries]
             self.assert_masks_agree(reframed)
 

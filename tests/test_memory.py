@@ -13,7 +13,7 @@ import pytest
 
 from valex.checker import ObservedFrame, diagnose_corpus, parse_corpus
 from valex.cli import _parse_file, _write, main
-from valex.errors import parse_rows
+from valex.errors import parse_rows, text_blocks
 from valex.markup import (
     Constituent,
     ConstituentType,
@@ -93,7 +93,7 @@ def test_write_makes_no_copy_of_the_report(tmp_path, monkeypatch, to):
     with open(os.devnull, "w", encoding="utf-8") as devnull:
         monkeypatch.setattr(sys, "stdout", devnull)
         out_dir = str(tmp_path) if to == "out" else None
-        assert traced_peak(_write, out_dir, ["# valex test"], {"report.tsv": body}) < MiB
+        assert traced_peak(_write, out_dir, ["# valex test"], {"report.tsv": text_blocks(body)}) < MiB
     if to == "out":
         assert (tmp_path / "report.tsv").stat().st_size == len(body) + len("# valex test\n")
 

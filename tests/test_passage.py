@@ -18,7 +18,6 @@ from valex.passage import (
     Scores,
     SentenceAnnotation,
     coverage,
-    format_fixed,
     format_percent,
     parse_passage,
     score_corpus,
@@ -732,18 +731,11 @@ class TestCoverage:
 
 
 class TestFormatting:
-    def test_fixed_half_up(self):
-        assert format_fixed(Fraction(1, 8), 2) == "0.13"
-        assert format_fixed(Fraction(1, 8), 3) == "0.125"
-        assert format_fixed(Fraction(1, 4), 1) == "0.3"
-        assert format_fixed(Fraction(2, 3), 2) == "0.67"
-        assert format_fixed(Fraction(1, 3), 2) == "0.33"
-        assert format_fixed(Fraction(7), 0) == "7"
-        assert format_fixed(Fraction(8921, 100), 2) == "89.21"
-        # a negative value that rounds to zero carries no sign
-        assert format_fixed(Fraction(-1, 1000), 2) == "0.00"
-        assert format_fixed(Fraction(-2, 5), 0) == "0"
-        assert format_fixed(Fraction(-1, 200), 2) == "-0.01"
+    def test_percent_rounds_half_up(self):
+        assert format_percent(Fraction(1, 800)) == "0.13"
+        assert format_percent(Fraction(2, 300)) == "0.67"
+        assert format_percent(Fraction(1, 300)) == "0.33"
+        assert format_percent(Fraction(8921, 10000)) == "89.21"
 
     def test_percent(self):
         assert format_percent(Fraction(2, 3)) == "66.67"
@@ -751,3 +743,9 @@ class TestFormatting:
         assert format_percent(1) == "100.00"
         assert format_percent(0) == "0.00"
         assert format_percent(Fraction(6636, 10000)) == "66.36"
+
+    def test_percent_refuses_a_negative_ratio(self):
+        # half up is not half away from zero below 0: -1/3 would read -34.67
+        for ratio in (Fraction(-1, 3), Fraction(-1, 10**9), -1):
+            with pytest.raises(ValueError, match="negative ratio"):
+                format_percent(ratio)
